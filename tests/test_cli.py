@@ -171,3 +171,50 @@ def test_report_embeds_full_config(tmp_path, capsys):
     for key in ("alpha", "rho", "beta", "replicas", "trunc_n", "tau", "topk",
                 "level", "seed", "out"):
         assert key in record["config"]
+
+
+# Golden streams: CSV digests and the report numbers that do not pass through
+# stattest, pinned at tiny sizes so any change to a replica's random stream shows.
+_GOLDEN_FLAGS = ["--alpha", "0.5", "--alphas", "0.3,0.7", "--rho", "1", "--replicas", "6",
+                 "--trunc-n", "40", "--topk", "3", "--tau", "2", "--seed", "123"]
+_GOLDEN_CSV = {
+    ("sample", "pd"): "7475b13aea49ba59181289fbdbb5fe39a72ef0977635e072910507bd7ce76514",
+    ("sample", "pp"): "44643849ac2bc3fc914c26b5e244d806f71df0373f70bf6e3855da690c45f4ed",
+    ("sample", "geometric"): "8d9f0364e59e7f9c870af56365c71bdb9141827a7294c745ad92c395d92b5891",
+    ("sample", "mixture-of-pd"): "a4a20a4669214598fe38db357bf0b85de7dff3deb4afb59138fbfa8d95f93754",
+    ("evolve", "pd"): "3dfb2cca0ba5c248658581cfd30563b3a0921fb20b60367c6767c55ef856fbd8",
+    ("evolve", "pp"): "55194df4b59054fce2dfa39ad9e43ea49ded4fd44c2e3cce80c93695039d2a1b",
+    ("evolve", "geometric"): "38b4a64f60b2672fa9cd299b8bd2c7d627899ce4fae98fb2aba526f7c5deced0",
+    ("evolve", "mixture-of-pd"): "0265a2a15f25e5a6bcc1ec87f706f78c3093084672cb6a7ef3a35abb7828faa2",
+}
+
+
+@pytest.mark.parametrize("command,kind", sorted(_GOLDEN_CSV))
+def test_golden_csv_stream(tmp_path, capsys, command, kind):
+    import hashlib
+
+    assert run([command, "--kind", kind, *_GOLDEN_FLAGS, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    csv = tmp_path / ("sample.csv" if command == "sample" else "evolved.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == _GOLDEN_CSV[(command, kind)]
+
+
+def test_golden_report_numbers(tmp_path, capsys):
+    def report(args):
+        run(args + ["--seed", "123", "--out", str(tmp_path)])
+        return json.loads(capsys.readouterr().out)
+
+    gen = report(["gen-functional", "--rho", "1", "--f-a", "0.5", "--f-d", "0.5",
+                  "--replicas", "200", "--trunc-n", "40"])
+    assert [gen["mc_estimate"], gen["mc_se"]] == [0.48512874455307037, 0.011172565351262032]
+    oracles = report(["compare-oracles", "--alpha", "0.5", "--replicas", "40",
+                      "--trunc-n", "60", "--topk", "3"])
+    assert oracles["sum_squares"] == {
+        "exp_of_pp": {"mean": 0.5341373640603889, "se": 0.04994714464121164},
+        "poisson_kingman": {"mean": 0.48059675650258693, "se": 0.04519119442991835},
+        "stick_breaking": {"mean": 0.49181454241941525, "se": 0.045185526306271456},
+    }
+    lemma = report(["verify-lemma", "--alpha", "0.5", "--rho", "0.5", "--tau", "3",
+                    "--replicas", "30", "--trunc-n", "60", "--grid-points", "20", "--ck", "0.8"])
+    assert lemma["max_bound_ratio"] == 0.20509071542131313
+    assert (lemma["markov_violations"], lemma["z_violations"], lemma["jump"]["events"]) == (0, 0, 2)
