@@ -3,7 +3,6 @@ and random mass-partition reshuffling."""
 
 from .pointproc import (
     ArrivalTimes,
-    LevyMeasureSpec,
     MassPartition,
     PointConfiguration,
     config_from_mass_partition,
@@ -37,7 +36,6 @@ from .analysis import (
     jump_event_bound_check,
     normalized_profile,
     sum_squares,
-    v_beta,
 )
 from .stattest import (
     InvarianceReport,

@@ -23,7 +23,6 @@ __all__ = [
     "front_profile",
     "front_position",
     "normalized_profile",
-    "v_beta",
     "gen_functional_mc",
     "gen_functional_pp_exponential",
     "gap_vector",
@@ -39,11 +38,6 @@ class FrontRootError(RuntimeError):
 
 class ShallowTruncationError(ValueError):
     """The configuration is too shallow for the test function's support."""
-
-
-def v_beta(law: IncrementLaw, beta) -> float:
-    """Log moment generating function of the increment law at beta."""
-    return law.log_mgf(beta)
 
 
 @dataclass
@@ -70,8 +64,8 @@ def front_profile(config: PointConfiguration, law: IncrementLaw, tau) -> FrontPr
     """Build F(y) = sum_i P(S_i(tau) >= y - X_i) over the tracked points."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    if tau > 0 and law.kind not in ("gaussian", "constant"):
-        raise ValueError(f"no closed-form tau-fold tail for kind {law.kind!r}")
+    if tau > 0 and not law.closed_sum_tail:
+        raise ValueError(f"no closed-form tau-fold tail for {law!r}")
     return FrontProfile(config=config, law=law, tau=int(tau))
 
 
@@ -81,16 +75,15 @@ def front_position(profile: FrontProfile) -> float:
     Degenerate profiles with F < 1 everywhere (a single tracked point under a
     diffuse law) raise FrontRootError.
     """
-    pts = profile.config.points
-    if profile.tau == 0 or profile.law.kind == "constant":
+    pts, law = profile.config.points, profile.law
+    if profile.tau == 0 or law.degenerate:
         # step profile: F(y) = #{i : X_i + tau*c >= y} crosses below 1 at the leader
-        z = pts[0] + profile.tau * (profile.law.params[0] if profile.law.kind == "constant" else 0.0)
-        profile.z = float(z)
+        profile.z = float(pts[0] + profile.tau * law.mean())
         return profile.z
     if len(pts) < 2:
         raise FrontRootError("fewer than one expected survivor at every level")
     lo = pts[0] - 10.0
-    hi = pts[0] + (v_beta(profile.law, profile.config.beta) / profile.config.beta) * profile.tau + 10.0
+    hi = pts[0] + (law.log_mgf(profile.config.beta) / profile.config.beta) * profile.tau + 10.0
     hi = max(hi, lo + 1.0)
     width = hi - lo
     while profile(lo) < 1.0:
@@ -234,7 +227,7 @@ def jump_event_bound_check(starts, law: IncrementLaw, tau, K, C, beta=1.0, rng=N
     directly from the tau-fold law (exact for gaussian and constant kinds).
     Passes when the empirical frequency is at most bound + 3 binomial SE.
     """
-    v = v_beta(law, beta)
+    v = law.log_mgf(beta)
     exponent = tau * ((C + K) * beta - v)
     if tau > 0 and exponent <= 0:
         raise ValueError("requires (C + K) * beta > v_beta")
@@ -247,14 +240,7 @@ def jump_event_bound_check(starts, law: IncrementLaw, tau, K, C, beta=1.0, rng=N
         n += 1
         if tau == 0:
             continue
-        if law.kind == "gaussian":
-            mu, sigma = law.params
-            s = rng.normal(tau * mu, sigma * np.sqrt(tau), size=pts.size)
-        elif law.kind == "constant":
-            s = np.full(pts.size, tau * law.params[0])
-        else:
-            s = law.sample((tau, pts.size), rng).sum(axis=0)
-        if np.max(pts + s) >= threshold:
+        if np.max(pts + law.sample_sum(tau, pts.size, rng)) >= threshold:
             hits += 1
     freq = hits / n
     report = JumpBoundReport(frequency=freq, bound=float(bound), n_replicas=n,

@@ -8,43 +8,59 @@ Exit codes: 0 all checks pass, 1 statistical rejection, 2 usage/config error.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, dynamics, pointproc, stattest
+from . import analysis, dynamics, experiments, pointproc, stattest
 
-DEFAULTS = {
-    "kind": "pd",
-    "alpha": 0.5,
-    "alphas": "0.3,0.7",   # mixture components for kind=mixture-of-pd
-    "rho": 1.0,
-    "beta": 1.0,
-    "mu": 0.0,
-    "sigma": 1.0,
-    "replicas": 2000,
-    "trunc_n": 500,
-    "tau": 1,
-    "topk": 5,
-    "level": 0.01,
-    "n_perm": 199,
-    "f_a": 0.5,
-    "f_d": 0.5,
-    "ck": 1.5,             # C + K for the jump-event bound
-    "grid_points": 100,
-    "input": "",
-    "out": ".",
+
+class Option(NamedTuple):
+    default: object
+    type: type
+    help: str
+    lower: object = None  # smallest accepted value, if any
+
+
+# Every option once: DEFAULTS, the command-line flags, the config-file keys
+# and the range checks are all generated from this table.
+OPTIONS = {
+    "seed": Option(None, int, "master seed (or set QUASISTAT_SEED)"),
+    "out": Option(".", str, "output directory"),
+    "kind": Option("pd", str, "pd | pp | geometric | mixture-of-pd | custom-from-file"),
+    "replicas": Option(2000, int, "replicas per ensemble", 1),
+    "alpha": Option(0.5, float, "PD(alpha, 0) index"),
+    "alphas": Option("0.3,0.7", str, "comma list of mixture components"),
+    "rho": Option(1.0, float, "intensity rho e^{-rho y} of the point process"),
+    "beta": Option(1.0, float, "weight exponent, W = e^{beta h}"),
+    "mu": Option(0.0, float, "increment law mean"),
+    "sigma": Option(1.0, float, "increment law std dev"),
+    "tau": Option(1, int, "evolution steps", 0),
+    "topk": Option(5, int, "tracked coordinates per replica", 1),
+    "trunc_n": Option(500, int, "tracked points per replica", 1),
+    "level": Option(0.01, float, "test level, in (0, 1)"),
+    "n_perm": Option(199, int, "energy-test permutations", 199),
+    "f_a": Option(0.5, float, "step amplitude"),
+    "f_d": Option(0.5, float, "step width"),
+    "ck": Option(1.5, float, "C + K in the jump-event bound"),
+    "grid_points": Option(100, int, "front-profile grid size", 1),
+    "input": Option("", str, "CSV of masses for kind=custom-from-file"),
 }
 
-_INT_KEYS = {"replicas", "trunc_n", "tau", "topk", "n_perm", "grid_points", "seed"}
-_STR_KEYS = {"kind", "alphas", "input", "out"}
+DEFAULTS = {key: opt.default for key, opt in OPTIONS.items()}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def load_config_file(path):
@@ -60,7 +76,7 @@ def load_config_file(path):
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, value = (s.strip() for s in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in DEFAULTS and key != "seed":
+                if key not in OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = value
     except OSError as exc:
@@ -69,35 +85,32 @@ def load_config_file(path):
 
 
 def _coerce(key, value):
-    if key in _STR_KEYS:
-        return str(value)
-    if key in _INT_KEYS:
-        return int(value)
-    return float(value)
+    opt = OPTIONS[key]
+    try:
+        return opt.type(value)
+    except ValueError:
+        raise ConfigError(f"{_flag(key)} expects {opt.type.__name__}, got {value!r}") from None
 
 
 def resolve_config(args):
     """defaults < config file < command-line flags; returns a plain dict."""
     cfg = dict(DEFAULTS)
-    cfg["seed"] = None
     if args.config:
         for key, value in load_config_file(args.config).items():
             cfg[key] = _coerce(key, value)
-    for key in list(DEFAULTS) + ["seed"]:
+    for key in OPTIONS:
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = _coerce(key, value)
+            cfg[key] = value
     if cfg["seed"] is None and os.environ.get("QUASISTAT_SEED"):
-        cfg["seed"] = int(os.environ["QUASISTAT_SEED"])
+        cfg["seed"] = _coerce("seed", os.environ["QUASISTAT_SEED"])
     if cfg["seed"] is None:
         raise ConfigError("a master seed is required (--seed or QUASISTAT_SEED)")
-    for key, lo in [("replicas", 1), ("trunc_n", 1), ("topk", 1), ("n_perm", 199)]:
-        if cfg[key] < lo:
-            raise ConfigError(f"{key} must be >= {lo}")
-    if cfg["tau"] < 0:
-        raise ConfigError("tau must be >= 0")
+    for key, opt in OPTIONS.items():
+        if opt.lower is not None and cfg[key] < opt.lower:
+            raise ConfigError(f"{_flag(key)} must be >= {opt.lower}")
     if not 0 < cfg["level"] < 1:
-        raise ConfigError("level must be in (0, 1)")
+        raise ConfigError("--level must be in (0, 1)")
     return cfg
 
 
@@ -112,291 +125,160 @@ def write_csv(path, header, rows):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _rngs(cfg, stream, n=None):
+    """One generator per replica, spawned from the master seed."""
+    n = cfg["replicas"] if n is None else n
+    return (replica_rng(cfg["seed"], stream, i) for i in range(n))
+
+
 def _increment_law(cfg):
     return dynamics.IncrementLaw.gaussian(cfg["mu"], cfg["sigma"])
 
 
-def _mixture_alphas(cfg):
-    try:
-        alphas = [float(s) for s in cfg["alphas"].split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"bad alphas list {cfg['alphas']!r}")
-    if not alphas or any(not 0 < a < 1 for a in alphas):
-        raise ConfigError("mixture alphas must lie in (0, 1)")
-    return alphas
-
-
-def _sample_partition(cfg, kind, rng):
-    n = cfg["trunc_n"]
+def _partition_sampler(cfg):
+    """sample(rng) -> MassPartition for the partition kinds."""
+    kind, n = cfg["kind"], cfg["trunc_n"]
     if kind == "pd":
-        return pointproc.sample_pd_poisson_kingman(cfg["alpha"], n, rng)
+        return lambda rng: pointproc.sample_pd_poisson_kingman(cfg["alpha"], n, rng)
     if kind == "geometric":
-        masses = 0.5 ** np.arange(1, n + 1)
-        return pointproc.MassPartition(masses, tail_mass=0.5 ** n)
+        geometric = pointproc.MassPartition(0.5 ** np.arange(1, n + 1), tail_mass=0.5 ** n)
+        return lambda rng: geometric
     if kind == "mixture-of-pd":
-        alphas = _mixture_alphas(cfg)
-        alpha = alphas[rng.integers(len(alphas))]
-        return pointproc.sample_pd_poisson_kingman(alpha, n, rng)
+        try:
+            alphas = [float(s) for s in cfg["alphas"].split(",") if s.strip()]
+        except ValueError:
+            raise ConfigError(f"bad --alphas list {cfg['alphas']!r}")
+        if not alphas or any(not 0 < a < 1 for a in alphas):
+            raise ConfigError("--alphas components must lie in (0, 1)")
+        return lambda rng: pointproc.sample_pd_poisson_kingman(
+            alphas[rng.integers(len(alphas))], n, rng)
     raise ConfigError(f"unsupported partition kind {kind!r}")
 
 
-def _mass_matrix(cfg, kind, stream, evolved=False):
-    """Replica x top-k matrix of masses, optionally after one reshuffle."""
-    k, law, beta = cfg["topk"], _increment_law(cfg), cfg["beta"]
-    rows = np.empty((cfg["replicas"], k))
-    for i in range(cfg["replicas"]):
-        rng = replica_rng(cfg["seed"], stream, i)
-        part = _sample_partition(cfg, kind, rng)
-        if evolved:
-            for _ in range(max(1, cfg["tau"])):
-                part = dynamics.evolve_multiplicative(part, law, beta=beta, rng=rng)
-        if len(part) < k:
-            raise ConfigError("trunc_n too small for requested topk")
-        rows[i] = part.masses[:k]
-    return rows
+def _ensemble(cfg, stream, steps):
+    """Replica x topk matrix after ``steps`` evolution steps, and its column prefix:
+    gaps of the point process for kind=pp, top masses otherwise."""
+    law, k = _increment_law(cfg), cfg["topk"]
+    if cfg["kind"] == "pp":
+        return experiments.top_gaps(_rngs(cfg, stream), cfg["rho"], cfg["trunc_n"], k,
+                                    beta=cfg["beta"], law=law, steps=steps), "gap"
+    return experiments.top_masses(_rngs(cfg, stream), _partition_sampler(cfg), k,
+                                  law=law, beta=cfg["beta"], steps=steps), "xi"
 
 
-def _gap_matrix(cfg, stream, tau):
-    """Replica x top-k matrix of gaps of PP(rho), after tau additive steps."""
-    k, law = cfg["topk"], _increment_law(cfg)
-    rows = np.empty((cfg["replicas"], k))
-    for i in range(cfg["replicas"]):
-        rng = replica_rng(cfg["seed"], stream, i)
-        config = pointproc.sample_pp_exponential(cfg["rho"], cfg["trunc_n"], rng, beta=cfg["beta"])
-        for _ in range(tau):
-            config = dynamics.evolve_additive(config, law, rng)
-        rows[i] = analysis.gap_vector(config, k)
-    return rows
-
-
-def _matrix_from_file(cfg):
+def _custom_ensembles(cfg):
+    """Before: the first half of the --input rows; after: the second half, reshuffled once."""
     if not cfg["input"]:
-        raise ConfigError("kind=custom-from-file requires input=<csv path>")
+        raise ConfigError("kind=custom-from-file requires --input <csv path>")
     try:
         data = np.loadtxt(cfg["input"], delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read input file: {exc}")
     if data.shape[0] < 2:
         raise ConfigError("custom input needs at least 2 rows")
-    return data
+    half = data.shape[0] // 2
+    rows = iter(data[half:])
+
+    def sample(rng):
+        row = next(rows)
+        total = row.sum()
+        if total > 1 + 1e-9:
+            raise ConfigError("custom rows must sum to at most 1")
+        return pointproc.MassPartition(np.sort(row[row > 0])[::-1], tail_mass=max(0.0, 1.0 - total))
+
+    after = experiments.top_masses(_rngs(cfg, 1, data.shape[0] - half), sample, cfg["topk"],
+                                   law=_increment_law(cfg), beta=cfg["beta"], steps=1)
+    return data[:half, : cfg["topk"]], after
 
 
-def _record(cfg, experiment, started, **extra):
-    rec = {
-        "experiment": experiment,
-        "config": {k: cfg[k] for k in sorted(cfg)},
-        "runtime_seconds": round(time.time() - started, 3),
-    }
-    rec.update(extra)
-    return rec
+def _header(prefix, k):
+    return [f"{prefix}_{j}" for j in range(1, k + 1)]
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _emit(cfg, experiment, record):
-    os.makedirs(cfg["out"], exist_ok=True)
-    path = os.path.join(cfg["out"], f"{experiment}_report.json")
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+def _write(cfg, name, header, rows):
+    path = os.path.join(cfg["out"], name)
+    write_csv(path, header, rows)
     return path
 
 
+# Each command returns its report fields and whether every check passed.
+
 def cmd_sample(cfg):
-    started = time.time()
     if cfg["kind"] == "pp":
-        rows = np.empty((cfg["replicas"], cfg["topk"]))
-        for i in range(cfg["replicas"]):
-            rng = replica_rng(cfg["seed"], 0, i)
-            config = pointproc.sample_pp_exponential(cfg["rho"], cfg["trunc_n"], rng, beta=cfg["beta"])
-            rows[i] = config.points[: cfg["topk"]]
-        header = [f"x_{j}" for j in range(1, cfg["topk"] + 1)]
+        rows = experiments.top_points(_rngs(cfg, 0), cfg["rho"], cfg["trunc_n"], cfg["topk"],
+                                      beta=cfg["beta"])
+        prefix = "x"
     else:
-        rows = _mass_matrix(cfg, cfg["kind"], stream=0)
-        header = [f"xi_{j}" for j in range(1, cfg["topk"] + 1)]
-    os.makedirs(cfg["out"], exist_ok=True)
-    csv_path = os.path.join(cfg["out"], "sample.csv")
-    write_csv(csv_path, header, rows)
-    record = _record(cfg, "sample", started, files=[csv_path],
-                     column_means=[float(m) for m in rows.mean(axis=0)])
-    _emit(cfg, "sample", record)
-    return record, True
+        rows, prefix = _ensemble(cfg, 0, steps=0)
+    path = _write(cfg, "sample.csv", _header(prefix, cfg["topk"]), rows)
+    return {"files": [path], "column_means": [float(m) for m in rows.mean(axis=0)]}, True
 
 
 def cmd_evolve(cfg):
-    started = time.time()
-    if cfg["kind"] == "pp":
-        rows = _gap_matrix(cfg, stream=0, tau=cfg["tau"])
-        header = [f"gap_{j}" for j in range(1, cfg["topk"] + 1)]
-    else:
-        rows = _mass_matrix(cfg, cfg["kind"], stream=0, evolved=cfg["tau"] > 0)
-        header = [f"xi_{j}" for j in range(1, cfg["topk"] + 1)]
-    os.makedirs(cfg["out"], exist_ok=True)
-    csv_path = os.path.join(cfg["out"], "evolved.csv")
-    write_csv(csv_path, header, rows)
-    record = _record(cfg, "evolve", started, files=[csv_path])
-    _emit(cfg, "evolve", record)
-    return record, True
+    rows, prefix = _ensemble(cfg, 0, steps=cfg["tau"])
+    return {"files": [_write(cfg, "evolved.csv", _header(prefix, cfg["topk"]), rows)]}, True
 
 
 def cmd_test_invariance(cfg):
-    started = time.time()
-    kind = cfg["kind"]
-    law, beta = _increment_law(cfg), cfg["beta"]
-    if kind == "pp":
-        before = _gap_matrix(cfg, stream=0, tau=0)
-        after = _gap_matrix(cfg, stream=1, tau=max(1, cfg["tau"]))
-        names = [f"gap_{j}" for j in range(1, cfg["topk"] + 1)]
-    elif kind == "custom-from-file":
-        data = _matrix_from_file(cfg)
-        half = data.shape[0] // 2
-        before = data[:half, : cfg["topk"]]
-        after = np.empty((data.shape[0] - half, cfg["topk"]))
-        for i, row in enumerate(data[half:]):
-            rng = replica_rng(cfg["seed"], 1, i)
-            total = row.sum()
-            if total > 1 + 1e-9:
-                raise ConfigError("custom rows must sum to at most 1")
-            part = pointproc.MassPartition(np.sort(row[row > 0])[::-1],
-                                           tail_mass=max(0.0, 1.0 - total))
-            part = dynamics.evolve_multiplicative(part, law, beta=beta, rng=rng)
-            after[i] = part.masses[: cfg["topk"]]
-        names = [f"xi_{j}" for j in range(1, cfg["topk"] + 1)]
+    if cfg["kind"] == "custom-from-file":
+        before, after = _custom_ensembles(cfg)
+        prefix = "xi"
     else:
-        before = _mass_matrix(cfg, kind, stream=0)
-        after = _mass_matrix(cfg, kind, stream=1, evolved=True)
-        names = [f"xi_{j}" for j in range(1, cfg["topk"] + 1)]
+        before, prefix = _ensemble(cfg, 0, steps=0)
+        after, _ = _ensemble(cfg, 1, steps=max(1, cfg["tau"]))
+    names = _header(prefix, cfg["topk"])
     report = stattest.invariance_verdict(before, after, level=cfg["level"],
                                          n_perm=cfg["n_perm"], rng=replica_rng(cfg["seed"], 2))
-    os.makedirs(cfg["out"], exist_ok=True)
-    pcsv = os.path.join(cfg["out"], "pvalues.csv")
-    write_csv(pcsv, ["coordinate", "ks_statistic", "ks_p"],
-              [[j + 1, d, p] for j, (d, p) in enumerate(report.per_coordinate_ks)])
-    record = _record(
-        cfg, "test_invariance", started,
-        coordinates=names,
-        ks=[{"coordinate": n, "statistic": d, "p": p}
-            for n, (d, p) in zip(names, report.per_coordinate_ks)],
-        energy_p=report.energy_p,
-        verdict=report.verdict,
-        files=[pcsv],
-    )
-    _emit(cfg, "test_invariance", record)
-    return record, report.verdict == "consistent"
+    pcsv = _write(cfg, "pvalues.csv", ["coordinate", "ks_statistic", "ks_p"],
+                  [[j + 1, d, p] for j, (d, p) in enumerate(report.per_coordinate_ks)])
+    fields = {
+        "coordinates": names,
+        "ks": [{"coordinate": n, "statistic": d, "p": p}
+               for n, (d, p) in zip(names, report.per_coordinate_ks)],
+        "energy_p": report.energy_p,
+        "verdict": report.verdict,
+        "files": [pcsv],
+    }
+    return fields, report.verdict == "consistent"
 
 
 def cmd_verify_lemma(cfg):
-    started = time.time()
     law, beta, tau = _increment_law(cfg), cfg["beta"], cfg["tau"]
-    v = analysis.v_beta(law, beta)
-    speed = v / beta * tau
-    grid = np.linspace(-5.0, speed + 5.0, cfg["grid_points"])
-    markov_violations = 0
-    z_violations = 0
-    max_ratio = 0.0
-    starts = []
-    for i in range(cfg["replicas"]):
-        rng = replica_rng(cfg["seed"], 0, i)
-        config = pointproc.points_from_arrivals(
-            pointproc.sample_gamma_arrivals(cfg["trunc_n"], rng), rho=cfg["alpha"], beta=beta
-        )
-        config = dynamics.shift_tail(config)
-        starts.append(config)
-        profile = analysis.front_profile(config, law, tau)
-        fvals = profile(grid)
-        rhs = (1.0 + config.tail_weight_estimate) * np.exp(v * tau - beta * grid)
-        markov_violations += int(np.any(fvals > rhs))
-        max_ratio = max(max_ratio, float(np.max(fvals / rhs)))
-        # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
-        if tau > 0 and profile(speed) > 1.0:
-            z_violations += 1
-    ck = cfg["ck"]
-    jump = analysis.jump_event_bound_check(
-        starts, law, tau, K=ck - (law.mean() - 1.0), C=law.mean() - 1.0,
-        beta=beta, rng=replica_rng(cfg["seed"], 1),
-    )
-    passed = markov_violations == 0 and z_violations == 0 and jump.passed
-    record = _record(
-        cfg, "verify_lemma", started,
-        v_beta=v,
-        markov_violations=markov_violations,
-        z_violations=z_violations,
-        max_bound_ratio=max_ratio,
-        jump={"frequency": jump.frequency, "bound": jump.bound,
-              "events": jump.n_events, "passed": jump.passed},
-        passed=passed,
-    )
-    _emit(cfg, "verify_lemma", record)
-    return record, passed
+    starts = list(experiments.tail_normalized_starts(_rngs(cfg, 0), cfg["rho"], cfg["trunc_n"],
+                                                     beta=beta))
+    counts = experiments.front_bound_counts(starts, law, tau, beta=beta,
+                                            grid_points=cfg["grid_points"])
+    c = law.mean() - 1.0
+    jump = analysis.jump_event_bound_check(starts, law, tau, K=cfg["ck"] - c, C=c,
+                                           beta=beta, rng=replica_rng(cfg["seed"], 1))
+    passed = counts["markov_violations"] == 0 and counts["z_violations"] == 0 and jump.passed
+    jump_fields = {"frequency": jump.frequency, "bound": jump.bound,
+                   "events": jump.n_events, "passed": jump.passed}
+    return {"v_beta": law.log_mgf(beta), **counts, "jump": jump_fields, "passed": passed}, passed
 
 
 def cmd_gen_functional(cfg):
-    started = time.time()
-    f = analysis.StepTestFunction.single(cfg["f_a"], cfg["f_d"])
-    configs = np.empty((cfg["replicas"], cfg["trunc_n"]))
-    for i in range(cfg["replicas"]):
-        rng = replica_rng(cfg["seed"], 0, i)
-        configs[i] = pointproc.sample_pp_exponential(cfg["rho"], cfg["trunc_n"], rng).points
-    mc, se = analysis.gen_functional_mc(configs, f)
-    closed = analysis.gen_functional_pp_exponential(cfg["rho"], f, include_leader_term=True)
-    deviation = abs(mc - closed)
-    rel = deviation / closed if closed else 0.0
-    passed = bool(deviation <= 3.0 * se and rel < 0.02)
-    record = _record(
-        cfg, "gen_functional", started,
-        mc_estimate=mc, mc_se=se, closed_form=closed,
-        closed_form_no_leader=analysis.gen_functional_pp_exponential(cfg["rho"], f),
-        relative_deviation=rel, passed=passed,
-    )
-    _emit(cfg, "gen_functional", record)
-    return record, passed
+    n = cfg["trunc_n"]
+    points = experiments.top_points(_rngs(cfg, 0), cfg["rho"], n, n)
+    check = experiments.gen_functional_check(points, cfg["rho"], cfg["f_a"], cfg["f_d"])
+    return check, check["passed"]
 
 
 def cmd_compare_oracles(cfg):
-    started = time.time()
-    alpha, n, k = cfg["alpha"], cfg["trunc_n"], cfg["topk"]
-    samplers = {
-        "poisson_kingman": lambda rng: pointproc.sample_pd_poisson_kingman(alpha, n, rng),
-        "stick_breaking": lambda rng: pointproc.sample_pd_stickbreaking(alpha, max(k, 50), rng),
-        "exp_of_pp": lambda rng: pointproc.mass_partition_from_config(
-            pointproc.sample_pp_exponential(alpha, n, rng, beta=1.0)),
-    }
-    tops = {}
-    sumsq = {}
-    for stream, (name, sampler) in enumerate(samplers.items()):
-        rows = np.empty((cfg["replicas"], k))
-        ss = np.empty(cfg["replicas"])
-        for i in range(cfg["replicas"]):
-            rng = replica_rng(cfg["seed"], stream, i)
-            part = sampler(rng)
-            rows[i] = part.masses[:k]
-            ss[i] = analysis.sum_squares(part)
-        tops[name] = rows
-        sumsq[name] = {"mean": float(ss.mean()),
-                       "se": float(ss.std(ddof=1) / np.sqrt(len(ss)))}
-    names = list(samplers)
-    pairs = {}
-    consistent = True
-    perm_rng = replica_rng(cfg["seed"], 10)
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            p = stattest.energy_distance_perm_test(tops[names[a]], tops[names[b]],
-                                                   n_perm=cfg["n_perm"], rng=perm_rng)
-            pairs[f"{names[a]}|{names[b]}"] = p
-            consistent = consistent and bool(p >= cfg["level"])
-    record = _record(cfg, "compare_oracles", started,
-                     pairwise_energy_p=pairs, sum_squares=sumsq,
-                     expected_sum_squares=1.0 - alpha, passed=consistent)
-    _emit(cfg, "compare_oracles", record)
-    return record, consistent
+    streams = (_rngs(cfg, stream) for stream in range(3))
+    tops, sumsq = experiments.oracle_masses(streams, cfg["alpha"], cfg["trunc_n"], cfg["topk"])
+    # one permutation generator shared by all pairs
+    pairs = experiments.pairwise_energy(tops, itertools.repeat(replica_rng(cfg["seed"], 10)),
+                                        cfg["n_perm"])
+    consistent = all(p >= cfg["level"] for p in pairs.values())
+    return {"pairwise_energy_p": pairs, "sum_squares": sumsq,
+            "expected_sum_squares": 1.0 - cfg["alpha"], "passed": consistent}, consistent
 
 
 _COMMANDS = {
@@ -419,26 +301,8 @@ def build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="master seed (or set QUASISTAT_SEED)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--kind", help="pd | pp | geometric | mixture-of-pd | custom-from-file")
-        p.add_argument("--replicas", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--alphas", help="comma list of mixture components")
-        p.add_argument("--rho", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--mu", type=float, help="increment law mean")
-        p.add_argument("--sigma", type=float, help="increment law std dev")
-        p.add_argument("--tau", type=int)
-        p.add_argument("--topk", type=int)
-        p.add_argument("--trunc-n", dest="trunc_n", type=int)
-        p.add_argument("--level", type=float)
-        p.add_argument("--n-perm", dest="n_perm", type=int)
-        p.add_argument("--f-a", dest="f_a", type=float, help="step amplitude")
-        p.add_argument("--f-d", dest="f_d", type=float, help="step width")
-        p.add_argument("--ck", type=float, help="C + K in the jump-event bound")
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--input", help="CSV of masses for kind=custom-from-file")
+        for key, opt in OPTIONS.items():
+            p.add_argument(_flag(key), dest=key, type=opt.type, help=opt.help)
         p.add_argument("--show-config", action="store_true",
                        help="print the resolved config and exit")
     return parser
@@ -454,8 +318,16 @@ def main(argv=None):
     if args.show_config:
         print(json.dumps(cfg, indent=2, sort_keys=True))
         return 0
+    experiment = args.command.replace("-", "_")
+    started = time.time()
     try:
-        record, passed = _COMMANDS[args.command](cfg)
+        os.makedirs(cfg["out"], exist_ok=True)
+        fields, passed = _COMMANDS[args.command](cfg)
+        record = {"experiment": experiment, "config": {k: cfg[k] for k in sorted(cfg)},
+                  "runtime_seconds": round(time.time() - started, 3), **fields}
+        with open(os.path.join(cfg["out"], f"{experiment}_report.json"), "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True, default=_json_default)
+            fh.write("\n")
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ __all__ = [
     "PointConfiguration",
     "MassPartition",
     "ArrivalTimes",
-    "LevyMeasureSpec",
     "sample_gamma_arrivals",
     "points_from_arrivals",
     "atoms_from_arrivals",
@@ -102,32 +101,6 @@ class ArrivalTimes:
 
     def __len__(self):
         return self.gammas.size
-
-
-@dataclass(frozen=True)
-class LevyMeasureSpec:
-    """Intensity family: power_law(alpha) on R+ or exponential_intensity(rho) on R."""
-
-    kind: str
-    param: float
-
-    def __post_init__(self):
-        if self.kind == "power_law":
-            if not 0 < self.param < 1:
-                raise ValueError("power_law requires alpha in (0, 1)")
-        elif self.kind == "exponential_intensity":
-            if not self.param > 0:
-                raise ValueError("exponential_intensity requires rho > 0")
-        else:
-            raise ValueError(f"unknown intensity kind {self.kind!r}")
-
-    @classmethod
-    def power_law(cls, alpha):
-        return cls("power_law", alpha)
-
-    @classmethod
-    def exponential_intensity(cls, rho):
-        return cls("exponential_intensity", rho)
 
 
 def sample_gamma_arrivals(n, rng) -> ArrivalTimes:

@@ -5,31 +5,16 @@ heavy (several minutes end to end); every experiment is pinned to explicit
 seeds so reruns are reproducible.
 """
 
+import functools
 import time
+from itertools import combinations, repeat
 
 import numpy as np
 
-from quasistat.analysis import (
-    StepTestFunction,
-    front_position,
-    front_profile,
-    gap_vector,
-    gen_functional_mc,
-    gen_functional_pp_exponential,
-    jump_event_bound_check,
-    sum_squares,
-    v_beta,
-)
-from quasistat.dynamics import IncrementLaw, evolve_additive, evolve_multiplicative, shift_tail
-from quasistat.pointproc import (
-    MassPartition,
-    mass_partition_from_config,
-    points_from_arrivals,
-    sample_gamma_arrivals,
-    sample_pd_poisson_kingman,
-    sample_pd_stickbreaking,
-    sample_pp_exponential,
-)
+from quasistat import experiments
+from quasistat.analysis import front_position, front_profile, jump_event_bound_check
+from quasistat.dynamics import IncrementLaw
+from quasistat.pointproc import MassPartition, sample_pd_poisson_kingman
 from quasistat.stattest import (
     energy_distance_perm_test,
     invariance_verdict,
@@ -41,53 +26,50 @@ GAUSS = IncrementLaw.gaussian(0.0, 1.0)
 LOGNORMAL_W = IncrementLaw.lognormal_weight(0.0, 1.0, beta=1.0)
 
 
-def _report(num, name, ok, detail=""):
-    print(f"\nACCEPTANCE {num} [{name}]: {'PASS' if ok else 'FAIL'}  {detail}")
-    assert ok, f"criterion {num} ({name}) failed: {detail}"
+def _criterion(num, name):
+    """Turn a check returning (ok, detail) into a test that prints its
+    PASS/FAIL line with the seconds it took."""
+    def decorate(check):
+        @functools.wraps(check)
+        def test():
+            started = time.perf_counter()
+            ok, detail = check()
+            print(f"\nACCEPTANCE {num} [{name}]: {'PASS' if ok else 'FAIL'}  {detail}  "
+                  f"[{time.perf_counter() - started:.1f}s]")
+            assert ok, f"criterion {num} ({name}) failed: {detail}"
+        return test
+    return decorate
 
 
 def _rng(*key):
     return np.random.default_rng(list(key))
 
 
-def _pd_top_masses(alpha, trunc_n, n_rep, k, rng, evolved=False):
-    rows = np.empty((n_rep, k))
-    for i in range(n_rep):
-        part = sample_pd_poisson_kingman(alpha, trunc_n, rng)
-        if evolved:
-            part = evolve_multiplicative(part, LOGNORMAL_W, beta=1.0, rng=rng)
-        rows[i] = part.masses[:k]
-    return rows
-
-
-_PD_CONSISTENCY_CACHE = {}
-
-
+@functools.cache
 def _pd_consistency_count(alpha, trunc_n, n_seeds=10, n_rep=2000, k=5):
     """Seeds (of n_seeds) where PD(alpha,0) invariance is not rejected, plus wall time."""
-    key = (alpha, trunc_n)
-    if key not in _PD_CONSISTENCY_CACHE:
-        started = time.perf_counter()
-        consistent = 0
-        for seed in range(n_seeds):
-            before = _pd_top_masses(alpha, trunc_n, n_rep, k, _rng(1, trunc_n, seed, 0))
-            after = _pd_top_masses(alpha, trunc_n, n_rep, k, _rng(1, trunc_n, seed, 1),
-                                   evolved=True)
-            report = invariance_verdict(before, after, level=0.01, n_perm=199,
-                                        rng=_rng(1, trunc_n, seed, 2))
-            consistent += report.verdict == "consistent"
-        _PD_CONSISTENCY_CACHE[key] = (consistent, time.perf_counter() - started)
-    return _PD_CONSISTENCY_CACHE[key]
+    started = time.perf_counter()
+    sample = functools.partial(sample_pd_poisson_kingman, alpha, trunc_n)
+    consistent = 0
+    for seed in range(n_seeds):
+        before = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 0), n_rep), sample, k)
+        after = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 1), n_rep), sample, k,
+                                       law=LOGNORMAL_W, beta=1.0, steps=1)
+        report = invariance_verdict(before, after, level=0.01, n_perm=199,
+                                    rng=_rng(1, trunc_n, seed, 2))
+        consistent += report.verdict == "consistent"
+    return consistent, time.perf_counter() - started
 
 
+@_criterion(1, "PD(alpha,0) invariance under lognormal reshuffle")
 def test_criterion_1_pd_invariance():
     results = {alpha: _pd_consistency_count(alpha, 500) for alpha in (0.3, 0.5, 0.7)}
     ok = all(c >= 9 and t < 120.0 for c, t in results.values())
-    detail = ", ".join(f"alpha={a}: {c}/10 consistent in {t:.0f}s"
-                       for a, (c, t) in results.items())
-    _report(1, "PD(alpha,0) invariance under lognormal reshuffle", ok, detail)
+    return ok, ", ".join(f"alpha={a}: {c}/10 consistent in {t:.0f}s"
+                         for a, (c, t) in results.items())
 
 
+@_criterion(2, "PP(1) gap law invariant; gap_i ~ Exp(i)")
 def test_criterion_2_pp_gap_quasi_stationarity():
     # tau gaussian unit steps collapse to one N(0, tau) displacement (same law);
     # truncation depth grows with tau so promotions from below the cut are negligible
@@ -96,24 +78,20 @@ def test_criterion_2_pp_gap_quasi_stationarity():
     ok = True
     for tau, n_pts in ((1, 20_000), (5, 100_000)):
         law_tau = IncrementLaw.gaussian(0.0, np.sqrt(tau))
-        before = np.empty((n_rep, k))
-        after = np.empty((n_rep, k))
-        rng_b, rng_a = _rng(2, tau, 0), _rng(2, tau, 1)
-        for i in range(n_rep):
-            before[i] = gap_vector(sample_pp_exponential(1.0, k + 2, rng_b), k)
-            cfg = sample_pp_exponential(1.0, n_pts, rng_a)
-            after[i] = gap_vector(evolve_additive(cfg, law_tau, rng_a), k)
+        before = experiments.top_gaps(repeat(_rng(2, tau, 0), n_rep), 1.0, k + 2, k)
+        after = experiments.top_gaps(repeat(_rng(2, tau, 1), n_rep), 1.0, n_pts, k,
+                                     law=law_tau, steps=1)
         report = invariance_verdict(before, after, level=0.01, n_perm=199, rng=_rng(2, tau, 2))
         marg_ps = [
             marginal_law_test(after[:, i - 1], lambda x, i=i: -np.expm1(-i * x))[1]
             for i in range(1, k + 1)
         ]
-        ok_tau = report.verdict == "consistent" and min(marg_ps) >= 0.01 / k
-        ok = ok and ok_tau
+        ok = ok and report.verdict == "consistent" and min(marg_ps) >= 0.01 / k
         details.append(f"tau={tau}: verdict={report.verdict}, min marginal p={min(marg_ps):.4f}")
-    _report(2, "PP(1) gap law invariant; gap_i ~ Exp(i)", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
+@_criterion(3, "geometric partition rejected after one reshuffle")
 def test_criterion_3_geometric_counterexample_power():
     n_rep, k, n_pts = 2000, 5, 500
     geo = 0.5 ** np.arange(1, n_pts + 1)
@@ -121,116 +99,68 @@ def test_criterion_3_geometric_counterexample_power():
     before = np.tile(geo[:k], (n_rep, 1))
     rejected = 0
     for seed in range(20):
-        rng = _rng(3, seed)
-        after = np.empty((n_rep, k))
-        for i in range(n_rep):
-            after[i] = evolve_multiplicative(base, LOGNORMAL_W, beta=1.0, rng=rng).masses[:k]
+        after = experiments.top_masses(repeat(_rng(3, seed), n_rep), lambda rng: base, k,
+                                       law=LOGNORMAL_W, beta=1.0, steps=1)
         report = invariance_verdict(before, after, level=0.001, n_perm=199, rng=_rng(3, seed, 1))
         rejected += report.verdict == "rejected"
-    ok = rejected >= 19
-    _report(3, "geometric partition rejected after one reshuffle", ok,
-            f"rejected in {rejected}/20 seeds")
+    return rejected >= 19, f"rejected in {rejected}/20 seeds"
 
 
+@_criterion(4, "pathwise front bounds F <= e^{v tau - y}, Z <= v tau")
 def test_criterion_4_markov_and_front_bounds():
     n_rep = 10_000
-    rng = _rng(4, 0)
-    starts = []
-    for _ in range(n_rep):
-        arrivals = sample_gamma_arrivals(500, rng)
-        starts.append(shift_tail(points_from_arrivals(arrivals, rho=0.5, beta=1.0)))
-    v = v_beta(GAUSS, 1.0)
-    markov_violations = 0
-    z_violations = 0
+    starts = list(experiments.tail_normalized_starts(repeat(_rng(4, 0), n_rep), 0.5, 500))
+    markov_violations = z_violations = 0
     for tau in (1, 5, 10):
-        speed = v * tau
-        grid = np.linspace(-5.0, speed + 5.0, 100)
-        for j, cfg in enumerate(starts):
+        counts = experiments.front_bound_counts(starts, GAUSS, tau, grid_points=100)
+        markov_violations += counts["markov_violations"]
+        z_violations += counts["z_violations"]
+        # cross-check F(speed) <= 1 against the root Z itself on the first 300 starts
+        speed = GAUSS.log_mgf(1.0) * tau
+        for cfg in starts[:300]:
             prof = front_profile(cfg, GAUSS, tau)
-            rhs = (1.0 + cfg.tail_weight_estimate) * np.exp(v * tau - grid)
-            if np.any(prof(grid) > rhs):
-                markov_violations += 1
-            # F strictly decreasing: F(speed) <= 1 is equivalent to Z <= speed
-            if prof(speed) > 1.0:
-                z_violations += 1
-            elif j < 300:
+            if prof(speed) <= 1.0:
                 z_violations += front_position(prof) > speed
     ok = markov_violations == 0 and z_violations == 0
-    _report(4, "pathwise front bounds F <= e^{v tau - y}, Z <= v tau", ok,
-            f"markov violations={markov_violations}, Z violations={z_violations} "
-            f"over {n_rep} replicas x 3 horizons")
+    return ok, (f"markov violations={markov_violations}, Z violations={z_violations} "
+                f"over {n_rep} replicas x 3 horizons")
 
 
+@_criterion(5, "big-jump event frequency below e^{-tau((C+K)beta - v_beta)}")
 def test_criterion_5_jump_event_bound():
     tau, ck = 10, 1.5  # (C+K)*beta - v_beta = 1, bound e^{-10}
-    rng = _rng(5, 0)
-
-    def starts():
-        for _ in range(100_000):
-            arrivals = sample_gamma_arrivals(500, rng)
-            yield shift_tail(points_from_arrivals(arrivals, rho=0.5, beta=1.0))
-
-    report = jump_event_bound_check(starts(), GAUSS, tau, K=ck + 1.0, C=-1.0, beta=1.0,
+    starts = experiments.tail_normalized_starts(repeat(_rng(5, 0), 100_000), 0.5, 500)
+    report = jump_event_bound_check(starts, GAUSS, tau, K=ck + 1.0, C=-1.0, beta=1.0,
                                     rng=_rng(5, 1))
-    _report(5, "big-jump event frequency below e^{-tau((C+K)beta - v_beta)}", report.passed,
-            f"frequency={report.frequency:.2e} ({report.n_events} events), "
-            f"bound={report.bound:.2e} + 3SE={report.three_se:.2e}")
+    return report.passed, (f"frequency={report.frequency:.2e} ({report.n_events} events), "
+                           f"bound={report.bound:.2e} + 3SE={report.three_se:.2e}")
 
 
+@_criterion(6, "generating functional: MC vs closed form on 3x3 (a,d) grid")
 def test_criterion_6_generating_functional_agreement():
     n_rep, n_pts = 100_000, 200
-    rng = _rng(6, 0)
-    configs = np.empty((n_rep, n_pts))
-    for i in range(n_rep):
-        configs[i] = sample_pp_exponential(1.0, n_pts, rng).points
-    worst_rel = 0.0
-    ok = True
-    for a in (0.3, np.log(2.0), 1.5):
-        for d in (0.25, np.log(2.0), 1.0):
-            f = StepTestFunction.single(a, d)
-            mc, se = gen_functional_mc(configs, f)
-            closed = gen_functional_pp_exponential(1.0, f, include_leader_term=True)
-            rel = abs(mc - closed) / closed
-            worst_rel = max(worst_rel, rel)
-            ok = ok and abs(mc - closed) <= 3.0 * se and rel < 0.02
-    _report(6, "generating functional: MC vs closed form on 3x3 (a,d) grid", ok,
-            f"worst relative deviation {worst_rel:.3e}")
+    points = experiments.top_points(repeat(_rng(6, 0), n_rep), 1.0, n_pts, n_pts)
+    checks = [experiments.gen_functional_check(points, 1.0, a, d)
+              for a in (0.3, np.log(2.0), 1.5) for d in (0.25, np.log(2.0), 1.0)]
+    worst_rel = max(c["relative_deviation"] for c in checks)
+    return all(c["passed"] for c in checks), f"worst relative deviation {worst_rel:.3e}"
 
 
+@_criterion(7, "three-sampler equivalence at alpha=0.5")
 def test_criterion_7_oracle_equivalence():
     alpha, n_rep, k, n_pts = 0.5, 2000, 5, 500
-    samplers = {
-        "poisson_kingman": lambda rng: sample_pd_poisson_kingman(alpha, n_pts, rng),
-        "stick_breaking": lambda rng: sample_pd_stickbreaking(alpha, 50, rng),
-        "exp_of_pp": lambda rng: mass_partition_from_config(
-            sample_pp_exponential(alpha, n_pts, rng, beta=1.0)),
-    }
-    tops, sumsq_ok = {}, True
-    details = []
-    for s, (name, sampler) in enumerate(samplers.items()):
-        rng = _rng(7, s)
-        rows = np.empty((n_rep, k))
-        ss = np.empty(n_rep)
-        for i in range(n_rep):
-            part = sampler(rng)
-            rows[i] = part.masses[:k]
-            ss[i] = sum_squares(part)
-        tops[name] = rows
-        se = ss.std(ddof=1) / np.sqrt(n_rep)
-        sumsq_ok = sumsq_ok and abs(ss.mean() - (1.0 - alpha)) <= 3.0 * se
-        details.append(f"{name}: E[sum xi^2]={ss.mean():.4f}")
-    names = list(samplers)
-    pairs_ok = True
-    for i in range(3):
-        for j in range(i + 1, 3):
-            p = energy_distance_perm_test(tops[names[i]], tops[names[j]], n_perm=199,
-                                          rng=_rng(7, 10 + i, j))
-            pairs_ok = pairs_ok and p >= 0.01
-            details.append(f"{names[i]}|{names[j]}: p={p:.3f}")
-    ok = pairs_ok and sumsq_ok
-    _report(7, "three-sampler equivalence at alpha=0.5", ok, "; ".join(details))
+    streams = (repeat(_rng(7, s), n_rep) for s in range(3))
+    tops, sumsq = experiments.oracle_masses(streams, alpha, n_pts, k)
+    pair_rngs = (_rng(7, 10 + i, j) for i, j in combinations(range(3), 2))
+    pairs = experiments.pairwise_energy(tops, pair_rngs, n_perm=199)
+    ok = (all(abs(s["mean"] - (1.0 - alpha)) <= 3.0 * s["se"] for s in sumsq.values())
+          and all(p >= 0.01 for p in pairs.values()))
+    details = ([f"{name}: E[sum xi^2]={s['mean']:.4f}" for name, s in sumsq.items()]
+               + [f"{pair}: p={p:.3f}" for pair, p in pairs.items()])
+    return ok, "; ".join(details)
 
 
+@_criterion(8, "criterion-1 verdicts stable across N in {250, 500, 1000}")
 def test_criterion_8_truncation_insensitivity():
     counts = {}
     ok = True
@@ -240,10 +170,10 @@ def test_criterion_8_truncation_insensitivity():
             c = _pd_consistency_count(alpha, trunc_n)[0]
             counts[(alpha, trunc_n)] = c
             ok = ok and (c >= 9) == reference
-    _report(8, "criterion-1 verdicts stable across N in {250, 500, 1000}", ok,
-            f"consistent-seed counts: {counts}")
+    return ok, f"consistent-seed counts: {counts}"
 
 
+@_criterion(9, "null calibration of KS and energy tests")
 def test_criterion_9_null_calibration():
     n, k, trials = 500, 5, 200
     rng = _rng(9, 0)
@@ -257,5 +187,4 @@ def test_criterion_9_null_calibration():
     ks_frac = float(np.mean(ks_ps < 0.05))
     en_frac = float(np.mean(en_ps < 0.05))
     ok = 0.02 <= ks_frac <= 0.09 and 0.02 <= en_frac <= 0.09
-    _report(9, "null calibration of KS and energy tests", ok,
-            f"fraction p<0.05: ks={ks_frac:.3f}, energy={en_frac:.3f}")
+    return ok, f"fraction p<0.05: ks={ks_frac:.3f}, energy={en_frac:.3f}"

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erfc
 
+from quasistat import experiments
 from quasistat.analysis import (
     FrontRootError,
     ShallowTruncationError,
@@ -15,14 +18,11 @@ from quasistat.analysis import (
     jump_event_bound_check,
     normalized_profile,
     sum_squares,
-    v_beta,
 )
 from quasistat.dynamics import IncrementLaw, shift_tail
 from quasistat.pointproc import (
     MassPartition,
     PointConfiguration,
-    sample_pd_poisson_kingman,
-    config_from_mass_partition,
     sample_pp_exponential,
 )
 
@@ -80,19 +80,15 @@ def test_front_position_root_quality():
         z = front_position(prof)
         assert abs(prof(z) - 1.0) <= 1e-9
         # almost-sure speed bound for tail-normalized starts
-        assert z <= v_beta(GAUSS, 1.0) * tau
+        assert z <= GAUSS.log_mgf(1.0) * tau
 
 
 def test_markov_bound_holds_pathwise():
     rng = np.random.default_rng(3)
-    v = v_beta(GAUSS, 1.0)
     for tau in (1, 3):
-        grid = np.linspace(-5.0, v * tau + 5.0, 100)
-        for _ in range(100):
-            cfg = _tail_normalized(0.5, 200, rng)
-            prof = front_profile(cfg, GAUSS, tau)
-            rhs = (1.0 + cfg.tail_weight_estimate) * np.exp(v * tau - grid)
-            assert np.all(prof(grid) <= rhs)
+        starts = experiments.tail_normalized_starts(itertools.repeat(rng, 100), 0.5, 200)
+        counts = experiments.front_bound_counts(starts, GAUSS, tau, grid_points=100)
+        assert counts["markov_violations"] == 0
 
 
 def test_normalized_profile_is_one_at_origin():
@@ -126,12 +122,6 @@ def test_normalized_profile_mean_shape_is_exponential():
     resid = logmean - (slope * grid + intercept)
     r2 = 1.0 - resid.var() / logmean.var()
     assert r2 > 0.99
-
-
-def test_v_beta_values():
-    assert v_beta(GAUSS, 1.0) == pytest.approx(0.5)
-    assert v_beta(GAUSS, 0.0) == 0.0
-    assert v_beta(IncrementLaw.uniform(0, 1), 1.0) == pytest.approx(np.log(np.e - 1))
 
 
 def test_step_function_validation_and_eval():
@@ -185,11 +175,9 @@ def test_gen_functional_closed_form_matches_quadrature():
 
 def test_gen_functional_mc_agrees_with_closed_form():
     rng = np.random.default_rng(7)
-    f = StepTestFunction.single(np.log(2.0), np.log(2.0))
-    configs = np.array([sample_pp_exponential(1.0, 100, rng).points for _ in range(4000)])
-    mc, se = gen_functional_mc(configs, f)
-    closed = gen_functional_pp_exponential(1.0, f, include_leader_term=True)
-    assert abs(mc - closed) <= 3.0 * se
+    points = experiments.top_points(itertools.repeat(rng, 4000), 1.0, 100, 100)
+    check = experiments.gen_functional_check(points, 1.0, np.log(2.0), np.log(2.0))
+    assert abs(check["mc_estimate"] - check["closed_form"]) <= 3.0 * check["mc_se"]
 
 
 def test_gap_vector():

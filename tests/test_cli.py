@@ -38,16 +38,6 @@ def test_show_config(capsys):
     assert cfg["seed"] == 7 and cfg["alpha"] == 0.3
 
 
-def test_sample_deterministic(tmp_path, capsys):
-    args = ["sample", "--kind", "pd", "--alpha", "0.5", "--replicas", "10",
-            "--trunc-n", "50", "--topk", "3", "--seed", "7"]
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(args + ["--out", str(out1)]) == 0
-    assert run(args + ["--out", str(out2)]) == 0
-    capsys.readouterr()
-    assert (out1 / "sample.csv").read_bytes() == (out2 / "sample.csv").read_bytes()
-
-
 def test_sample_pp_column_count(tmp_path, capsys):
     code = run(["sample", "--kind", "pp", "--rho", "1", "--replicas", "4",
                 "--trunc-n", "30", "--topk", "6", "--seed", "3", "--out", str(tmp_path)])
@@ -135,7 +125,7 @@ def test_invariance_custom_from_file(tmp_path, capsys):
 
 
 def test_verify_lemma(tmp_path, capsys):
-    code = run(["verify-lemma", "--alpha", "0.5", "--replicas", "200", "--trunc-n", "100",
+    code = run(["verify-lemma", "--rho", "0.5", "--replicas", "200", "--trunc-n", "100",
                 "--tau", "3", "--ck", "1.5", "--seed", "6", "--out", str(tmp_path)])
     record = json.loads(capsys.readouterr().out)
     assert record["markov_violations"] == 0
@@ -218,3 +208,20 @@ def test_golden_report_numbers(tmp_path, capsys):
                     "--replicas", "30", "--trunc-n", "60", "--grid-points", "20", "--ck", "0.8"])
     assert lemma["max_bound_ratio"] == 0.20509071542131313
     assert (lemma["markov_violations"], lemma["z_violations"], lemma["jump"]["events"]) == (0, 0, 2)
+
+
+def test_verify_lemma_reads_rho_not_alpha(tmp_path, capsys):
+    def max_ratio(alpha, rho):
+        run(["verify-lemma", "--alpha", alpha, "--rho", rho, "--replicas", "20",
+             "--trunc-n", "50", "--tau", "2", "--seed", "6", "--out", str(tmp_path)])
+        return json.loads(capsys.readouterr().out)["max_bound_ratio"]
+
+    assert max_ratio("0.3", "0.5") == max_ratio("0.7", "0.5")
+    assert max_ratio("0.5", "0.5") != max_ratio("0.5", "0.7")
+
+
+def test_option_bounds_name_the_flag(capsys):
+    assert run(["sample", "--seed", "1", "--trunc-n", "0"]) == 2
+    assert "--trunc-n must be >= 1" in capsys.readouterr().err
+    assert run(["sample", "--seed", "1", "--n-perm", "99"]) == 2
+    assert "--n-perm must be >= 199" in capsys.readouterr().err

@@ -56,6 +56,18 @@ def test_log_mgf_values():
     assert IncrementLaw.constant(2.0).log_mgf(3.0) == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("law,reference", [
+    (IncrementLaw.gaussian(0.5, 2.0), lambda rng: rng.normal(1.5, 2.0 * np.sqrt(3), size=7)),
+    (IncrementLaw.uniform(-1, 2), lambda rng: rng.uniform(-1, 2, size=(3, 7)).sum(axis=0)),
+    (IncrementLaw.constant(0.25), lambda rng: np.full(7, 0.75)),
+])
+def test_sample_sum_draws(law, reference):
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    assert np.array_equal(law.sample_sum(3, 7, rng), reference(ref_rng))
+    # both generators end in the same state: nothing extra was drawn
+    assert rng.random() == ref_rng.random()
+
+
 def test_lognormal_weight_is_gaussian_increment():
     law = IncrementLaw.lognormal_weight(0.3, 1.2, beta=2.0)
     assert law.kind == "gaussian"

@@ -1,12 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasistat import pointproc
+from quasistat import experiments
 from quasistat.pointproc import (
     ArrivalTimes,
-    LevyMeasureSpec,
     MassPartition,
     PointConfiguration,
     atoms_from_arrivals,
@@ -82,10 +83,7 @@ def test_pp_exponential_count_is_poisson():
 def test_pp_exponential_gaps_are_exponential():
     # beta-ratio property: X_i - X_{i+1} ~ Exp(i * rho)
     rng = np.random.default_rng(7)
-    gaps = np.empty((1500, 3))
-    for r in range(1500):
-        pts = sample_pp_exponential(1.0, 4, rng).points
-        gaps[r] = -np.diff(pts)
+    gaps = experiments.top_gaps(itertools.repeat(rng, 1500), 1.0, 4, 3)
     for i in (1, 2, 3):
         _, p = marginal_law_test(gaps[:, i - 1], lambda x, i=i: 1.0 - np.exp(-i * x))
         assert p > 1e-3
@@ -240,10 +238,6 @@ def test_type_validation():
         MassPartition([0.5, 0.3], tail_mass=0.0)  # mass deficit
     with pytest.raises(ValueError):
         ArrivalTimes([2.0, 1.0])
-    with pytest.raises(ValueError):
-        LevyMeasureSpec.power_law(1.2)
-    with pytest.raises(ValueError):
-        LevyMeasureSpec.exponential_intensity(-1.0)
     with pytest.raises(ValueError):
         normalize_to_mass_partition(np.array([]), 0.5, 1.0)
     with pytest.raises(ValueError):

@@ -45,6 +45,14 @@ def test_ks_matches_scipy_kolmogorov_series():
     assert p == pytest.approx(kstwobign.sf(np.sqrt(en) * d), rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [10_000, 2_500])
+def test_ks_p_value_near_one_at_small_t(n):
+    # midpoint quantiles of U(0, 1): D = 1/(2n), so t = sqrt(n) D is 0.005 and 0.01
+    d, p = marginal_law_test((np.arange(n) + 0.5) / n, lambda x: x)
+    assert d == pytest.approx(0.5 / n)
+    assert p == pytest.approx(1.0, abs=1e-12)
+
+
 def test_ks_null_calibration():
     rng = np.random.default_rng(2)
     pvals = [ks_two_sample(rng.normal(size=500), rng.normal(size=500))[1] for _ in range(300)]
@@ -99,6 +107,19 @@ def test_energy_deterministic_given_seed():
     p2 = energy_distance_perm_test(x, y, n_perm=199, rng=np.random.default_rng(8))
     assert p1 == p2
     assert 1.0 / 200.0 <= p1 <= 1.0
+
+
+def test_energy_statistic_exact_above_2048_rows():
+    rng = np.random.default_rng(17)
+    x, y = rng.normal(size=(1100, 4)), rng.normal(0.3, 1.0, size=(1000, 4))
+
+    def mean_dist(a, b):
+        return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)).mean()
+
+    reference = 2.0 * mean_dist(x, y) - mean_dist(x, x) - mean_dist(y, y)
+    _, stat = energy_distance_perm_test(x, y, n_perm=199, rng=np.random.default_rng(18),
+                                        return_stat=True)
+    assert stat == pytest.approx(reference, rel=1e-10)
 
 
 def test_energy_detects_mean_shift():
