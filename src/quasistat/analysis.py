@@ -22,10 +22,8 @@ __all__ = [
     "ShallowTruncationError",
     "front_profile",
     "front_position",
-    "normalized_profile",
     "gen_functional_mc",
     "gen_functional_pp_exponential",
-    "gap_vector",
     "sum_squares",
     "jump_event_bound_check",
     "JumpBoundReport",
@@ -47,7 +45,6 @@ class FrontProfile:
     config: PointConfiguration
     law: IncrementLaw
     tau: int
-    z: float = field(default=None, repr=False)
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
@@ -70,7 +67,7 @@ def front_profile(config: PointConfiguration, law: IncrementLaw, tau) -> FrontPr
 
 
 def front_position(profile: FrontProfile) -> float:
-    """Root z of F(z) = 1, i.e. inf{y : F(y) < 1}; caches it on the profile.
+    """Root z of F(z) = 1, i.e. inf{y : F(y) < 1}.
 
     Degenerate profiles with F < 1 everywhere (a single tracked point under a
     diffuse law) raise FrontRootError.
@@ -78,8 +75,7 @@ def front_position(profile: FrontProfile) -> float:
     pts, law = profile.config.points, profile.law
     if profile.tau == 0 or law.degenerate:
         # step profile: F(y) = #{i : X_i + tau*c >= y} crosses below 1 at the leader
-        profile.z = float(pts[0] + profile.tau * law.mean())
-        return profile.z
+        return float(pts[0] + profile.tau * law.mean())
     if len(pts) < 2:
         raise FrontRootError("fewer than one expected survivor at every level")
     lo = pts[0] - 10.0
@@ -95,16 +91,7 @@ def front_position(profile: FrontProfile) -> float:
     z = brentq(lambda y: profile(y) - 1.0, lo, hi, xtol=1e-13, rtol=1e-15)
     if abs(profile(z) - 1.0) > 1e-9:
         raise FrontRootError("bisection failed to pin F(z) = 1")
-    profile.z = float(z)
-    return profile.z
-
-
-def normalized_profile(profile: FrontProfile):
-    """Re-centered profile y -> F(y + Z); its value at 0 is 1 by construction."""
-    if profile.z is None:
-        front_position(profile)
-    z = profile.z
-    return lambda y: profile(np.asarray(y, dtype=float) + z)
+    return float(z)
 
 
 @dataclass(frozen=True)
@@ -140,17 +127,16 @@ class StepTestFunction:
         return vals.sum(axis=-1)
 
 
-def gen_functional_mc(configs, f: StepTestFunction):
+def gen_functional_mc(points, f: StepTestFunction):
     """Monte Carlo estimate of E[exp(-sum_i f(X_1 - X_i))] with standard error.
 
-    ``configs`` is a sequence of PointConfiguration or of decreasing point
-    arrays (rows of a matrix work).  The i = 1 term contributes e^{-f(0)}.
-    Configurations shallower than the support of f are rejected.
+    ``points`` holds one decreasing row of points per replica (a replica x n
+    matrix).  The i = 1 term contributes e^{-f(0)}.  Rows shallower than the
+    support of f are rejected.
     """
     d_max = f.support_end
-    vals = np.empty(len(configs))
-    for k, cfg in enumerate(configs):
-        pts = cfg.points if isinstance(cfg, PointConfiguration) else np.asarray(cfg, dtype=float)
+    vals = np.empty(len(points))
+    for k, pts in enumerate(points):
         spacings = pts[0] - pts
         if spacings[-1] <= d_max:
             raise ShallowTruncationError(
@@ -187,13 +173,6 @@ def gen_functional_pp_exponential(rho, f: StepTestFunction, include_leader_term=
     return g
 
 
-def gap_vector(config: PointConfiguration, k) -> np.ndarray:
-    """First k spacings (X_i - X_{i+1}, i = 1..k)."""
-    if len(config) < k + 1:
-        raise ValueError(f"need at least {k + 1} points for {k} gaps")
-    return -np.diff(config.points[: k + 1])
-
-
 def sum_squares(partition: MassPartition) -> float:
     """Sum of squared masses with bracketed tail adjustment (midpoint used).
 
@@ -211,7 +190,10 @@ class JumpBoundReport:
     bound: float
     n_replicas: int
     n_events: int
-    passed: bool
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.passed = bool(self.frequency <= self.bound + self.three_se)
 
     @property
     def three_se(self):
@@ -222,7 +204,7 @@ class JumpBoundReport:
 def jump_event_bound_check(starts, law: IncrementLaw, tau, K, C, beta=1.0, rng=None) -> JumpBoundReport:
     """Frequency of {some i : S_i(tau) >= -X_i + (C+K)tau} vs e^{-tau((C+K)beta - v_beta)}.
 
-    ``starts`` are tail-normalized configurations; the total jump of a point
+    ``starts`` are tail-normalized PointConfigurations; the total jump of a point
     depends only on its origin and the summed increments, so S_i(tau) is drawn
     directly from the tau-fold law (exact for gaussian and constant kinds).
     Passes when the empirical frequency is at most bound + 3 binomial SE.
@@ -236,14 +218,9 @@ def jump_event_bound_check(starts, law: IncrementLaw, tau, K, C, beta=1.0, rng=N
     hits = 0
     n = 0
     for cfg in starts:
-        pts = cfg.points if isinstance(cfg, PointConfiguration) else np.asarray(cfg, dtype=float)
         n += 1
         if tau == 0:
             continue
-        if np.max(pts + law.sample_sum(tau, pts.size, rng)) >= threshold:
+        if np.max(cfg.points + law.sample_sum(tau, len(cfg), rng)) >= threshold:
             hits += 1
-    freq = hits / n
-    report = JumpBoundReport(frequency=freq, bound=float(bound), n_replicas=n,
-                             n_events=hits, passed=False)
-    report.passed = bool(freq <= bound + report.three_se)
-    return report
+    return JumpBoundReport(frequency=hits / n, bound=float(bound), n_replicas=n, n_events=hits)

@@ -59,6 +59,10 @@ class ConfigError(ValueError):
     pass
 
 
+# 0.5**n underflows to zero for n > 1074, the exponent of the smallest subnormal double
+_GEOMETRIC_MAX_N = 1074
+
+
 def _flag(key):
     return "--" + key.replace("_", "-")
 
@@ -141,6 +145,9 @@ def _partition_sampler(cfg):
     if kind == "pd":
         return lambda rng: pointproc.sample_pd_poisson_kingman(cfg["alpha"], n, rng)
     if kind == "geometric":
+        if n > _GEOMETRIC_MAX_N:
+            raise ConfigError(f"--trunc-n must be <= {_GEOMETRIC_MAX_N} for kind=geometric, "
+                              f"where 0.5**n underflows beyond it")
         geometric = pointproc.MassPartition(0.5 ** np.arange(1, n + 1), tail_mass=0.5 ** n)
         return lambda rng: geometric
     if kind == "mixture-of-pd":
@@ -166,29 +173,41 @@ def _ensemble(cfg, stream, steps):
                                   law=law, beta=cfg["beta"], steps=steps), "xi"
 
 
+def _input_partition(row, i, k):
+    """One --input row as a MassPartition: its positive entries in decreasing
+    order, and the mass they miss as the tail."""
+    total = row.sum()
+    if not (np.all(row >= 0) and total <= 1 + 1e-9):
+        raise ConfigError(f"--input row {i}: masses must be nonnegative and sum to at most 1")
+    masses = np.sort(row[row > 0])[::-1]
+    if masses.size < k:
+        raise ConfigError(f"--input row {i}: {masses.size} positive masses, --topk is {k}")
+    try:
+        return pointproc.MassPartition(masses, tail_mass=max(0.0, 1.0 - total))
+    except ValueError as exc:
+        raise ConfigError(f"--input row {i}: {exc}") from None
+
+
 def _custom_ensembles(cfg):
-    """Before: the first half of the --input rows; after: the second half, reshuffled once."""
+    """Top masses of the --input rows: the first half unchanged, the second
+    half after one reshuffle."""
     if not cfg["input"]:
         raise ConfigError("kind=custom-from-file requires --input <csv path>")
     try:
         data = np.loadtxt(cfg["input"], delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read input file: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read --input file: {exc}")
     if data.shape[0] < 2:
-        raise ConfigError("custom input needs at least 2 rows")
+        raise ConfigError("--input needs at least 2 rows")
+    k = cfg["topk"]
+    partitions = iter([_input_partition(row, i, k) for i, row in enumerate(data, 1)])
     half = data.shape[0] // 2
-    rows = iter(data[half:])
-
-    def sample(rng):
-        row = next(rows)
-        total = row.sum()
-        if total > 1 + 1e-9:
-            raise ConfigError("custom rows must sum to at most 1")
-        return pointproc.MassPartition(np.sort(row[row > 0])[::-1], tail_mass=max(0.0, 1.0 - total))
-
-    after = experiments.top_masses(_rngs(cfg, 1, data.shape[0] - half), sample, cfg["topk"],
+    # one iterator: the first half of the partitions feeds before, the rest after
+    before = experiments.top_masses(itertools.repeat(None, half), lambda rng: next(partitions), k)
+    after = experiments.top_masses(_rngs(cfg, 1, data.shape[0] - half),
+                                   lambda rng: next(partitions), k,
                                    law=_increment_law(cfg), beta=cfg["beta"], steps=1)
-    return data[:half, : cfg["topk"]], after
+    return before, after
 
 
 def _header(prefix, k):
@@ -199,6 +218,15 @@ def _json_default(obj):
     if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def _emit(cfg, experiment, record):
+    """Write the JSON report of one run to <out>/<experiment>_report.json."""
+    path = os.path.join(cfg["out"], f"{experiment}_report.json")
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+    return path
 
 
 def _write(cfg, name, header, rows):
@@ -325,9 +353,7 @@ def main(argv=None):
         fields, passed = _COMMANDS[args.command](cfg)
         record = {"experiment": experiment, "config": {k: cfg[k] for k in sorted(cfg)},
                   "runtime_seconds": round(time.time() - started, 3), **fields}
-        with open(os.path.join(cfg["out"], f"{experiment}_report.json"), "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        _emit(cfg, experiment, record)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

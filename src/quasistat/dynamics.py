@@ -16,12 +16,9 @@ from .pointproc import MassPartition, PointConfiguration
 
 __all__ = [
     "IncrementLaw",
-    "Trajectory",
     "evolve_additive",
     "evolve_multiplicative",
-    "shift_leader",
     "shift_tail",
-    "run_trajectory",
 ]
 
 
@@ -148,18 +145,6 @@ class IncrementLaw:
         return self._formulas.sum_tail(self.params, y, tau)
 
 
-@dataclass
-class Trajectory:
-    """Snapshots of tau evolution steps (length tau + 1, start included)."""
-
-    snapshots: list
-    shift_policy: str = "none"
-
-    @property
-    def tau(self):
-        return len(self.snapshots) - 1
-
-
 def _sort_desc(values):
     # ties (probability zero for continuous laws) keep original index order
     order = np.argsort(-values, kind="stable")
@@ -199,15 +184,6 @@ def evolve_multiplicative(
     return MassPartition(masses, tail_mass=scaled_tail / total)
 
 
-def shift_leader(config: PointConfiguration) -> PointConfiguration:
-    """Re-center so the leading point sits at 0; gaps are untouched."""
-    return PointConfiguration(
-        config.points - config.points[0],
-        beta=config.beta,
-        tail_weight_estimate=config.tail_weight_estimate * np.exp(-config.beta * config.points[0]),
-    )
-
-
 def shift_tail(config: PointConfiguration) -> PointConfiguration:
     """Re-center so sum_i e^{beta X_i} plus rescaled tail equals 1."""
     logw = config.beta * config.points
@@ -218,35 +194,3 @@ def shift_tail(config: PointConfiguration) -> PointConfiguration:
         beta=config.beta,
         tail_weight_estimate=config.tail_weight_estimate * np.exp(-log_total),
     )
-
-
-_SHIFTS = {
-    "leader": shift_leader,
-    "tail": shift_tail,
-    "none": lambda c: c,
-}
-
-
-def run_trajectory(start, law: IncrementLaw, tau, shift_policy="none", rng=None, beta=1.0):
-    """Iterate the evolution tau times, applying the shift policy after each step.
-
-    ``start`` may be a PointConfiguration (additive map, any policy) or a
-    MassPartition (multiplicative map; shifts do not apply).
-    """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    additive = isinstance(start, PointConfiguration)
-    if not additive and shift_policy != "none":
-        raise ValueError("shift policies apply to point configurations only")
-    if shift_policy not in _SHIFTS:
-        raise ValueError(f"unknown shift policy {shift_policy!r}")
-    shift = _SHIFTS[shift_policy]
-    snapshots = [start]
-    current = start
-    for _ in range(tau):
-        if additive:
-            current = shift(evolve_additive(current, law, rng))
-        else:
-            current = evolve_multiplicative(current, law, beta=beta, rng=rng)
-        snapshots.append(current)
-    return Trajectory(snapshots, shift_policy=shift_policy)

@@ -16,13 +16,8 @@ import numpy as np
 __all__ = [
     "PointConfiguration",
     "MassPartition",
-    "ArrivalTimes",
     "sample_gamma_arrivals",
-    "points_from_arrivals",
-    "atoms_from_arrivals",
     "sample_pp_exponential",
-    "sample_pk_powerlaw",
-    "normalize_to_mass_partition",
     "sample_pd_poisson_kingman",
     "sample_pd_stickbreaking",
     "mass_partition_from_config",
@@ -30,6 +25,8 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+# stick-breaking gives up past this many sticks rather than return an inexact top n
+_MAX_STICKS = 200_000
 
 
 @dataclass
@@ -86,96 +83,49 @@ class MassPartition:
         return self.masses.size
 
 
-@dataclass
-class ArrivalTimes:
-    """Strictly increasing arrival times of a unit-rate Poisson process."""
-
-    gammas: np.ndarray
-
-    def __post_init__(self):
-        self.gammas = np.asarray(self.gammas, dtype=float)
-        if self.gammas.ndim != 1 or self.gammas.size == 0:
-            raise ValueError("gammas must be a nonempty 1-d sequence")
-        if self.gammas[0] <= 0 or np.any(np.diff(self.gammas) <= 0):
-            raise ValueError("gammas must be positive and strictly increasing")
-
-    def __len__(self):
-        return self.gammas.size
-
-
-def sample_gamma_arrivals(n, rng) -> ArrivalTimes:
-    """First n arrival times of a unit-rate Poisson process."""
+def sample_gamma_arrivals(n, rng) -> np.ndarray:
+    """First n arrival times Gamma_1 < ... < Gamma_n of a unit-rate Poisson process."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return ArrivalTimes(np.cumsum(rng.exponential(size=int(n))))
+    return np.cumsum(rng.exponential(size=int(n)))
 
 
-def points_from_arrivals(arrivals: ArrivalTimes, rho, beta=1.0) -> PointConfiguration:
-    """Map arrivals to the n largest points of PP(rho e^{-rho y} dy).
+def sample_pp_exponential(rho, n, rng, beta=1.0) -> PointConfiguration:
+    """Top n points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy).
 
-    The tail estimate E[sum_{i>N} e^{beta X_i} | Gamma_N] is finite only when
+    The tail estimate E[sum_{i>n} e^{beta X_i} | Gamma_n] is finite only when
     beta > rho; otherwise it is recorded as 0 (the correspondence to mass
     partitions is only used in the convergent regime).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    g = arrivals.gammas
-    points = -np.log(g) / rho
+    g = sample_gamma_arrivals(n, rng)
     r = beta / rho
     tail = g[-1] ** (1.0 - r) / (r - 1.0) if r > 1 else 0.0
-    return PointConfiguration(points, beta=beta, tail_weight_estimate=tail)
+    return PointConfiguration(-np.log(g) / rho, beta=beta, tail_weight_estimate=tail)
 
 
-def sample_pp_exponential(rho, n, rng, beta=1.0) -> PointConfiguration:
-    """Top n points of the Poisson process with intensity rho*e^{-rho*y} dy."""
-    return points_from_arrivals(sample_gamma_arrivals(n, rng), rho, beta=beta)
-
-
-def atoms_from_arrivals(arrivals: ArrivalTimes, alpha) -> np.ndarray:
-    """Map arrivals to the n largest atoms of PP(alpha s^{-alpha-1} ds)."""
+def sample_pd_poisson_kingman(alpha, n, rng) -> MassPartition:
+    """PD(alpha, 0) as the top n atoms Gamma_i^{-1/alpha} of PP(alpha s^{-alpha-1} ds),
+    normalized by their sum plus the expected tail
+    E[sum_{j>n} Gamma_j^{-1/alpha} | Gamma_n], the integral of t^{-1/alpha} beyond Gamma_n.
+    """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1): atoms are summable iff alpha < 1")
-    return arrivals.gammas ** (-1.0 / alpha)
-
-
-def sample_pk_powerlaw(alpha, n, rng) -> np.ndarray:
-    """Top n atoms eta_i = Gamma_i^{-1/alpha}, strictly decreasing."""
-    return atoms_from_arrivals(sample_gamma_arrivals(n, rng), alpha)
-
-
-def expected_atom_tail(alpha, gamma_last) -> float:
-    """E[sum_{j>N} Gamma_j^{-1/alpha} | Gamma_N]: integral of t^{-1/alpha} beyond Gamma_N."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    if gamma_last <= 0:
-        raise ValueError("gamma_last must be positive")
-    return alpha * gamma_last ** ((alpha - 1.0) / alpha) / (1.0 - alpha)
-
-
-def normalize_to_mass_partition(atoms, alpha, gamma_last) -> MassPartition:
-    """Normalize decreasing atoms to a mass-partition with expected-tail correction."""
-    atoms = np.asarray(atoms, dtype=float)
-    if atoms.size == 0:
-        raise ValueError("atoms must be nonempty")
-    tail = expected_atom_tail(alpha, gamma_last)
+    g = sample_gamma_arrivals(n, rng)
+    atoms = g ** (-1.0 / alpha)
+    tail = alpha * g[-1] ** ((alpha - 1.0) / alpha) / (1.0 - alpha)
     total = atoms.sum() + tail
     return MassPartition(atoms / total, tail_mass=tail / total)
 
 
-def sample_pd_poisson_kingman(alpha, n, rng) -> MassPartition:
-    """PD(alpha, 0) sample via the normalized power-law Poisson process."""
-    arrivals = sample_gamma_arrivals(n, rng)
-    atoms = atoms_from_arrivals(arrivals, alpha)
-    return normalize_to_mass_partition(atoms, alpha, arrivals.gammas[-1])
-
-
-def sample_pd_stickbreaking(alpha, n, rng, max_sticks=200_000) -> MassPartition:
+def sample_pd_stickbreaking(alpha, n, rng) -> MassPartition:
     """PD(alpha, 0) via residual allocation: V_i ~ Beta(1-alpha, i*alpha).
 
     Sticks are drawn in blocks until the unbroken remainder cannot displace
-    the n-th largest product (then the returned top n is exact), or until
-    ``max_sticks``.  The remainder and any discarded products are folded into
-    tail_mass, so mass is conserved either way.
+    the n-th largest product, so the returned top n is exact; the remainder
+    and the discarded products are folded into tail_mass.  Raises ValueError
+    when that takes more than ``_MAX_STICKS`` sticks.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
@@ -185,7 +135,7 @@ def sample_pd_stickbreaking(alpha, n, rng, max_sticks=200_000) -> MassPartition:
     remainder = 1.0
     drawn = 0
     block = max(256, 4 * n)
-    while drawn < max_sticks:
+    while drawn < _MAX_STICKS:
         idx = np.arange(drawn + 1, drawn + block + 1)
         v = rng.beta(1.0 - alpha, alpha * idx)
         sticks = remainder * v * np.cumprod(np.concatenate(([1.0], 1.0 - v[:-1])))
@@ -196,6 +146,9 @@ def sample_pd_stickbreaking(alpha, n, rng, max_sticks=200_000) -> MassPartition:
             kth = np.partition(np.concatenate(products), -n)[-n]
             if remainder < kth:
                 break
+    else:
+        raise ValueError(f"stick-breaking PD({alpha}, 0): the top {n} masses are not exact "
+                         f"after {drawn} sticks")
     allp = np.sort(np.concatenate(products))[::-1]
     top = allp[:n]
     return MassPartition(top, tail_mass=max(0.0, 1.0 - top.sum()))

@@ -12,11 +12,9 @@ from quasistat.analysis import (
     StepTestFunction,
     front_position,
     front_profile,
-    gap_vector,
     gen_functional_mc,
     gen_functional_pp_exponential,
     jump_event_bound_check,
-    normalized_profile,
     sum_squares,
 )
 from quasistat.dynamics import IncrementLaw, shift_tail
@@ -94,18 +92,18 @@ def test_markov_bound_holds_pathwise():
 def test_normalized_profile_is_one_at_origin():
     cfg = _tail_normalized(0.5, 150, np.random.default_rng(4))
     prof = front_profile(cfg, GAUSS, 2)
-    g = normalized_profile(prof)
-    assert g(0.0) == pytest.approx(1.0, abs=1e-9)
+    assert prof(0.0 + front_position(prof)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_normalized_profile_shift_covariance():
     cfg = _tail_normalized(0.5, 150, np.random.default_rng(5))
-    g0 = normalized_profile(front_profile(cfg, GAUSS, 2))
+    prof0 = front_profile(cfg, GAUSS, 2)
     shifted = PointConfiguration(cfg.points + 7.3, beta=1.0,
                                  tail_weight_estimate=cfg.tail_weight_estimate * np.exp(-7.3))
-    g1 = normalized_profile(front_profile(shifted, GAUSS, 2))
+    prof1 = front_profile(shifted, GAUSS, 2)
     grid = np.linspace(-1.0, 2.0, 25)
-    np.testing.assert_allclose(g0(grid), g1(grid), atol=1e-8)
+    np.testing.assert_allclose(prof0(grid + front_position(prof0)),
+                               prof1(grid + front_position(prof1)), atol=1e-8)
 
 
 def test_normalized_profile_mean_shape_is_exponential():
@@ -115,8 +113,8 @@ def test_normalized_profile_mean_shape_is_exponential():
     acc = np.zeros_like(grid)
     n_rep = 250
     for _ in range(n_rep):
-        cfg = sample_pp_exponential(1.0, 1500, rng)
-        acc += normalized_profile(front_profile(cfg, GAUSS, 2))(grid)
+        prof = front_profile(sample_pp_exponential(1.0, 1500, rng), GAUSS, 2)
+        acc += prof(grid + front_position(prof))
     logmean = np.log(acc / n_rep)
     slope, intercept = np.polyfit(grid, logmean, 1)
     resid = logmean - (slope * grid + intercept)
@@ -135,23 +133,21 @@ def test_step_function_validation_and_eval():
 
 
 def test_gen_functional_zero_function_is_one():
-    configs = [PointConfiguration([0.0, -2.0, -4.0])]
     f = StepTestFunction.single(0.0, 1.0)
-    mean, se = gen_functional_mc(configs, f)
+    mean, se = gen_functional_mc(np.array([[0.0, -2.0, -4.0]]), f)
     assert mean == 1.0
     assert gen_functional_pp_exponential(1.0, f) == 1.0
     assert gen_functional_pp_exponential(1.0, f, include_leader_term=True) == 1.0
 
 
 def test_gen_functional_large_amplitude_kills_leader():
-    configs = [PointConfiguration([0.0, -5.0])]
-    mean, _ = gen_functional_mc(configs, StepTestFunction.single(60.0, 1.0))
+    mean, _ = gen_functional_mc(np.array([[0.0, -5.0]]), StepTestFunction.single(60.0, 1.0))
     assert mean < 1e-20
 
 
 def test_gen_functional_shallow_truncation_rejected():
     with pytest.raises(ShallowTruncationError):
-        gen_functional_mc([PointConfiguration([0.0, -0.5])], StepTestFunction.single(1.0, 1.0))
+        gen_functional_mc(np.array([[0.0, -0.5]]), StepTestFunction.single(1.0, 1.0))
 
 
 def test_gen_functional_closed_form_single_step():
@@ -178,14 +174,6 @@ def test_gen_functional_mc_agrees_with_closed_form():
     points = experiments.top_points(itertools.repeat(rng, 4000), 1.0, 100, 100)
     check = experiments.gen_functional_check(points, 1.0, np.log(2.0), np.log(2.0))
     assert abs(check["mc_estimate"] - check["closed_form"]) <= 3.0 * check["mc_se"]
-
-
-def test_gap_vector():
-    cfg = PointConfiguration([3.0, 1.0, 0.0])
-    np.testing.assert_allclose(gap_vector(cfg, 2), [2.0, 1.0])
-    np.testing.assert_allclose(gap_vector(PointConfiguration([1.0, 1.0, 1.0]), 2), [0.0, 0.0])
-    with pytest.raises(ValueError):
-        gap_vector(cfg, 3)
 
 
 def test_sum_squares():

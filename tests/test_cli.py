@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,19 +112,41 @@ def test_invariance_mixture_consistent(tmp_path, capsys):
     assert code == 0
 
 
-def test_invariance_custom_from_file(tmp_path, capsys):
+def _pd_rows_file(tmp_path, edit=lambda rows: rows):
+    """600 rows of the top 40 PD(1/2, 0) masses, passed through ``edit``, as CSV."""
     from quasistat.cli import write_csv
     from quasistat.pointproc import sample_pd_poisson_kingman
 
     rng = np.random.default_rng(3)
     rows = np.array([sample_pd_poisson_kingman(0.5, 100, rng).masses[:40] for _ in range(600)])
     path = tmp_path / "masses.csv"
-    write_csv(path, [f"xi_{j}" for j in range(1, 41)], rows)
-    code = run(["test-invariance", "--kind", "custom-from-file", "--input", str(path),
-                "--topk", "3", "--seed", "4", "--out", str(tmp_path)])
+    write_csv(path, [f"xi_{j}" for j in range(1, 41)], edit(rows))
+    return ["test-invariance", "--kind", "custom-from-file", "--input", str(path),
+            "--topk", "3", "--seed", "4", "--out", str(tmp_path)]
+
+
+def test_invariance_custom_from_file(tmp_path, capsys):
+    code = run(_pd_rows_file(tmp_path))
     record = json.loads(capsys.readouterr().out)
     assert record["verdict"] == "consistent"
     assert code == 0
+
+
+def test_invariance_custom_rows_in_any_order(tmp_path, capsys):
+    # both halves are ranked before they are compared
+    code = run(_pd_rows_file(tmp_path, lambda rows: np.random.default_rng(5).permuted(rows, axis=1)))
+    record = json.loads(capsys.readouterr().out)
+    assert record["verdict"] == "consistent"
+    assert code == 0
+
+
+def test_invariance_custom_first_half_checked(tmp_path, capsys):
+    def triple_first_half(rows):
+        rows[:300] *= 3.0
+        return rows
+
+    assert run(_pd_rows_file(tmp_path, triple_first_half)) == 2
+    assert "--input row 1: masses must be nonnegative and sum to at most 1" in capsys.readouterr().err
 
 
 def test_verify_lemma(tmp_path, capsys):
@@ -218,6 +243,23 @@ def test_verify_lemma_reads_rho_not_alpha(tmp_path, capsys):
 
     assert max_ratio("0.3", "0.5") == max_ratio("0.7", "0.5")
     assert max_ratio("0.5", "0.5") != max_ratio("0.5", "0.7")
+
+
+def test_geometric_trunc_n_limit(tmp_path, capsys):
+    args = ["sample", "--kind", "geometric", "--replicas", "2", "--seed", "1", "--out", str(tmp_path)]
+    assert run(args + ["--trunc-n", "1074"]) == 0
+    capsys.readouterr()
+    assert run(args + ["--trunc-n", "1075"]) == 2
+    assert "--trunc-n must be <= 1074" in capsys.readouterr().err
+
+
+def test_benchmark_smoke():
+    # the benchmark patches cli._emit; this catches a rename of what it relies on
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "smoke: ok" in done.stdout
 
 
 def test_option_bounds_name_the_flag(capsys):

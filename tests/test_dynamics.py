@@ -7,8 +7,6 @@ from quasistat.dynamics import (
     IncrementLaw,
     evolve_additive,
     evolve_multiplicative,
-    run_trajectory,
-    shift_leader,
     shift_tail,
 )
 from quasistat.pointproc import (
@@ -128,15 +126,6 @@ def test_additive_multiplicative_commutation():
     assert via_points.tail_mass == pytest.approx(via_masses.tail_mass, abs=1e-10)
 
 
-def test_shift_leader():
-    cfg = PointConfiguration([3.0, 1.0, 0.0])
-    out = shift_leader(cfg)
-    np.testing.assert_allclose(out.points, [0.0, -2.0, -3.0])
-    np.testing.assert_allclose(np.diff(out.points), np.diff(cfg.points))
-    again = shift_leader(out)
-    np.testing.assert_allclose(again.points, out.points)
-
-
 def test_shift_tail_normalizes_weights():
     cfg = PointConfiguration([0.0, 0.0])
     out = shift_tail(cfg)
@@ -158,39 +147,8 @@ def test_shift_tail_matches_mass_normalization_at_beta_one():
     np.testing.assert_allclose(via_shift.points, via_masses.points, atol=1e-12)
 
 
-def test_trajectory_basics():
-    cfg = PointConfiguration([1.0, 0.0])
-    traj = run_trajectory(cfg, IncrementLaw.constant(0.0), tau=0)
-    assert traj.tau == 0 and traj.snapshots == [cfg]
-    traj = run_trajectory(cfg, IncrementLaw.constant(0.0), tau=4, shift_policy="none")
-    assert traj.tau == 4
-    for snap in traj.snapshots:
-        np.testing.assert_allclose(snap.points, cfg.points)
-    with pytest.raises(ValueError):
-        run_trajectory(cfg, IncrementLaw.constant(0.0), tau=-1)
-    with pytest.raises(ValueError):
-        run_trajectory(cfg, IncrementLaw.constant(0.0), tau=1, shift_policy="sideways")
-    part = MassPartition([1.0])
-    with pytest.raises(ValueError):
-        run_trajectory(part, IncrementLaw.constant(0.0), tau=1, shift_policy="leader")
-
-
-def test_trajectory_shift_policies_keep_invariants():
-    rng = np.random.default_rng(31)
-    cfg = sample_pp_exponential(0.5, 40, rng, beta=1.0)
-    law = IncrementLaw.gaussian(0.0, 1.0)
-    traj = run_trajectory(cfg, law, tau=3, shift_policy="leader", rng=rng)
-    for snap in traj.snapshots[1:]:
-        assert snap.points[0] == pytest.approx(0.0)
-    traj = run_trajectory(cfg, law, tau=3, shift_policy="tail", rng=rng)
-    for snap in traj.snapshots[1:]:
-        total = np.exp(snap.points).sum() + snap.tail_weight_estimate
-        assert abs(total - 1.0) <= 1e-10
-
-
 def test_pp_gap_law_invariant_under_evolution():
     # quasi-stationarity of PP(rho e^{-rho y}): evolved gap law equals initial gap law
-    from quasistat.analysis import gap_vector
     from quasistat.stattest import invariance_verdict
 
     law = IncrementLaw.gaussian(0.0, 1.0)
@@ -199,9 +157,9 @@ def test_pp_gap_law_invariant_under_evolution():
     after = np.empty((n_rep, k))
     rng = np.random.default_rng(55)
     for r in range(n_rep):
-        before[r] = gap_vector(sample_pp_exponential(1.0, k + 1, rng), k)
+        before[r] = -np.diff(sample_pp_exponential(1.0, k + 1, rng).points)
         cfg = sample_pp_exponential(1.0, 3000, rng)
-        after[r] = gap_vector(evolve_additive(cfg, law, rng), k)
+        after[r] = -np.diff(evolve_additive(cfg, law, rng).points[: k + 1])
     report = invariance_verdict(before, after, level=0.01, n_perm=199,
                                 rng=np.random.default_rng(56))
     assert report.verdict == "consistent"

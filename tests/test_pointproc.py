@@ -7,19 +7,13 @@ from hypothesis import strategies as st
 
 from quasistat import experiments
 from quasistat.pointproc import (
-    ArrivalTimes,
     MassPartition,
     PointConfiguration,
-    atoms_from_arrivals,
     config_from_mass_partition,
-    expected_atom_tail,
     mass_partition_from_config,
-    normalize_to_mass_partition,
-    points_from_arrivals,
     sample_gamma_arrivals,
     sample_pd_poisson_kingman,
     sample_pd_stickbreaking,
-    sample_pk_powerlaw,
     sample_pp_exponential,
 )
 from quasistat.stattest import energy_distance_perm_test, marginal_law_test
@@ -36,12 +30,12 @@ class _FixedExponentials:
 
 def test_arrivals_are_cumulative_sums():
     arr = sample_gamma_arrivals(3, _FixedExponentials([1.0, 1.0, 1.0]))
-    np.testing.assert_allclose(arr.gammas, [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(arr, [1.0, 2.0, 3.0])
 
 
 def test_single_arrival_is_the_draw():
     arr = sample_gamma_arrivals(1, _FixedExponentials([np.e]))
-    np.testing.assert_allclose(arr.gammas, [np.e])
+    np.testing.assert_allclose(arr, [np.e])
 
 
 def test_arrival_means_match_indices():
@@ -54,9 +48,13 @@ def test_arrival_means_match_indices():
 
 
 def test_pp_exponential_transform():
-    cfg = points_from_arrivals(ArrivalTimes([1.0, 2.0, 3.0]), rho=1.0)
+    # draws [1, 1, 1] give Gamma = [1, 2, 3]
+    cfg = sample_pp_exponential(1.0, 3, _FixedExponentials([1.0, 1.0, 1.0]))
     np.testing.assert_allclose(cfg.points, [0.0, -np.log(2), -np.log(3)])
-    assert cfg.beta == 1.0
+    assert cfg.beta == 1.0 and cfg.tail_weight_estimate == 0.0
+    # beta = 2 rho: E[sum_{i>3} e^{2 X_i} | Gamma_3] = 1 / Gamma_3
+    cfg = sample_pp_exponential(1.0, 3, _FixedExponentials([1.0, 1.0, 1.0]), beta=2.0)
+    assert cfg.tail_weight_estimate == pytest.approx(1.0 / 3.0)
 
 
 def test_pp_exponential_count_is_poisson():
@@ -87,35 +85,34 @@ def test_pp_exponential_gaps_are_exponential():
     for i in (1, 2, 3):
         _, p = marginal_law_test(gaps[:, i - 1], lambda x, i=i: 1.0 - np.exp(-i * x))
         assert p > 1e-3
+    with pytest.raises(ValueError, match="4 are needed"):
+        experiments.top_gaps(itertools.repeat(rng, 2), 1.0, 3, 3)
 
 
 def test_pk_powerlaw_transform():
-    np.testing.assert_allclose(
-        atoms_from_arrivals(ArrivalTimes([1.0, 2.0]), alpha=0.5), [1.0, 0.25]
-    )
-    np.testing.assert_allclose(
-        atoms_from_arrivals(ArrivalTimes([1.0, 8.0]), alpha=1 / 3), [1.0, 0.001953125]
-    )
+    # masses are proportional to the atoms Gamma_i^{-1/alpha}
+    part = sample_pd_poisson_kingman(0.5, 2, _FixedExponentials([1.0, 1.0]))
+    assert part.masses[1] / part.masses[0] == pytest.approx(0.25)
+    part = sample_pd_poisson_kingman(1 / 3, 2, _FixedExponentials([1.0, 7.0]))
+    assert part.masses[1] / part.masses[0] == pytest.approx(0.001953125)
 
 
 def test_pk_powerlaw_rejects_bad_alpha():
     rng = np.random.default_rng(0)
     for alpha in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ValueError):
-            sample_pk_powerlaw(alpha, 5, rng)
+            sample_pd_poisson_kingman(alpha, 5, rng)
 
 
 def test_pk_atom_count_is_poisson():
-    # #{eta_i >= s} ~ Poisson(s^{-alpha})
+    # #{eta_i >= 1} = #{Gamma_i <= 1} ~ Poisson(1) for the atoms eta_i = Gamma_i^{-1/alpha}
     from scipy.stats import chisquare, poisson
 
     rng = np.random.default_rng(13)
-    alpha = 0.5
     n_rep = 3000
     counts = np.empty(n_rep, dtype=int)
     for r in range(n_rep):
-        atoms = sample_pk_powerlaw(alpha, 40, rng)
-        counts[r] = int((atoms >= 1.0).sum())
+        counts[r] = int((sample_gamma_arrivals(40, rng) <= 1.0).sum())
     kmax = 6
     obs = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
     exp_p = poisson.pmf(np.arange(kmax), 1.0)
@@ -125,13 +122,11 @@ def test_pk_atom_count_is_poisson():
 
 
 def test_normalization_arithmetic():
-    atoms = np.array([1.0, 0.25])
-    # zero-tail normalization is plain division
-    np.testing.assert_allclose(atoms / atoms.sum(), [0.8, 0.2])
-    assert expected_atom_tail(0.5, 100.0) == pytest.approx(0.01)
-    part = normalize_to_mass_partition(atoms, 0.5, 100.0)
-    np.testing.assert_allclose(part.masses, atoms / 1.26)
-    assert part.tail_mass == pytest.approx(0.01 / 1.26)
+    # draws [1, 99] give Gamma = [1, 100], atoms Gamma^{-2} = [1, 1e-4] and expected
+    # tail alpha Gamma_2^{(alpha-1)/alpha} / (1 - alpha) = 0.01 at alpha = 1/2
+    part = sample_pd_poisson_kingman(0.5, 2, _FixedExponentials([1.0, 99.0]))
+    np.testing.assert_allclose(part.masses, np.array([1.0, 1e-4]) / 1.0101)
+    assert part.tail_mass == pytest.approx(0.01 / 1.0101)
 
 
 def test_pk_matches_stickbreaking_oracle():
@@ -151,6 +146,12 @@ def test_stickbreaking_degenerate_first_stick():
     part = sample_pd_stickbreaking(0.5, 1, _OneBeta())
     np.testing.assert_allclose(part.masses, [1.0])
     assert part.tail_mass == 0.0
+
+
+def test_stickbreaking_cap_raises():
+    # at alpha = 0.7 the remainder stays above the 50th product past the stick cap
+    with pytest.raises(ValueError, match="not exact"):
+        sample_pd_stickbreaking(0.7, 50, np.random.default_rng(0))
 
 
 def test_sum_of_squared_masses_identity():
@@ -213,9 +214,6 @@ def test_exact_top_n_prefix_property():
     big = sample_pp_exponential(1.0, 50, np.random.default_rng(99))
     small = sample_pp_exponential(1.0, 10, np.random.default_rng(99))
     np.testing.assert_array_equal(big.points[:10], small.points)
-    big_atoms = sample_pk_powerlaw(0.5, 50, np.random.default_rng(99))
-    small_atoms = sample_pk_powerlaw(0.5, 10, np.random.default_rng(99))
-    np.testing.assert_array_equal(big_atoms[:10], small_atoms)
 
 
 def test_sampler_outputs_satisfy_mass_invariant():
@@ -236,9 +234,5 @@ def test_type_validation():
         MassPartition([0.5, 0.0], tail_mass=0.5)  # zero mass entry
     with pytest.raises(ValueError):
         MassPartition([0.5, 0.3], tail_mass=0.0)  # mass deficit
-    with pytest.raises(ValueError):
-        ArrivalTimes([2.0, 1.0])
-    with pytest.raises(ValueError):
-        normalize_to_mass_partition(np.array([]), 0.5, 1.0)
     with pytest.raises(ValueError):
         sample_gamma_arrivals(0, np.random.default_rng(0))
