@@ -21,7 +21,6 @@ from .analysis import (
     FrontProfile,
     FrontRootError,
     ShallowTruncationError,
-    StepTestFunction,
     front_position,
     front_profile,
     gen_functional_mc,

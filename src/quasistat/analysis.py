@@ -17,7 +17,6 @@ from .pointproc import MassPartition, PointConfiguration
 
 __all__ = [
     "FrontProfile",
-    "StepTestFunction",
     "FrontRootError",
     "ShallowTruncationError",
     "front_profile",
@@ -61,21 +60,19 @@ def front_profile(config: PointConfiguration, law: IncrementLaw, tau) -> FrontPr
     """Build F(y) = sum_i P(S_i(tau) >= y - X_i) over the tracked points."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    if tau > 0 and not law.closed_sum_tail:
-        raise ValueError(f"no closed-form tau-fold tail for {law!r}")
     return FrontProfile(config=config, law=law, tau=int(tau))
 
 
 def front_position(profile: FrontProfile) -> float:
     """Root z of F(z) = 1, i.e. inf{y : F(y) < 1}.
 
-    Degenerate profiles with F < 1 everywhere (a single tracked point under a
-    diffuse law) raise FrontRootError.
+    Profiles with F < 1 everywhere (a single tracked point) raise
+    FrontRootError.
     """
     pts, law = profile.config.points, profile.law
-    if profile.tau == 0 or law.degenerate:
-        # step profile: F(y) = #{i : X_i + tau*c >= y} crosses below 1 at the leader
-        return float(pts[0] + profile.tau * law.mean())
+    if profile.tau == 0:
+        # step profile: F(y) = #{i : X_i >= y} crosses below 1 at the leader
+        return float(pts[0])
     if len(pts) < 2:
         raise FrontRootError("fewer than one expected survivor at every level")
     lo = pts[0] - 10.0
@@ -94,82 +91,50 @@ def front_position(profile: FrontProfile) -> float:
     return float(z)
 
 
-@dataclass(frozen=True)
-class StepTestFunction:
-    """Nonnegative finite sum of steps a_j * 1_{[0, d_j]}."""
-
-    amplitudes: tuple
-    widths: tuple
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=float)
-        d = np.asarray(self.widths, dtype=float)
-        if a.shape != d.shape or a.ndim != 1:
-            raise ValueError("amplitudes and widths must be 1-d and equal length")
-        if np.any(a < 0) or np.any(d <= 0) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(d)):
-            raise ValueError("steps require a >= 0 and finite d > 0")
-        object.__setattr__(self, "amplitudes", tuple(a))
-        object.__setattr__(self, "widths", tuple(d))
-
-    @classmethod
-    def single(cls, a, d):
-        return cls((a,), (d,))
-
-    @property
-    def support_end(self):
-        return max(self.widths)
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        a = np.asarray(self.amplitudes)
-        d = np.asarray(self.widths)
-        vals = ((u[..., None] >= 0.0) & (u[..., None] <= d)) * a
-        return vals.sum(axis=-1)
+def _check_step(a, d):
+    if not (0 <= a < np.inf and 0 < d < np.inf):
+        raise ValueError("the step a * 1_[0, d] needs finite a >= 0 and finite d > 0")
 
 
-def gen_functional_mc(points, f: StepTestFunction):
-    """Monte Carlo estimate of E[exp(-sum_i f(X_1 - X_i))] with standard error.
+def gen_functional_mc(points, a, d):
+    """Monte Carlo estimate of E[exp(-sum_i f(X_1 - X_i))] with standard error,
+    for the step f = a * 1_[0, d].
 
     ``points`` holds one decreasing row of points per replica (a replica x n
-    matrix).  The i = 1 term contributes e^{-f(0)}.  Rows shallower than the
-    support of f are rejected.
+    matrix).  The i = 1 term contributes e^{-a}.  Rows no deeper than d are
+    rejected.
     """
-    d_max = f.support_end
+    _check_step(a, d)
     vals = np.empty(len(points))
     for k, pts in enumerate(points):
         spacings = pts[0] - pts
-        if spacings[-1] <= d_max:
+        if spacings[-1] <= d:
             raise ShallowTruncationError(
-                f"config depth {spacings[-1]:.3g} does not exceed support end {d_max:.3g}"
+                f"config depth {spacings[-1]:.3g} does not exceed step width {d:.3g}"
             )
-        vals[k] = np.exp(-f(spacings).sum())
+        vals[k] = np.exp(-((spacings <= d) * a).sum())
     mean = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else np.inf
     return mean, se
 
 
-def gen_functional_pp_exponential(rho, f: StepTestFunction, include_leader_term=False) -> float:
-    """Closed-form generating functional for PP(rho e^{-rho y} dy).
+def gen_functional_pp_exponential(rho, a, d, include_leader_term=False) -> float:
+    """Closed-form generating functional of the step f = a * 1_[0, d] for
+    PP(rho e^{-rho y} dy).
 
     Conditioning on the (Gumbel) maximum, the points below it form the same
     Poisson process, giving G = 1/(1 + c) with
-    c = int_0^infty (1 - e^{-f(u)}) rho e^{rho u} du, evaluated exactly for
-    step functions.  ``include_leader_term`` multiplies by e^{-f(0)} to match
-    the Monte Carlo convention that counts the maximum itself.
+    c = int_0^d (1 - e^{-a}) rho e^{rho u} du = (1 - e^{-a}) (e^{rho d} - 1).
+    ``include_leader_term`` multiplies by e^{-f(0)} = e^{-a} to match the
+    Monte Carlo convention that counts the maximum itself.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    cuts = np.concatenate(([0.0], np.unique(f.widths)))
-    # f is constant on each (cuts[k-1], cuts[k]); value = sum of steps reaching past it
-    a = np.asarray(f.amplitudes)
-    d = np.asarray(f.widths)
-    c = 0.0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        level = a[d >= right].sum()
-        c += -np.expm1(-level) * (np.exp(rho * right) - np.exp(rho * left))
+    _check_step(a, d)
+    c = -np.expm1(-a) * (np.exp(rho * d) - 1)
     g = 1.0 / (1.0 + c)
     if include_leader_term:
-        g *= np.exp(-float(f(0.0)))
+        g *= np.exp(-a)
     return g
 
 
@@ -206,7 +171,7 @@ def jump_event_bound_check(starts, law: IncrementLaw, tau, K, C, beta=1.0, rng=N
 
     ``starts`` are tail-normalized PointConfigurations; the total jump of a point
     depends only on its origin and the summed increments, so S_i(tau) is drawn
-    directly from the tau-fold law (exact for gaussian and constant kinds).
+    directly from the tau-fold Gaussian law.
     Passes when the empirical frequency is at most bound + 3 binomial SE.
     """
     v = law.log_mgf(beta)

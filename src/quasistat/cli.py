@@ -20,35 +20,47 @@ import numpy as np
 from . import analysis, dynamics, experiments, pointproc, stattest
 
 
+def _at_least(low):
+    return f">= {low}", lambda v: v >= low
+
+
+def _above(low):
+    return f"> {low}", lambda v: v > low
+
+
+_UNIT = "in (0, 1)", lambda v: 0 < v < 1
+
+
 class Option(NamedTuple):
     default: object
     type: type
     help: str
-    lower: object = None  # smallest accepted value, if any
+    valid: tuple = None  # (description, predicate) of the accepted values, if limited
 
 
 # Every option once: DEFAULTS, the command-line flags, the config-file keys
-# and the range checks are all generated from this table.
+# and the range checks are all generated from this table.  Every float option
+# must also be finite.
 OPTIONS = {
     "seed": Option(None, int, "master seed (or set QUASISTAT_SEED)"),
     "out": Option(".", str, "output directory"),
     "kind": Option("pd", str, "pd | pp | geometric | mixture-of-pd | custom-from-file"),
-    "replicas": Option(2000, int, "replicas per ensemble", 1),
-    "alpha": Option(0.5, float, "PD(alpha, 0) index"),
+    "replicas": Option(2000, int, "replicas per ensemble", _at_least(1)),
+    "alpha": Option(0.5, float, "PD(alpha, 0) index", _UNIT),
     "alphas": Option("0.3,0.7", str, "comma list of mixture components"),
-    "rho": Option(1.0, float, "intensity rho e^{-rho y} of the point process"),
-    "beta": Option(1.0, float, "weight exponent, W = e^{beta h}"),
+    "rho": Option(1.0, float, "intensity rho e^{-rho y} of the point process", _above(0)),
+    "beta": Option(1.0, float, "weight exponent, W = e^{beta h}", _above(0)),
     "mu": Option(0.0, float, "increment law mean"),
-    "sigma": Option(1.0, float, "increment law std dev"),
-    "tau": Option(1, int, "evolution steps", 0),
-    "topk": Option(5, int, "tracked coordinates per replica", 1),
-    "trunc_n": Option(500, int, "tracked points per replica", 1),
-    "level": Option(0.01, float, "test level, in (0, 1)"),
-    "n_perm": Option(199, int, "energy-test permutations", 199),
-    "f_a": Option(0.5, float, "step amplitude"),
-    "f_d": Option(0.5, float, "step width"),
+    "sigma": Option(1.0, float, "increment law std dev", _above(0)),
+    "tau": Option(1, int, "evolution steps", _at_least(0)),
+    "topk": Option(5, int, "tracked coordinates per replica", _at_least(1)),
+    "trunc_n": Option(500, int, "tracked points per replica", _at_least(1)),
+    "level": Option(0.01, float, "test level", _UNIT),
+    "n_perm": Option(199, int, "energy-test permutations", _at_least(199)),
+    "f_a": Option(0.5, float, "step amplitude", _at_least(0)),
+    "f_d": Option(0.5, float, "step width", _above(0)),
     "ck": Option(1.5, float, "C + K in the jump-event bound"),
-    "grid_points": Option(100, int, "front-profile grid size", 1),
+    "grid_points": Option(100, int, "front-profile grid size", _at_least(1)),
     "input": Option("", str, "CSV of masses for kind=custom-from-file"),
 }
 
@@ -111,10 +123,10 @@ def resolve_config(args):
     if cfg["seed"] is None:
         raise ConfigError("a master seed is required (--seed or QUASISTAT_SEED)")
     for key, opt in OPTIONS.items():
-        if opt.lower is not None and cfg[key] < opt.lower:
-            raise ConfigError(f"{_flag(key)} must be >= {opt.lower}")
-    if not 0 < cfg["level"] < 1:
-        raise ConfigError("--level must be in (0, 1)")
+        if opt.type is float and not np.isfinite(cfg[key]):
+            raise ConfigError(f"{_flag(key)} must be finite, got {cfg[key]!r}")
+        if opt.valid is not None and not opt.valid[1](cfg[key]):
+            raise ConfigError(f"{_flag(key)} must be {opt.valid[0]}, got {cfg[key]!r}")
     return cfg
 
 
@@ -136,7 +148,7 @@ def _rngs(cfg, stream, n=None):
 
 
 def _increment_law(cfg):
-    return dynamics.IncrementLaw.gaussian(cfg["mu"], cfg["sigma"])
+    return dynamics.IncrementLaw(cfg["mu"], cfg["sigma"])
 
 
 def _partition_sampler(cfg):
@@ -278,11 +290,15 @@ def cmd_test_invariance(cfg):
 
 def cmd_verify_lemma(cfg):
     law, beta, tau = _increment_law(cfg), cfg["beta"], cfg["tau"]
+    if not beta > cfg["rho"]:
+        # sum_i e^{beta X_i} diverges, so the starts cannot be tail-normalized
+        raise ConfigError(f"verify-lemma needs --beta > --rho, "
+                          f"got --beta {beta} and --rho {cfg['rho']}")
     starts = list(experiments.tail_normalized_starts(_rngs(cfg, 0), cfg["rho"], cfg["trunc_n"],
                                                      beta=beta))
     counts = experiments.front_bound_counts(starts, law, tau, beta=beta,
                                             grid_points=cfg["grid_points"])
-    c = law.mean() - 1.0
+    c = law.mu - 1.0
     jump = analysis.jump_event_bound_check(starts, law, tau, K=cfg["ck"] - c, C=c,
                                            beta=beta, rng=replica_rng(cfg["seed"], 1))
     passed = counts["markov_violations"] == 0 and counts["z_violations"] == 0 and jump.passed

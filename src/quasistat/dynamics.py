@@ -1,13 +1,12 @@
 """Evolution maps for ranked configurations and mass-partitions.
 
-Additive picture: every point gets an independent increment h_i and the
-configuration is re-ranked.  Multiplicative picture: every mass is reweighted
-by W_i = e^{beta*h_i} and renormalized.  Both advance the untracked tail by
-its mean factor E[e^{beta*h}].
+Additive picture: every point gets an independent Gaussian increment h_i and
+the configuration is re-ranked.  Multiplicative picture: every mass is
+reweighted by the lognormal W_i = e^{beta*h_i} and renormalized.  Both advance
+the untracked tail by its mean factor E[e^{beta*h}].
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -22,127 +21,45 @@ __all__ = [
 ]
 
 
-class _Kind(NamedTuple):
-    """Formulas of one increment kind; ``p`` is the law's parameter tuple."""
-
-    sample: Callable          # (p, size, rng) -> draws of h
-    log_mgf: Callable         # (p, lam) -> log E[e^{lam h}] for lam != 0
-    mean: Callable            # p -> E[h]
-    sample_sum: Callable      # (p, tau, size, rng) -> draws of h_1 + ... + h_tau
-    sum_tail: Callable = None  # (p, y, tau) -> P(h_1 + ... + h_tau >= y), if closed form
-    degenerate: bool = False   # every increment equals the mean
-
-
-def _uniform_log_mgf(p, lam):
-    a, b = p
-    # anchored at the dominating endpoint to avoid overflow
-    hi, lo = (b, a) if lam > 0 else (a, b)
-    return lam * hi + np.log1p(-np.exp(lam * (lo - hi))) - np.log(abs(lam) * (b - a))
-
-
-_KINDS = {
-    "gaussian": _Kind(
-        sample=lambda p, size, rng: rng.normal(p[0], p[1], size=size),
-        log_mgf=lambda p, lam: lam * p[0] + 0.5 * lam * lam * p[1] * p[1],
-        mean=lambda p: p[0],
-        sample_sum=lambda p, tau, size, rng: rng.normal(tau * p[0], p[1] * np.sqrt(tau), size=size),
-        sum_tail=lambda p, y, tau: ndtr((tau * p[0] - y) / (p[1] * np.sqrt(tau))),
-    ),
-    "uniform": _Kind(
-        sample=lambda p, size, rng: rng.uniform(p[0], p[1], size=size),
-        log_mgf=_uniform_log_mgf,
-        mean=lambda p: 0.5 * (p[0] + p[1]),
-        sample_sum=lambda p, tau, size, rng: rng.uniform(p[0], p[1], size=(tau, size)).sum(axis=0),
-    ),
-    "constant": _Kind(
-        sample=lambda p, size, rng: np.full(size, p[0]),
-        log_mgf=lambda p, lam: lam * p[0],
-        mean=lambda p: p[0],
-        sample_sum=lambda p, tau, size, rng: np.full(size, tau * p[0]),
-        sum_tail=lambda p, y, tau: (y <= tau * p[0]).astype(float),
-        degenerate=True,
-    ),
-}
-
-
 @dataclass(frozen=True)
 class IncrementLaw:
-    """Increment distribution with all exponential moments finite.
+    """Gaussian increments h ~ N(mu, sigma^2), for which W = e^{beta*h} is
+    lognormal, absolutely continuous and has every moment E[W^lam] finite.
 
-    Supported kinds: gaussian(mu, sigma), uniform(a, b) and constant(c); their
-    formulas live in ``_KINDS``.  ``lognormal_weight`` builds the gaussian h
-    for which W = e^{beta*h} is LogNormal(mu, sigma).
+    ``lognormal_weight`` builds the h for which W = e^{beta*h} is
+    LogNormal(mu, sigma).
     """
 
-    kind: str
-    params: tuple
+    mu: float
+    sigma: float
 
-    @classmethod
-    def gaussian(cls, mu, sigma):
-        if sigma <= 0:
+    def __post_init__(self):
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        return cls("gaussian", (float(mu), float(sigma)))
-
-    @classmethod
-    def uniform(cls, a, b):
-        if not a < b:
-            raise ValueError("uniform requires a < b")
-        return cls("uniform", (float(a), float(b)))
-
-    @classmethod
-    def constant(cls, c):
-        return cls("constant", (float(c),))
 
     @classmethod
     def lognormal_weight(cls, mu, sigma, beta=1.0):
-        return cls.gaussian(mu / beta, sigma / beta)
-
-    @property
-    def _formulas(self):
-        try:
-            return _KINDS[self.kind]
-        except KeyError:
-            raise ValueError(f"unknown increment kind {self.kind!r}") from None
-
-    @property
-    def closed_sum_tail(self):
-        """True when P(h_1 + ... + h_tau >= y) has a closed form."""
-        return self._formulas.sum_tail is not None
-
-    @property
-    def degenerate(self):
-        """True when every increment equals the mean."""
-        return self._formulas.degenerate
+        return cls(mu / beta, sigma / beta)
 
     def sample(self, size, rng):
-        return self._formulas.sample(self.params, size, rng)
+        return rng.normal(self.mu, self.sigma, size=size)
 
     def sample_sum(self, tau, size, rng):
-        """``size`` independent draws of h_1 + ... + h_tau."""
-        return self._formulas.sample_sum(self.params, tau, size, rng)
+        """``size`` independent draws of h_1 + ... + h_tau ~ N(tau mu, tau sigma^2)."""
+        return rng.normal(tau * self.mu, self.sigma * np.sqrt(tau), size=size)
 
     def log_mgf(self, lam):
         """log E[e^{lam * h}], finite for every real lam."""
-        lam = float(lam)
-        return 0.0 if lam == 0.0 else self._formulas.log_mgf(self.params, lam)
-
-    def mean(self):
-        return self._formulas.mean(self.params)
+        return lam * self.mu + 0.5 * lam * lam * self.sigma * self.sigma
 
     def sum_tail_probability(self, y, tau):
-        """P(h_1 + ... + h_tau >= y), vectorized in y.
-
-        Closed form for gaussian and constant kinds; other kinds have no
-        implemented tau-fold tail.
-        """
+        """P(h_1 + ... + h_tau >= y), vectorized in y."""
         y = np.asarray(y, dtype=float)
         if tau < 0:
             raise ValueError("tau must be >= 0")
         if tau == 0:
             return (y <= 0).astype(float)
-        if not self.closed_sum_tail:
-            raise ValueError(f"no closed-form tau-fold tail for kind {self.kind!r}")
-        return self._formulas.sum_tail(self.params, y, tau)
+        return ndtr((tau * self.mu - y) / (self.sigma * np.sqrt(tau)))
 
 
 def _sort_desc(values):

@@ -98,16 +98,15 @@ def pairwise_energy(tops, rngs, n_perm):
 def gen_functional_check(points, rho, a, d):
     """Monte Carlo generating functional of one step a * 1_[0, d] against the
     PP(rho) closed form; passes within 3 SE and 2% relative."""
-    f = analysis.StepTestFunction.single(a, d)
-    mc, se = analysis.gen_functional_mc(points, f)
-    closed = analysis.gen_functional_pp_exponential(rho, f, include_leader_term=True)
+    mc, se = analysis.gen_functional_mc(points, a, d)
+    closed = analysis.gen_functional_pp_exponential(rho, a, d, include_leader_term=True)
     deviation = abs(mc - closed)
     rel = deviation / closed if closed else 0.0
     return {
         "mc_estimate": mc,
         "mc_se": se,
         "closed_form": closed,
-        "closed_form_no_leader": analysis.gen_functional_pp_exponential(rho, f),
+        "closed_form_no_leader": analysis.gen_functional_pp_exponential(rho, a, d),
         "relative_deviation": rel,
         "passed": bool(deviation <= 3.0 * se and rel < 0.02),
     }

@@ -94,8 +94,10 @@ def sample_pp_exponential(rho, n, rng, beta=1.0) -> PointConfiguration:
     """Top n points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy).
 
     The tail estimate E[sum_{i>n} e^{beta X_i} | Gamma_n] is finite only when
-    beta > rho; otherwise it is recorded as 0 (the correspondence to mass
-    partitions is only used in the convergent regime).
+    beta > rho.  For beta <= rho the sum diverges and the tail is recorded as
+    0, so ``shift_tail`` and ``mass_partition_from_config`` would normalize
+    the tracked points alone: only the positions and gaps are meaningful
+    there, and ``verify-lemma`` refuses that range.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")

@@ -22,7 +22,7 @@ from quasistat.stattest import (
     marginal_law_test,
 )
 
-GAUSS = IncrementLaw.gaussian(0.0, 1.0)
+GAUSS = IncrementLaw(0.0, 1.0)
 LOGNORMAL_W = IncrementLaw.lognormal_weight(0.0, 1.0, beta=1.0)
 
 
@@ -77,7 +77,7 @@ def test_criterion_2_pp_gap_quasi_stationarity():
     details = []
     ok = True
     for tau, n_pts in ((1, 20_000), (5, 100_000)):
-        law_tau = IncrementLaw.gaussian(0.0, np.sqrt(tau))
+        law_tau = IncrementLaw(0.0, np.sqrt(tau))
         before = experiments.top_gaps(repeat(_rng(2, tau, 0), n_rep), 1.0, k + 2, k)
         after = experiments.top_gaps(repeat(_rng(2, tau, 1), n_rep), 1.0, n_pts, k,
                                      law=law_tau, steps=1)

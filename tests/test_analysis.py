@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -9,7 +11,6 @@ from quasistat import experiments
 from quasistat.analysis import (
     FrontRootError,
     ShallowTruncationError,
-    StepTestFunction,
     front_position,
     front_profile,
     gen_functional_mc,
@@ -24,7 +25,7 @@ from quasistat.pointproc import (
     sample_pp_exponential,
 )
 
-GAUSS = IncrementLaw.gaussian(0.0, 1.0)
+GAUSS = IncrementLaw(0.0, 1.0)
 
 
 def _tail_normalized(alpha, n, rng):
@@ -51,11 +52,6 @@ def test_profile_monotone_on_grid():
     prof = front_profile(cfg, GAUSS, 3)
     vals = prof(np.linspace(-6.0, 6.0, 100))
     assert np.all(np.diff(vals) <= 1e-12)
-
-
-def test_profile_rejects_unsupported_law():
-    with pytest.raises(ValueError):
-        front_profile(PointConfiguration([0.0]), IncrementLaw.uniform(0, 1), 2)
 
 
 def test_front_position_tau_zero_is_leader():
@@ -87,6 +83,19 @@ def test_markov_bound_holds_pathwise():
         starts = experiments.tail_normalized_starts(itertools.repeat(rng, 100), 0.5, 200)
         counts = experiments.front_bound_counts(starts, GAUSS, tau, grid_points=100)
         assert counts["markov_violations"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.floats(0.05, 2.0), excess=st.floats(0.05, 2.0), mu=st.floats(-2.0, 2.0),
+       sigma=st.floats(0.05, 3.0), tau=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_front_bounds_hold_over_parameter_range(rho, excess, mu, sigma, tau, seed):
+    # the bounds are pathwise, so no start may violate them for any beta > rho
+    beta = rho + excess
+    rng = np.random.default_rng(seed)
+    starts = experiments.tail_normalized_starts(itertools.repeat(rng, 5), rho, 60, beta=beta)
+    counts = experiments.front_bound_counts(starts, IncrementLaw(mu, sigma), tau, beta=beta,
+                                            grid_points=30)
+    assert (counts["markov_violations"], counts["z_violations"]) == (0, 0)
 
 
 def test_normalized_profile_is_one_at_origin():
@@ -123,50 +132,49 @@ def test_normalized_profile_mean_shape_is_exponential():
 
 
 def test_step_function_validation_and_eval():
-    with pytest.raises(ValueError):
-        StepTestFunction.single(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        StepTestFunction.single(1.0, 0.0)
-    f = StepTestFunction((1.0, 2.0), (1.0, 0.5))
-    np.testing.assert_allclose(f(np.array([-0.1, 0.0, 0.4, 0.7, 1.5])),
-                               [0.0, 3.0, 3.0, 1.0, 0.0])
+    points = np.array([[0.0, -0.4, -0.7, -1.5]])
+    for a, d in ((-1.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            gen_functional_mc(points, a, d)
+        with pytest.raises(ValueError):
+            gen_functional_pp_exponential(1.0, a, d)
+    # the step counts the leader and the point at spacing 0.4, not those at 0.7 and 1.5
+    mean, _ = gen_functional_mc(points, 1.0, 0.5)
+    assert mean == np.exp(-2.0)
 
 
 def test_gen_functional_zero_function_is_one():
-    f = StepTestFunction.single(0.0, 1.0)
-    mean, se = gen_functional_mc(np.array([[0.0, -2.0, -4.0]]), f)
+    mean, se = gen_functional_mc(np.array([[0.0, -2.0, -4.0]]), 0.0, 1.0)
     assert mean == 1.0
-    assert gen_functional_pp_exponential(1.0, f) == 1.0
-    assert gen_functional_pp_exponential(1.0, f, include_leader_term=True) == 1.0
+    assert gen_functional_pp_exponential(1.0, 0.0, 1.0) == 1.0
+    assert gen_functional_pp_exponential(1.0, 0.0, 1.0, include_leader_term=True) == 1.0
 
 
 def test_gen_functional_large_amplitude_kills_leader():
-    mean, _ = gen_functional_mc(np.array([[0.0, -5.0]]), StepTestFunction.single(60.0, 1.0))
+    mean, _ = gen_functional_mc(np.array([[0.0, -5.0]]), 60.0, 1.0)
     assert mean < 1e-20
 
 
 def test_gen_functional_shallow_truncation_rejected():
     with pytest.raises(ShallowTruncationError):
-        gen_functional_mc(np.array([[0.0, -0.5]]), StepTestFunction.single(1.0, 1.0))
+        gen_functional_mc(np.array([[0.0, -0.5]]), 1.0, 1.0)
 
 
 def test_gen_functional_closed_form_single_step():
     a = d = np.log(2.0)
-    f = StepTestFunction.single(a, d)
-    assert gen_functional_pp_exponential(1.0, f) == pytest.approx(2.0 / 3.0)
+    assert gen_functional_pp_exponential(1.0, a, d) == pytest.approx(2.0 / 3.0)
     c = (1 - np.exp(-a)) * (np.exp(1.0 * d) - 1.0)
-    assert gen_functional_pp_exponential(1.0, f) == pytest.approx(1.0 / (1.0 + c))
-    assert gen_functional_pp_exponential(1.0, f, include_leader_term=True) == pytest.approx(
+    assert gen_functional_pp_exponential(1.0, a, d) == pytest.approx(1.0 / (1.0 + c))
+    assert gen_functional_pp_exponential(1.0, a, d, include_leader_term=True) == pytest.approx(
         np.exp(-a) / (1.0 + c)
     )
 
 
 def test_gen_functional_closed_form_matches_quadrature():
-    f = StepTestFunction((0.4, 1.1), (0.8, 0.3))
-    rho = 1.3
-    c, _ = quad(lambda u: (1.0 - np.exp(-f(np.array(u)))) * rho * np.exp(rho * u), 0.0, 5.0,
-                points=[0.3, 0.8], epsabs=1e-12)
-    assert gen_functional_pp_exponential(rho, f) == pytest.approx(1.0 / (1.0 + c), abs=1e-10)
+    a, d, rho = 1.1, 0.3, 1.3
+    c, _ = quad(lambda u: (1.0 - np.exp(-a * (u <= d))) * rho * np.exp(rho * u), 0.0, 5.0,
+                points=[d], epsabs=1e-12)
+    assert gen_functional_pp_exponential(rho, a, d) == pytest.approx(1.0 / (1.0 + c), abs=1e-10)
 
 
 def test_gen_functional_mc_agrees_with_closed_form():

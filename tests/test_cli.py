@@ -267,3 +267,27 @@ def test_option_bounds_name_the_flag(capsys):
     assert "--trunc-n must be >= 1" in capsys.readouterr().err
     assert run(["sample", "--seed", "1", "--n-perm", "99"]) == 2
     assert "--n-perm must be >= 199" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["1", "0.5"])
+def test_verify_lemma_refuses_beta_not_above_rho(tmp_path, capsys, beta):
+    # sum_i e^{beta X_i} diverges there, so the starts cannot be tail-normalized
+    assert run(["verify-lemma", "--rho", "1", "--beta", beta, "--replicas", "5",
+                "--trunc-n", "30", "--seed", "1", "--out", str(tmp_path)]) == 2
+    assert "verify-lemma needs --beta > --rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "nan"),
+    ("--level", "0"), ("--level", "1"), ("--level", "nan"),
+    ("--rho", "0"), ("--rho", "nan"),
+    ("--beta", "-1"), ("--beta", "nan"),
+    ("--sigma", "0"), ("--sigma", "nan"),
+    ("--f-a", "-0.5"), ("--f-a", "nan"),
+    ("--f-d", "0"), ("--f-d", "nan"),
+    ("--mu", "nan"), ("--mu", "inf"),
+])
+def test_option_ranges_name_the_flag(tmp_path, capsys, flag, value):
+    assert run(["sample", "--seed", "1", "--replicas", "2", "--trunc-n", "10",
+                flag, value, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be ")

@@ -21,8 +21,6 @@ from quasistat.pointproc import (
 class _FixedDraws:
     """Stands in for an IncrementLaw with scripted increments."""
 
-    kind = "scripted"
-
     def __init__(self, draws, mean_weight=1.0):
         self.draws = np.asarray(draws, dtype=float)
         self.mean_weight = mean_weight
@@ -36,45 +34,32 @@ class _FixedDraws:
 
 
 def test_increment_law_validation():
-    with pytest.raises(ValueError):
-        IncrementLaw.gaussian(0.0, 0.0)
-    with pytest.raises(ValueError):
-        IncrementLaw.uniform(1.0, 1.0)
-    with pytest.raises(ValueError):
-        IncrementLaw("cauchy", ()).sample(3, np.random.default_rng(0))
+    for sigma in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            IncrementLaw(0.0, sigma)
 
 
 def test_log_mgf_values():
-    assert IncrementLaw.gaussian(0, 1).log_mgf(1.0) == pytest.approx(0.5)
-    assert IncrementLaw.gaussian(2, 3).log_mgf(0.0) == 0.0
-    assert IncrementLaw.uniform(0, 1).log_mgf(1.0) == pytest.approx(np.log(np.e - 1))
-    assert IncrementLaw.uniform(-2, 5).log_mgf(-1.5) == pytest.approx(
-        np.log((np.exp(3.0) - np.exp(-7.5)) / (1.5 * 7.0))
-    )
-    assert IncrementLaw.constant(2.0).log_mgf(3.0) == pytest.approx(6.0)
+    assert IncrementLaw(0, 1).log_mgf(1.0) == pytest.approx(0.5)
+    assert IncrementLaw(2, 3).log_mgf(0.0) == 0.0
+    assert IncrementLaw(0.5, 2.0).log_mgf(-1.5) == pytest.approx(-0.75 + 4.5)
 
 
-@pytest.mark.parametrize("law,reference", [
-    (IncrementLaw.gaussian(0.5, 2.0), lambda rng: rng.normal(1.5, 2.0 * np.sqrt(3), size=7)),
-    (IncrementLaw.uniform(-1, 2), lambda rng: rng.uniform(-1, 2, size=(3, 7)).sum(axis=0)),
-    (IncrementLaw.constant(0.25), lambda rng: np.full(7, 0.75)),
-])
-def test_sample_sum_draws(law, reference):
+def test_sample_sum_draws():
+    law = IncrementLaw(0.5, 2.0)
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    assert np.array_equal(law.sample_sum(3, 7, rng), reference(ref_rng))
+    assert np.array_equal(law.sample_sum(3, 7, rng), ref_rng.normal(1.5, 2.0 * np.sqrt(3), size=7))
     # both generators end in the same state: nothing extra was drawn
     assert rng.random() == ref_rng.random()
 
 
 def test_lognormal_weight_is_gaussian_increment():
-    law = IncrementLaw.lognormal_weight(0.3, 1.2, beta=2.0)
-    assert law.kind == "gaussian"
-    assert law.params == (0.15, 0.6)
+    assert IncrementLaw.lognormal_weight(0.3, 1.2, beta=2.0) == IncrementLaw(0.15, 0.6)
 
 
 def test_additive_common_shift_preserves_gaps():
     cfg = PointConfiguration([1.0, 0.0])
-    out = evolve_additive(cfg, IncrementLaw.constant(2.5), None)
+    out = evolve_additive(cfg, _FixedDraws([2.5, 2.5]), None)
     np.testing.assert_allclose(out.points, [3.5, 2.5])
     np.testing.assert_allclose(np.diff(out.points), np.diff(cfg.points))
 
@@ -93,7 +78,8 @@ def test_additive_rejects_non_finite_draws():
 
 def test_multiplicative_constant_weight_is_identity():
     part = MassPartition([0.5, 0.3, 0.2])
-    out = evolve_multiplicative(part, IncrementLaw.constant(0.7), beta=1.3, rng=None)
+    out = evolve_multiplicative(part, _FixedDraws([0.7, 0.7, 0.7], mean_weight=np.exp(1.3 * 0.7)),
+                                beta=1.3, rng=None)
     np.testing.assert_allclose(out.masses, part.masses, atol=1e-12)
     assert out.tail_mass == pytest.approx(0.0, abs=1e-12)
 
@@ -106,7 +92,7 @@ def test_multiplicative_reweights_and_reorders():
 
 def test_multiplicative_mass_conservation():
     rng = np.random.default_rng(3)
-    law = IncrementLaw.gaussian(0.0, 1.5)
+    law = IncrementLaw(0.0, 1.5)
     part = MassPartition(np.full(10, 0.09), tail_mass=0.1)
     for _ in range(20):
         part = evolve_multiplicative(part, law, beta=1.0, rng=rng)
@@ -116,7 +102,7 @@ def test_multiplicative_mass_conservation():
 def test_additive_multiplicative_commutation():
     # coupled draws: masses of the evolved configuration equal the reshuffled masses
     cfg = sample_pp_exponential(0.5, 60, np.random.default_rng(8), beta=1.0)
-    law = IncrementLaw.gaussian(0.1, 0.9)
+    law = IncrementLaw(0.1, 0.9)
     evolved_cfg = evolve_additive(cfg, law, np.random.default_rng(21))
     via_points = mass_partition_from_config(evolved_cfg)
     via_masses = evolve_multiplicative(
@@ -151,7 +137,7 @@ def test_pp_gap_law_invariant_under_evolution():
     # quasi-stationarity of PP(rho e^{-rho y}): evolved gap law equals initial gap law
     from quasistat.stattest import invariance_verdict
 
-    law = IncrementLaw.gaussian(0.0, 1.0)
+    law = IncrementLaw(0.0, 1.0)
     n_rep, k = 500, 5
     before = np.empty((n_rep, k))
     after = np.empty((n_rep, k))
@@ -172,6 +158,6 @@ def test_reshuffle_output_is_valid_partition(seed, sigma):
     masses = np.sort(rng.dirichlet(np.ones(8) * 0.5) * 0.9)[::-1]
     masses = masses[masses > 0]
     part = MassPartition(masses, tail_mass=1.0 - masses.sum())
-    out = evolve_multiplicative(part, IncrementLaw.gaussian(0.0, sigma), beta=1.0, rng=rng)
+    out = evolve_multiplicative(part, IncrementLaw(0.0, sigma), beta=1.0, rng=rng)
     assert np.all(np.diff(out.masses) <= 0)
     assert abs(out.masses.sum() + out.tail_mass - 1.0) <= 1e-10
