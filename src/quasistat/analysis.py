@@ -105,14 +105,16 @@ def gen_functional_mc(points, a, d):
     rejected.
     """
     _check_step(a, d)
-    vals = np.empty(len(points))
-    for k, pts in enumerate(points):
-        spacings = pts[0] - pts
-        if spacings[-1] <= d:
-            raise ShallowTruncationError(
-                f"config depth {spacings[-1]:.3g} does not exceed step width {d:.3g}"
-            )
-        vals[k] = np.exp(-((spacings <= d) * a).sum())
+    spacings = points[:, :1] - points
+    depth = spacings[:, -1]
+    shallow = np.flatnonzero(depth <= d)
+    if shallow.size:
+        raise ShallowTruncationError(
+            f"config depth {depth[shallow[0]]:.3g} does not exceed step width {d:.3g}"
+        )
+    # f(spacing) per point, written over the spacings to spare one matrix
+    f_vals = np.multiply(spacings <= d, a, out=spacings)
+    vals = np.exp(-f_vals.sum(axis=1))
     mean = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else np.inf
     return mean, se

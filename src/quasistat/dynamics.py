@@ -62,12 +62,6 @@ class IncrementLaw:
         return ndtr((tau * self.mu - y) / (self.sigma * np.sqrt(tau)))
 
 
-def _sort_desc(values):
-    # ties (probability zero for continuous laws) keep original index order
-    order = np.argsort(-values, kind="stable")
-    return values[order]
-
-
 def evolve_additive(config: PointConfiguration, law: IncrementLaw, rng) -> PointConfiguration:
     """One step X_i -> X_i + h_i, re-ranked; tail advanced by E[e^{beta h}]."""
     h = law.sample(len(config), rng)
@@ -75,7 +69,7 @@ def evolve_additive(config: PointConfiguration, law: IncrementLaw, rng) -> Point
         raise ValueError("increment law produced non-finite draws")
     tail = config.tail_weight_estimate * np.exp(law.log_mgf(config.beta))
     return PointConfiguration(
-        _sort_desc(config.points + h), beta=config.beta, tail_weight_estimate=tail
+        np.sort(config.points + h)[::-1], beta=config.beta, tail_weight_estimate=tail
     )
 
 
@@ -96,7 +90,7 @@ def evolve_multiplicative(
     total = w.sum() + scaled_tail
     if not (np.isfinite(total) and total > 0):
         raise FloatingPointError("all reshuffled weights underflowed; check law and beta")
-    masses = _sort_desc(w / total)
+    masses = np.sort(w / total)[::-1]
     masses = masses[masses > 0]
     return MassPartition(masses, tail_mass=scaled_tail / total)
 

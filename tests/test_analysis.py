@@ -158,6 +158,9 @@ def test_gen_functional_large_amplitude_kills_leader():
 def test_gen_functional_shallow_truncation_rejected():
     with pytest.raises(ShallowTruncationError):
         gen_functional_mc(np.array([[0.0, -0.5]]), 1.0, 1.0)
+    # the message gives the depth of the first shallow row
+    with pytest.raises(ShallowTruncationError, match="depth 0.5 "):
+        gen_functional_mc(np.array([[0.0, -2.0], [0.0, -0.5], [0.0, -0.25]]), 1.0, 1.0)
 
 
 def test_gen_functional_closed_form_single_step():
@@ -182,6 +185,17 @@ def test_gen_functional_mc_agrees_with_closed_form():
     points = experiments.top_points(itertools.repeat(rng, 4000), 1.0, 100, 100)
     check = experiments.gen_functional_check(points, 1.0, np.log(2.0), np.log(2.0))
     assert abs(check["mc_estimate"] - check["closed_form"]) <= 3.0 * check["mc_se"]
+
+
+def test_gen_functional_mc_matches_row_loop():
+    # reference: one row at a time, with the same float expressions
+    rng = np.random.default_rng(12)
+    points = experiments.top_points(itertools.repeat(rng, 500), 1.0, 60, 60)
+    for a, d in ((0.3, 0.25), (np.log(2.0), np.log(2.0)), (1.5, 1.0)):
+        vals = np.array([np.exp(-(((pts[0] - pts) <= d) * a).sum()) for pts in points])
+        mean, se = gen_functional_mc(points, a, d)
+        assert mean == vals.mean()
+        assert se == vals.std(ddof=1) / np.sqrt(len(vals))
 
 
 def test_sum_squares():

@@ -70,6 +70,25 @@ def test_additive_resorts_after_order_swap():
     np.testing.assert_allclose(out.points, [-2.0, -3.0])
 
 
+# points and draws on a coarse grid collide exactly after the step
+_GRID_VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_GRID_VALUES, st.floats(-1e6, 1e6)),
+                          st.one_of(_GRID_VALUES, st.floats(-1e6, 1e6))),
+                min_size=1, max_size=40))
+def test_additive_rerank_matches_stable_argsort(pairs):
+    # "+ 0.0" turns -0.0 into +0.0; the relative order of the two zeros is the
+    # one thing a value sort may change, and it has probability zero
+    x = np.sort(np.array([p for p, _ in pairs]) + 0.0)[::-1]
+    h = np.array([q for _, q in pairs]) + 0.0
+    out = evolve_additive(PointConfiguration(x), _FixedDraws(h), None)
+    v = x + h
+    reference = v[np.argsort(-v, kind="stable")]
+    assert out.points.tobytes() == reference.tobytes()
+
+
 def test_additive_rejects_non_finite_draws():
     cfg = PointConfiguration([0.0, -1.0])
     with pytest.raises(ValueError):
@@ -88,6 +107,15 @@ def test_multiplicative_reweights_and_reorders():
     part = MassPartition([0.8, 0.2])
     out = evolve_multiplicative(part, _FixedDraws([0.0, np.log(8.0)]), beta=1.0, rng=None)
     np.testing.assert_allclose(out.masses, [2 / 3, 1 / 3], atol=1e-12)
+
+
+def test_multiplicative_drops_underflowed_masses():
+    # e^{-800} underflows to exactly 0 and must not reach the partition
+    out = evolve_multiplicative(MassPartition([0.6, 0.4]), _FixedDraws([0.0, -800.0]),
+                                beta=1.0, rng=None)
+    assert len(out) == 1
+    assert np.all(out.masses > 0)
+    assert out.masses.sum() + out.tail_mass == 1.0
 
 
 def test_multiplicative_mass_conservation():
