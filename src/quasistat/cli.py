@@ -179,7 +179,9 @@ def _ensemble(cfg, stream, steps):
     gaps of the point process for kind=pp, top masses otherwise."""
     law, k = _increment_law(cfg), cfg["topk"]
     if cfg["kind"] == "pp":
-        return experiments.top_gaps(_rngs(cfg, stream), cfg["rho"], cfg["trunc_n"], k,
+        # unevolved, only the top k + 1 points are read, and they are a prefix of any deeper draw
+        n = cfg["trunc_n"] if steps else min(cfg["trunc_n"], k + 1)
+        return experiments.top_gaps(_rngs(cfg, stream), cfg["rho"], n, k,
                                     beta=cfg["beta"], law=law, steps=steps), "gap"
     return experiments.top_masses(_rngs(cfg, stream), _partition_sampler(cfg), k,
                                   law=law, beta=cfg["beta"], steps=steps), "xi"
@@ -251,8 +253,8 @@ def _write(cfg, name, header, rows):
 
 def cmd_sample(cfg):
     if cfg["kind"] == "pp":
-        rows = experiments.top_points(_rngs(cfg, 0), cfg["rho"], cfg["trunc_n"], cfg["topk"],
-                                      beta=cfg["beta"])
+        rows = experiments.top_points(_rngs(cfg, 0), cfg["rho"], min(cfg["trunc_n"], cfg["topk"]),
+                                      cfg["topk"], beta=cfg["beta"])
         prefix = "x"
     else:
         rows, prefix = _ensemble(cfg, 0, steps=0)

@@ -291,3 +291,31 @@ def test_option_ranges_name_the_flag(tmp_path, capsys, flag, value):
     assert run(["sample", "--seed", "1", "--replicas", "2", "--trunc-n", "10",
                 flag, value, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+
+
+def test_unevolved_pp_draws_only_the_points_read(tmp_path, capsys, monkeypatch):
+    from quasistat import pointproc
+
+    drawn = []
+    original = pointproc.sample_gamma_arrivals
+
+    def recording(n, rng):
+        drawn.append(n)
+        return original(n, rng)
+
+    monkeypatch.setattr(pointproc, "sample_gamma_arrivals", recording)
+    flags = ["--kind", "pp", "--replicas", "3", "--trunc-n", "40", "--topk", "4",
+             "--seed", "2", "--out", str(tmp_path)]
+    assert run(["sample", *flags]) == 0
+    assert drawn == [4] * 3
+    drawn.clear()
+    assert run(["test-invariance", *flags]) in (0, 1)
+    capsys.readouterr()
+    # the unevolved half reads the top k + 1 points; the evolved half needs all of them
+    assert drawn == [5] * 3 + [40] * 3
+
+
+def test_invariance_pp_needs_trunc_n_above_topk(tmp_path, capsys):
+    assert run(["test-invariance", "--kind", "pp", "--trunc-n", "5", "--topk", "5",
+                "--replicas", "3", "--seed", "1", "--out", str(tmp_path)]) == 2
+    assert "a replica tracks 5 values; 6 are needed" in capsys.readouterr().err

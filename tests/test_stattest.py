@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.stats import ks_2samp
 
+from quasistat import stattest
 from quasistat.stattest import (
     energy_distance_perm_test,
     invariance_verdict,
@@ -122,6 +126,66 @@ def test_energy_statistic_exact_above_2048_rows():
     assert stat == pytest.approx(reference, rel=1e-10)
 
 
+def _energy_full_matrix(X, Y, n_perm, rng):
+    """The energy test on the whole pooled distance matrix: the reference for the tiles."""
+    nx, ny = len(X), len(Y)
+    pooled = np.vstack([X, Y])
+    dist = cdist(pooled, pooled)
+    z = np.zeros(nx + ny)
+    z[:nx] = 1.0
+    indicators = np.empty((nx + ny, n_perm + 1))
+    indicators[:, 0] = z
+    for j in range(1, n_perm + 1):
+        indicators[:, j] = rng.permutation(z)
+    v = dist @ indicators
+    s_xx = np.einsum("ij,ij->j", indicators, v)
+    s_xy = v.sum(axis=0) - s_xx
+    s_yy = dist.sum() - s_xx - 2.0 * s_xy
+    stats = 2.0 * s_xy / (nx * ny) - s_xx / (nx * nx) - s_yy / (ny * ny)
+    p = (1.0 + np.count_nonzero(stats[1:] >= stats[0])) / (n_perm + 1.0)
+    return p, float(stats[0])
+
+
+@pytest.mark.parametrize("tile_elems", [None, 600, 1])
+@pytest.mark.parametrize("nx,ny,k,n_perm,shift", [
+    (61, 53, 3, 199, 0.0),  # at 600 elements: 22 tiles of 5 rows, then a ragged one of 4
+    (40, 40, 1, 499, 0.3),
+    (7, 90, 2, 199, 0.5),
+])
+def test_energy_tiles_match_full_matrix(monkeypatch, tile_elems, nx, ny, k, n_perm, shift):
+    # None keeps the module's tile: every input here is fewer rows than one tile
+    if tile_elems is not None:
+        monkeypatch.setattr(stattest, "_TILE_ELEMS", tile_elems)
+    data = np.random.default_rng(19)
+    x, y = data.normal(size=(nx, k)), data.normal(shift, 1.0, size=(ny, k))
+    p, stat = energy_distance_perm_test(x, y, n_perm=n_perm, rng=np.random.default_rng(20),
+                                        return_stat=True)
+    p_ref, stat_ref = _energy_full_matrix(x, y, n_perm, np.random.default_rng(20))
+    assert p == p_ref
+    assert stat == pytest.approx(stat_ref, rel=1e-10)
+
+
+def test_energy_memory_linear_in_rows():
+    # 8000 pooled rows: the full distance matrix alone would be 512 MB
+    data = np.random.default_rng(21)
+    x, y = data.normal(size=(4000, 5)), data.normal(size=(4000, 5))
+    tracemalloc.start()
+    try:
+        energy_distance_perm_test(x, y, n_perm=199, rng=np.random.default_rng(22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_permutation_generator_is_required():
+    x = np.zeros((10, 2))
+    with pytest.raises(TypeError):
+        energy_distance_perm_test(x, x)
+    with pytest.raises(TypeError):
+        invariance_verdict(x, x)
+
+
 def test_energy_detects_mean_shift():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(300, 3))
@@ -137,7 +201,7 @@ def test_verdict_identical_ensembles_consistent():
                                 rng=np.random.default_rng(12))
     assert report.verdict == "consistent"
     assert all(0.0 <= p <= 1.0 for _, p in report.per_coordinate_ks)
-    assert report.metadata["k"] == 4
+    assert len(report.per_coordinate_ks) == 4
 
 
 def test_verdict_shifted_ensembles_rejected():
@@ -146,7 +210,8 @@ def test_verdict_shifted_ensembles_rejected():
     y = rng.normal(0.6, 1.0, size=(500, 3))
     report = invariance_verdict(x, y, level=0.01, n_perm=199, rng=np.random.default_rng(14))
     assert report.verdict == "rejected"
-    assert report.min_ks_p < 0.01 / 3 or report.energy_p < 0.01
+    min_ks_p = min(p for _, p in report.per_coordinate_ks)
+    assert min_ks_p < 0.01 / 3 or report.energy_p < 0.01
 
 
 def test_verdict_rule_matches_definition():
@@ -154,5 +219,6 @@ def test_verdict_rule_matches_definition():
     x = rng.normal(size=(300, 2))
     y = rng.normal(size=(300, 2))
     report = invariance_verdict(x, y, level=0.05, n_perm=199, rng=np.random.default_rng(16))
-    rejected = report.min_ks_p < 0.05 / 2 or report.energy_p < 0.05
+    min_ks_p = min(p for _, p in report.per_coordinate_ks)
+    rejected = min_ks_p < 0.05 / 2 or report.energy_p < 0.05
     assert (report.verdict == "rejected") == rejected
