@@ -10,7 +10,6 @@ driven by v_beta = log E[e^{beta h}].
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import IncrementLaw
 from .pointproc import MassPartition, PointConfiguration
@@ -85,6 +84,9 @@ def front_position(profile: FrontProfile) -> float:
     while profile(hi) >= 1.0:
         hi += width
         width *= 2.0
+    # imported here: only this root finder needs scipy.optimize, and the CLI never calls it
+    from scipy.optimize import brentq
+
     z = brentq(lambda y: profile(y) - 1.0, lo, hi, xtol=1e-13, rtol=1e-15)
     if abs(profile(z) - 1.0) > 1e-9:
         raise FrontRootError("bisection failed to pin F(z) = 1")

@@ -135,10 +135,8 @@ def replica_rng(seed, stream, replica=0):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _rngs(cfg, stream, n=None):
@@ -182,7 +180,7 @@ def _ensemble(cfg, stream, steps):
         # unevolved, only the top k + 1 points are read, and they are a prefix of any deeper draw
         n = cfg["trunc_n"] if steps else min(cfg["trunc_n"], k + 1)
         return experiments.top_gaps(_rngs(cfg, stream), cfg["rho"], n, k,
-                                    beta=cfg["beta"], law=law, steps=steps), "gap"
+                                    law=law, steps=steps), "gap"
     return experiments.top_masses(_rngs(cfg, stream), _partition_sampler(cfg), k,
                                   law=law, beta=cfg["beta"], steps=steps), "xi"
 
@@ -228,17 +226,11 @@ def _header(prefix, k):
     return [f"{prefix}_{j}" for j in range(1, k + 1)]
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit(cfg, experiment, record):
     """Write the JSON report of one run to <out>/<experiment>_report.json."""
     path = os.path.join(cfg["out"], f"{experiment}_report.json")
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -254,7 +246,7 @@ def _write(cfg, name, header, rows):
 def cmd_sample(cfg):
     if cfg["kind"] == "pp":
         rows = experiments.top_points(_rngs(cfg, 0), cfg["rho"], min(cfg["trunc_n"], cfg["topk"]),
-                                      cfg["topk"], beta=cfg["beta"])
+                                      cfg["topk"])
         prefix = "x"
     else:
         rows, prefix = _ensemble(cfg, 0, steps=0)
@@ -358,7 +350,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.show_config:
@@ -372,10 +364,10 @@ def main(argv=None):
         record = {"experiment": experiment, "config": {k: cfg[k] for k in sorted(cfg)},
                   "runtime_seconds": round(time.time() - started, 3), **fields}
         _emit(cfg, experiment, record)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(record, indent=2, sort_keys=True, default=_json_default))
+    print(json.dumps(record, indent=2, sort_keys=True))
     return 0 if passed else 1
 
 

@@ -25,9 +25,6 @@ __all__ = [
 class IncrementLaw:
     """Gaussian increments h ~ N(mu, sigma^2), for which W = e^{beta*h} is
     lognormal, absolutely continuous and has every moment E[W^lam] finite.
-
-    ``lognormal_weight`` builds the h for which W = e^{beta*h} is
-    LogNormal(mu, sigma).
     """
 
     mu: float
@@ -36,10 +33,6 @@ class IncrementLaw:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-
-    @classmethod
-    def lognormal_weight(cls, mu, sigma, beta=1.0):
-        return cls(mu / beta, sigma / beta)
 
     def sample(self, size, rng):
         return rng.normal(self.mu, self.sigma, size=size)
@@ -67,7 +60,9 @@ def evolve_additive(config: PointConfiguration, law: IncrementLaw, rng) -> Point
     h = law.sample(len(config), rng)
     if not np.all(np.isfinite(h)):
         raise ValueError("increment law produced non-finite draws")
-    tail = config.tail_weight_estimate * np.exp(law.log_mgf(config.beta))
+    tail = config.tail_weight_estimate
+    if tail:  # a zero tail stays zero, also where E[e^{beta h}] overflows
+        tail *= np.exp(law.log_mgf(config.beta))
     return PointConfiguration(
         np.sort(config.points + h)[::-1], beta=config.beta, tail_weight_estimate=tail
     )

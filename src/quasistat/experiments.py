@@ -42,11 +42,12 @@ def top_masses(rngs, sample, k, law=None, beta=1.0, steps=0):
     return _stack(map(row, rngs), k, rngs)
 
 
-def top_points(rngs, rho, n, k, beta=1.0, law=None, steps=0):
+def top_points(rngs, rho, n, k, law=None, steps=0):
     """Top k of the n largest points of PP(rho e^{-rho y} dy) per replica,
-    after ``steps`` additive steps."""
+    after ``steps`` additive steps.  Positions only: sampled at beta = rho,
+    which tracks no tail."""
     def row(rng):
-        config = pointproc.sample_pp_exponential(rho, n, rng, beta=beta)
+        config = pointproc.sample_pp_exponential(rho, n, rng, beta=rho)
         for _ in range(steps):
             config = dynamics.evolve_additive(config, law, rng)
         return _top(config.points, k)
@@ -54,9 +55,9 @@ def top_points(rngs, rho, n, k, beta=1.0, law=None, steps=0):
     return _stack(map(row, rngs), k, rngs)
 
 
-def top_gaps(rngs, rho, n, k, beta=1.0, law=None, steps=0):
+def top_gaps(rngs, rho, n, k, law=None, steps=0):
     """First k gaps X_i - X_{i+1} of the points ``top_points`` draws."""
-    return -np.diff(top_points(rngs, rho, n, k + 1, beta=beta, law=law, steps=steps), axis=1)
+    return -np.diff(top_points(rngs, rho, n, k + 1, law=law, steps=steps), axis=1)
 
 
 def oracle_masses(streams, alpha, n, k):

@@ -21,7 +21,6 @@ __all__ = [
     "sample_pd_poisson_kingman",
     "sample_pd_stickbreaking",
     "mass_partition_from_config",
-    "config_from_mass_partition",
 ]
 
 _SUM_TOL = 1e-12
@@ -170,11 +169,3 @@ def mass_partition_from_config(config: PointConfiguration) -> MassPartition:
     keep = masses > 0.0
     return MassPartition(masses[keep], tail_mass=scaled_tail / total)
 
-
-def config_from_mass_partition(partition: MassPartition) -> PointConfiguration:
-    """Points log(xi_i) with beta = 1; tail mass becomes the tail weight."""
-    if np.any(partition.masses <= 0):
-        raise ValueError("all masses must be positive")
-    return PointConfiguration(
-        np.log(partition.masses), beta=1.0, tail_weight_estimate=partition.tail_mass
-    )

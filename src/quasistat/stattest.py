@@ -110,7 +110,6 @@ class InvarianceReport:
     per_coordinate_ks: list
     energy_p: float
     verdict: str
-    level: float
 
 
 def invariance_verdict(before, after, level=0.01, n_perm=199, *, rng) -> InvarianceReport:
@@ -131,5 +130,4 @@ def invariance_verdict(before, after, level=0.01, n_perm=199, *, rng) -> Invaria
         per_coordinate_ks=ks,
         energy_p=energy_p,
         verdict="rejected" if rejected else "consistent",
-        level=level,
     )

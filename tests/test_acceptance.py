@@ -23,7 +23,6 @@ from quasistat.stattest import (
 )
 
 GAUSS = IncrementLaw(0.0, 1.0)
-LOGNORMAL_W = IncrementLaw.lognormal_weight(0.0, 1.0, beta=1.0)
 
 
 def _criterion(num, name):
@@ -54,7 +53,7 @@ def _pd_consistency_count(alpha, trunc_n, n_seeds=10, n_rep=2000, k=5):
     for seed in range(n_seeds):
         before = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 0), n_rep), sample, k)
         after = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 1), n_rep), sample, k,
-                                       law=LOGNORMAL_W, beta=1.0, steps=1)
+                                       law=GAUSS, beta=1.0, steps=1)
         report = invariance_verdict(before, after, level=0.01, n_perm=199,
                                     rng=_rng(1, trunc_n, seed, 2))
         consistent += report.verdict == "consistent"
@@ -100,7 +99,7 @@ def test_criterion_3_geometric_counterexample_power():
     rejected = 0
     for seed in range(20):
         after = experiments.top_masses(repeat(_rng(3, seed), n_rep), lambda rng: base, k,
-                                       law=LOGNORMAL_W, beta=1.0, steps=1)
+                                       law=GAUSS, beta=1.0, steps=1)
         report = invariance_verdict(before, after, level=0.001, n_perm=199, rng=_rng(3, seed, 1))
         rejected += report.verdict == "rejected"
     return rejected >= 19, f"rejected in {rejected}/20 seeds"

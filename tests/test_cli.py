@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasistat.cli import main
 
@@ -319,3 +322,43 @@ def test_invariance_pp_needs_trunc_n_above_topk(tmp_path, capsys):
     assert run(["test-invariance", "--kind", "pp", "--trunc-n", "5", "--topk", "5",
                 "--replicas", "3", "--seed", "1", "--out", str(tmp_path)]) == 2
     assert "a replica tracks 5 values; 6 are needed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["test-invariance", "--rho", "0.01", "--beta", "5", "--topk", "1", "--replicas", "50"],
+    ["sample", "--rho", "0.01", "--beta", "5", "--topk", "1", "--replicas", "50"],
+    ["evolve", "--sigma", "40", "--replicas", "3", "--trunc-n", "20"],
+])
+def test_pp_positions_ignore_the_tail(tmp_path, capsys, args):
+    # the tail Gamma_n^{1 - beta/rho} overflows here, and E[e^{beta h}] in the
+    # evolve case; the pp ensembles read positions only and must not need it
+    assert run([*args, "--kind", "pp", "--seed", "3", "--out", str(tmp_path)]) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["sample", "evolve"]),
+       rho=st.floats(1e-3, 10), beta=st.floats(1e-3, 10), sigma=st.floats(0.05, 50),
+       topk=st.integers(1, 5), extra=st.integers(1, 50), tau=st.integers(0, 2))
+def test_pp_rows_finite_and_ranked(command, rho, beta, sigma, topk, extra, tau):
+    trunc_n = min(topk + extra, 50)
+    with tempfile.TemporaryDirectory() as out:
+        assert run([command, "--kind", "pp", "--rho", repr(rho), "--beta", repr(beta),
+                    "--sigma", repr(sigma), "--topk", str(topk), "--trunc-n", str(trunc_n),
+                    "--tau", str(tau), "--replicas", "4", "--seed", "1", "--out", out]) == 0
+        name = "sample.csv" if command == "sample" else "evolved.csv"
+        rows = np.loadtxt(os.path.join(out, name), delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (4, topk) and np.all(np.isfinite(rows))
+    if command == "sample":
+        assert np.all(np.diff(rows, axis=1) <= 0)  # points, largest first
+    else:
+        assert np.all(rows >= 0)  # gaps of points ranked largest first
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only analysis.front_position needs scipy.optimize, and the CLI never calls it
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", "import quasistat.cli, sys; "
+                           "assert 'scipy.optimize' not in sys.modules"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -9,7 +9,6 @@ from quasistat import experiments
 from quasistat.pointproc import (
     MassPartition,
     PointConfiguration,
-    config_from_mass_partition,
     mass_partition_from_config,
     sample_gamma_arrivals,
     sample_pd_poisson_kingman,
@@ -191,20 +190,14 @@ def test_pp_to_masses_matches_pd_oracle():
     assert p >= 0.01
 
 
-def test_config_from_mass_partition_examples():
-    cfg = config_from_mass_partition(MassPartition([0.5, 0.5]))
-    np.testing.assert_allclose(cfg.points, [-np.log(2), -np.log(2)])
-    cfg = config_from_mass_partition(MassPartition([0.8, 0.2]))
-    np.testing.assert_allclose(cfg.points, [np.log(0.8), np.log(0.2)])
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
 def test_mass_partition_round_trip(raw):
     masses = np.sort(np.asarray(raw))[::-1]
     masses = masses / masses.sum()
     part = MassPartition(masses, tail_mass=max(0.0, 1.0 - masses.sum()))
-    back = mass_partition_from_config(config_from_mass_partition(part))
+    back = mass_partition_from_config(
+        PointConfiguration(np.log(part.masses), tail_weight_estimate=part.tail_mass))
     np.testing.assert_allclose(back.masses, part.masses, atol=1e-12)
     assert abs(back.tail_mass - part.tail_mass) < 1e-12
 
