@@ -150,16 +150,16 @@ def _increment_law(cfg):
 
 
 def _partition_sampler(cfg):
-    """sample(rng) -> MassPartition for the partition kinds."""
+    """The starts of the partition kinds, for ``experiments.top_masses``."""
     kind, n = cfg["kind"], cfg["trunc_n"]
     if kind == "pd":
-        return lambda rng: pointproc.sample_pd_poisson_kingman(cfg["alpha"], n, rng)
+        return experiments.PoissonKingman((cfg["alpha"],), n)
     if kind == "geometric":
         if n > _GEOMETRIC_MAX_N:
             raise ConfigError(f"--trunc-n must be <= {_GEOMETRIC_MAX_N} for kind=geometric, "
                               f"where 0.5**n underflows beyond it")
         geometric = pointproc.MassPartition(0.5 ** np.arange(1, n + 1), tail_mass=0.5 ** n)
-        return lambda rng: geometric
+        return experiments.Partitions(lambda rng: geometric, n)
     if kind == "mixture-of-pd":
         try:
             alphas = [float(s) for s in cfg["alphas"].split(",") if s.strip()]
@@ -167,22 +167,41 @@ def _partition_sampler(cfg):
             raise ConfigError(f"bad --alphas list {cfg['alphas']!r}")
         if not alphas or any(not 0 < a < 1 for a in alphas):
             raise ConfigError("--alphas components must lie in (0, 1)")
-        return lambda rng: pointproc.sample_pd_poisson_kingman(
-            alphas[rng.integers(len(alphas))], n, rng)
+        return experiments.PoissonKingman(tuple(alphas), n, mixture=True)
     raise ConfigError(f"unsupported partition kind {kind!r}")
+
+
+def _check_depth(cfg, need):
+    """A replica reports ``need`` values of the --trunc-n it tracks."""
+    if cfg["trunc_n"] < need:
+        raise ConfigError(f"--trunc-n must be >= {need} for --topk {cfg['topk']}: "
+                          f"a replica tracks {cfg['trunc_n']} values; {need} are needed")
+
+
+def _top_masses(cfg, rngs, sampler, steps):
+    """``experiments.top_masses`` at the configured law, with a float64 range
+    error turned into one that names the flags."""
+    law, beta = _increment_law(cfg), cfg["beta"]
+    try:
+        return experiments.top_masses(rngs, sampler, cfg["topk"], law=law, beta=beta, steps=steps)
+    except FloatingPointError as exc:
+        raise ConfigError(f"--sigma {cfg['sigma']} and --beta {beta} take the reshuffle "
+                          f"beyond float64: {exc}") from None
 
 
 def _ensemble(cfg, stream, steps):
     """Replica x topk matrix after ``steps`` evolution steps, and its column prefix:
     gaps of the point process for kind=pp, top masses otherwise."""
-    law, k = _increment_law(cfg), cfg["topk"]
+    k = cfg["topk"]
     if cfg["kind"] == "pp":
+        _check_depth(cfg, k + 1)
         # unevolved, only the top k + 1 points are read, and they are a prefix of any deeper draw
-        n = cfg["trunc_n"] if steps else min(cfg["trunc_n"], k + 1)
+        n = cfg["trunc_n"] if steps else k + 1
         return experiments.top_gaps(_rngs(cfg, stream), cfg["rho"], n, k,
-                                    law=law, steps=steps), "gap"
-    return experiments.top_masses(_rngs(cfg, stream), _partition_sampler(cfg), k,
-                                  law=law, beta=cfg["beta"], steps=steps), "xi"
+                                    law=_increment_law(cfg), steps=steps), "gap"
+    sampler = _partition_sampler(cfg)
+    _check_depth(cfg, k)
+    return _top_masses(cfg, _rngs(cfg, stream), sampler, steps), "xi"
 
 
 def _input_partition(row, i, k):
@@ -215,10 +234,9 @@ def _custom_ensembles(cfg):
     partitions = iter([_input_partition(row, i, k) for i, row in enumerate(data, 1)])
     half = data.shape[0] // 2
     # one iterator: the first half of the partitions feeds before, the rest after
-    before = experiments.top_masses(itertools.repeat(None, half), lambda rng: next(partitions), k)
-    after = experiments.top_masses(_rngs(cfg, 1, data.shape[0] - half),
-                                   lambda rng: next(partitions), k,
-                                   law=_increment_law(cfg), beta=cfg["beta"], steps=1)
+    sampler = experiments.Partitions(lambda rng: next(partitions), data.shape[1])
+    before = experiments.top_masses(itertools.repeat(None, half), sampler, k)
+    after = _top_masses(cfg, _rngs(cfg, 1, data.shape[0] - half), sampler, steps=1)
     return before, after
 
 
@@ -245,8 +263,8 @@ def _write(cfg, name, header, rows):
 
 def cmd_sample(cfg):
     if cfg["kind"] == "pp":
-        rows = experiments.top_points(_rngs(cfg, 0), cfg["rho"], min(cfg["trunc_n"], cfg["topk"]),
-                                      cfg["topk"])
+        _check_depth(cfg, cfg["topk"])
+        rows = experiments.top_points(_rngs(cfg, 0), cfg["rho"], cfg["topk"], cfg["topk"])
         prefix = "x"
     else:
         rows, prefix = _ensemble(cfg, 0, steps=0)
@@ -309,6 +327,7 @@ def cmd_gen_functional(cfg):
 
 
 def cmd_compare_oracles(cfg):
+    _check_depth(cfg, cfg["topk"])
     streams = (_rngs(cfg, stream) for stream in range(3))
     tops, sumsq = experiments.oracle_masses(streams, cfg["alpha"], cfg["trunc_n"], cfg["topk"])
     # one permutation generator shared by all pairs

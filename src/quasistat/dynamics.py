@@ -17,6 +17,7 @@ __all__ = [
     "IncrementLaw",
     "evolve_additive",
     "evolve_multiplicative",
+    "reshuffle_rows",
     "shift_tail",
 ]
 
@@ -71,23 +72,45 @@ def evolve_additive(config: PointConfiguration, law: IncrementLaw, rng) -> Point
 def evolve_multiplicative(
     partition: MassPartition, law: IncrementLaw, beta=1.0, rng=None
 ) -> MassPartition:
-    """One reshuffle xi_i -> xi_i W_i / sum_j xi_j W_j with W_i = e^{beta h_i}.
-
-    Computed in log space; the untracked tail advances by E[W].
-    """
+    """One reshuffle xi_i -> xi_i W_i / sum_j xi_j W_j with W_i = e^{beta h_i};
+    see ``reshuffle_rows``."""
     h = law.sample(len(partition), rng)
+    masses, tails = reshuffle_rows(partition.masses[None],
+                                   np.array([partition.tail_mass], dtype=float), h[None], law, beta)
+    row = masses[0]
+    return MassPartition(row[row > 0], tail_mass=tails[0])
+
+
+def reshuffle_rows(masses, tails, h, law, beta=1.0):
+    """One reshuffle of each row: row i holds one replica's ranked masses, zeros
+    beyond the ones it tracks, its tail mass ``tails[i]``, and one increment
+    h per tracked mass.  Returns the reshuffled masses, ranked, with zeros
+    wherever a mass underflowed, and the tail masses.
+
+    Computed in log space; the untracked tail advances by E[W] = E[e^{beta h}],
+    and a zero tail stays zero.  Raises FloatingPointError when that overflows.
+    """
     if not np.all(np.isfinite(h)):
         raise ValueError("increment law produced non-finite draws")
-    logm = np.log(partition.masses) + beta * h
-    m = logm.max()
-    w = np.exp(logm - m)
-    scaled_tail = partition.tail_mass * np.exp(law.log_mgf(beta) - m)
-    total = w.sum() + scaled_tail
-    if not (np.isfinite(total) and total > 0):
-        raise FloatingPointError("all reshuffled weights underflowed; check law and beta")
-    masses = np.sort(w / total)[::-1]
-    masses = masses[masses > 0]
-    return MassPartition(masses, tail_mass=scaled_tail / total)
+    with np.errstate(divide="ignore"):  # log(0) = -inf: the zeros stay zero
+        logm = np.log(masses) + beta * h
+    m = logm.max(axis=1)
+    w = np.exp(logm - m[:, None])
+    with np.errstate(over="ignore"):  # an overflow shows in the total below
+        growth = np.exp(law.log_mgf(beta) - m)
+    scaled_tail = tails * np.where(tails > 0, growth, 0.0)
+    total = w.sum(axis=1)
+    counts = np.count_nonzero(masses, axis=1)
+    for i in np.flatnonzero(counts < masses.shape[1]):
+        # summed over the tracked masses alone: trailing zeros change the pairwise sum's rounding
+        total[i] = w[i, :counts[i]].sum()
+    total += scaled_tail
+    if not np.all(np.isfinite(total)):
+        raise FloatingPointError(f"E[e^{{beta h}}] = e^{{{law.log_mgf(beta):.6g}}} overflows "
+                                 f"the reshuffled tail")
+    ranked = np.sort(w / total[:, None], axis=1)[:, ::-1]
+    # contiguous, as the next log must be: on a reversed view it can differ in the last bit
+    return np.ascontiguousarray(ranked), scaled_tail / total
 
 
 def shift_tail(config: PointConfiguration) -> PointConfiguration:

@@ -10,10 +10,15 @@ left to the caller.
 
 import itertools
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis, dynamics, pointproc, stattest
+
+# float64 elements per chunk of replica rows in ``top_masses``: bounds the
+# chunk x N arrays its row kernels hold at once
+_CHUNK_ELEMS = 2 ** 18
 
 
 def _stack(rows, width, rngs):
@@ -28,18 +33,92 @@ def _top(values, k):
     return values[:k]
 
 
-def top_masses(rngs, sample, k, law=None, beta=1.0, steps=0):
-    """Top k masses per replica after ``steps`` multiplicative reshuffles.
+class PoissonKingman(NamedTuple):
+    """PD(alpha, 0) starts of n masses; with ``mixture`` each replica first
+    draws its alpha uniformly from ``alphas``."""
 
-    ``sample(rng)`` returns the replica's starting MassPartition.
+    alphas: tuple
+    n: int
+    mixture: bool = False
+
+    def draw(self, rng, row):
+        """Write one replica's draws into ``row``; return its parameter and the
+        number of masses it starts with."""
+        alpha = self.alphas[rng.integers(len(self.alphas))] if self.mixture else self.alphas[0]
+        row[:] = rng.exponential(size=self.n)
+        return alpha, self.n
+
+    def rows(self, draws, alphas):
+        """Masses and tails of a chunk of drawn rows, one parameter per row."""
+        return pointproc.poisson_kingman_rows(alphas, np.cumsum(draws, axis=1, out=draws))
+
+
+class Partitions(NamedTuple):
+    """Starts given one MassPartition of at most n masses per replica, by
+    ``sample(rng)``."""
+
+    sample: object
+    n: int
+
+    def draw(self, rng, row):
+        part = self.sample(rng)
+        row[:len(part)] = part.masses
+        row[len(part):] = 0.0
+        return part.tail_mass, len(part)
+
+    def rows(self, draws, tails):
+        return draws, tails
+
+
+def top_masses(rngs, sampler, k, law=None, beta=1.0, steps=0):
+    """Top k masses per replica after ``steps`` multiplicative reshuffles,
+    from the starts ``sampler`` (a ``PoissonKingman`` or ``Partitions``) draws.
+
+    Replicas run in chunks of rows.  Each draws its start and its first step's
+    increments, back to back, from its generator, as a loop over replicas
+    would; the arithmetic runs once per chunk.
     """
-    def row(rng):
-        part = sample(rng)
-        for _ in range(steps):
-            part = dynamics.evolve_multiplicative(part, law, beta=beta, rng=rng)
-        return _top(part.masses, k)
+    rngs = iter(rngs)
+    size = max(1, _CHUNK_ELEMS // sampler.n)
+    tops = [np.empty((0, k))]
+    while chunk := list(itertools.islice(rngs, size)):
+        if steps > 1 and len(set(map(id, chunk))) < len(chunk):
+            # later steps draw after the whole chunk's first step, so a shared
+            # generator goes one replica at a time to keep its order
+            tops += [_chunk_top_masses([rng], sampler, k, law, beta, steps) for rng in chunk]
+        else:
+            tops.append(_chunk_top_masses(chunk, sampler, k, law, beta, steps))
+    return np.concatenate(tops)
 
-    return _stack(map(row, rngs), k, rngs)
+
+def _chunk_top_masses(rngs, sampler, k, law, beta, steps):
+    """``top_masses`` of one chunk of replicas, one generator per row."""
+    draws = np.empty((len(rngs), sampler.n))
+    h = np.zeros_like(draws)
+    params = np.empty(len(rngs))
+    counts = np.empty(len(rngs), dtype=int)
+    for i, rng in enumerate(rngs):
+        params[i], counts[i] = sampler.draw(rng, draws[i])
+        if steps:
+            h[i, :counts[i]] = law.sample(counts[i], rng)
+    masses, tails = sampler.rows(draws, params)
+    short = np.flatnonzero(counts < k)
+    if short.size:
+        raise ValueError(f"a replica tracks {counts[short[0]]} values; {k} are needed")
+    for step in range(steps):
+        pointproc.check_partition_rows(masses, tails, counts)
+        if step:
+            h[:] = 0.0
+            for i, rng in enumerate(rngs):
+                h[i, :counts[i]] = law.sample(counts[i], rng)
+        masses, tails = dynamics.reshuffle_rows(masses, tails, h, law, beta)
+        counts = np.count_nonzero(masses, axis=1)
+    pointproc.check_partition_rows(masses, tails, counts)
+    short = np.flatnonzero(counts < k)
+    if short.size:
+        raise FloatingPointError(f"a replica keeps {counts[short[0]]} positive masses after "
+                                 f"{steps} reshuffles, {k} are needed: the rest underflowed")
+    return masses[:, :k]
 
 
 def top_points(rngs, rho, n, k, law=None, steps=0):

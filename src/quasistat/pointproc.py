@@ -19,6 +19,8 @@ __all__ = [
     "sample_gamma_arrivals",
     "sample_pp_exponential",
     "sample_pd_poisson_kingman",
+    "poisson_kingman_rows",
+    "check_partition_rows",
     "sample_pd_stickbreaking",
     "mass_partition_from_config",
 ]
@@ -68,18 +70,32 @@ class MassPartition:
         self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.ndim != 1 or self.masses.size == 0:
             raise ValueError("masses must be a nonempty 1-d sequence")
-        if np.any(self.masses <= 0) or np.any(self.masses > 1):
-            raise ValueError("masses must lie in (0, 1]")
-        if np.any(np.diff(self.masses) > 0):
-            raise ValueError("masses must be non-increasing")
-        if not (np.isfinite(self.tail_mass) and self.tail_mass >= 0):
-            raise ValueError("tail_mass must be finite and nonnegative")
-        total = self.masses.sum() + self.tail_mass
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"masses + tail_mass must equal 1, got {total!r}")
+        check_partition_rows(self.masses[None], np.array([self.tail_mass], dtype=float))
 
     def __len__(self):
         return self.masses.size
+
+
+def check_partition_rows(masses, tails, counts=None):
+    """Raise ValueError unless every row i is a mass-partition: its first
+    ``counts[i]`` masses (all of them by default) lie in (0, 1] and do not
+    increase, the rest are 0, and they sum with the finite, nonnegative
+    ``tails[i]`` to 1."""
+    if not np.all(np.diff(masses, axis=1) <= 0):  # NaN fails here too
+        raise ValueError("masses must be non-increasing")
+    # so each row's ends bound it: first <= 1, last tracked > 0, first untracked 0, last >= 0
+    n = masses.shape[1]
+    counts = np.full(len(masses), n) if counts is None else counts
+    rows = np.arange(len(masses))
+    ends = (masses[:, 0] <= 1) & (masses[rows, counts - 1] > 0) & (masses[:, -1] >= 0)
+    if not (np.all(ends) and np.all(masses[rows, np.minimum(counts, n - 1)][counts < n] == 0)):
+        raise ValueError("masses must lie in (0, 1]")
+    if not np.all(np.isfinite(tails) & (tails >= 0)):
+        raise ValueError("tail_mass must be finite and nonnegative")
+    total = masses.sum(axis=1) + tails
+    off = ~(np.abs(total - 1.0) <= _SUM_TOL)
+    if np.any(off):
+        raise ValueError(f"masses + tail_mass must equal 1, got {total[off][0]!r}")
 
 
 def sample_gamma_arrivals(n, rng) -> np.ndarray:
@@ -107,17 +123,27 @@ def sample_pp_exponential(rho, n, rng, beta=1.0) -> PointConfiguration:
 
 
 def sample_pd_poisson_kingman(alpha, n, rng) -> MassPartition:
-    """PD(alpha, 0) as the top n atoms Gamma_i^{-1/alpha} of PP(alpha s^{-alpha-1} ds),
-    normalized by their sum plus the expected tail
-    E[sum_{j>n} Gamma_j^{-1/alpha} | Gamma_n], the integral of t^{-1/alpha} beyond Gamma_n.
+    """PD(alpha, 0) as the top n atoms Gamma_i^{-1/alpha} of PP(alpha s^{-alpha-1} ds);
+    see ``poisson_kingman_rows``."""
+    masses, tails = poisson_kingman_rows(np.array([alpha], dtype=float),
+                                         sample_gamma_arrivals(n, rng)[None])
+    return MassPartition(masses[0], tail_mass=tails[0])
+
+
+def poisson_kingman_rows(alphas, arrivals):
+    """Row i holds one replica's arrival times Gamma_1 < ... < Gamma_n; returns
+    its PD(alphas[i], 0) masses, the atoms Gamma_i^{-1/alpha} normalized by their
+    sum plus the expected tail E[sum_{j>n} Gamma_j^{-1/alpha} | Gamma_n] (the
+    integral of t^{-1/alpha} beyond Gamma_n), and that tail's share.
     """
-    if not 0 < alpha < 1:
+    if not np.all((alphas > 0) & (alphas < 1)):
         raise ValueError("alpha must be in (0, 1): atoms are summable iff alpha < 1")
-    g = sample_gamma_arrivals(n, rng)
-    atoms = g ** (-1.0 / alpha)
-    tail = alpha * g[-1] ** ((alpha - 1.0) / alpha) / (1.0 - alpha)
-    total = atoms.sum() + tail
-    return MassPartition(atoms / total, tail_mass=tail / total)
+    atoms = arrivals ** (-1.0 / alphas)[:, None]
+    # a float64-scalar power per row: numpy's vector ** can differ from it in the last bit
+    powers = [g ** e for g, e in zip(arrivals[:, -1], (alphas - 1.0) / alphas)]
+    tails = alphas * np.array(powers) / (1.0 - alphas)
+    total = atoms.sum(axis=1) + tails
+    return atoms / total[:, None], tails / total
 
 
 def sample_pd_stickbreaking(alpha, n, rng) -> MassPartition:

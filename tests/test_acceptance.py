@@ -14,7 +14,7 @@ import numpy as np
 from quasistat import experiments
 from quasistat.analysis import front_position, front_profile, jump_event_bound_check
 from quasistat.dynamics import IncrementLaw
-from quasistat.pointproc import MassPartition, sample_pd_poisson_kingman
+from quasistat.pointproc import MassPartition
 from quasistat.stattest import (
     energy_distance_perm_test,
     invariance_verdict,
@@ -48,7 +48,7 @@ def _rng(*key):
 def _pd_consistency_count(alpha, trunc_n, n_seeds=10, n_rep=2000, k=5):
     """Seeds (of n_seeds) where PD(alpha,0) invariance is not rejected, plus wall time."""
     started = time.perf_counter()
-    sample = functools.partial(sample_pd_poisson_kingman, alpha, trunc_n)
+    sample = experiments.PoissonKingman((alpha,), trunc_n)
     consistent = 0
     for seed in range(n_seeds):
         before = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 0), n_rep), sample, k)
@@ -98,7 +98,8 @@ def test_criterion_3_geometric_counterexample_power():
     before = np.tile(geo[:k], (n_rep, 1))
     rejected = 0
     for seed in range(20):
-        after = experiments.top_masses(repeat(_rng(3, seed), n_rep), lambda rng: base, k,
+        after = experiments.top_masses(repeat(_rng(3, seed), n_rep),
+                                       experiments.Partitions(lambda rng: base, n_pts), k,
                                        law=GAUSS, beta=1.0, steps=1)
         report = invariance_verdict(before, after, level=0.001, n_perm=199, rng=_rng(3, seed, 1))
         rejected += report.verdict == "rejected"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -324,6 +326,27 @@ def test_invariance_pp_needs_trunc_n_above_topk(tmp_path, capsys):
     assert "a replica tracks 5 values; 6 are needed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,trunc_n", [("pd", "500"), ("geometric", "50")])
+def test_reshuffle_overflow_names_the_flags(tmp_path, capsys, kind, trunc_n):
+    # E[e^{beta h}] = e^{80000} overflows the tail mass; exit 1 would read as a rejection
+    assert run(["evolve", "--kind", kind, "--sigma", "400", "--tau", "1", "--trunc-n", trunc_n,
+                "--topk", "1", "--replicas", "20", "--seed", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sigma 400.0 and --beta 1.0 ")
+    assert "E[e^{beta h}] = e^{80000} overflows" in err
+
+
+@pytest.mark.parametrize("command,kind,need", [
+    ("sample", "pd", 5), ("evolve", "geometric", 5), ("sample", "pp", 5), ("evolve", "pp", 6),
+    ("compare-oracles", "pd", 5),
+])
+def test_trunc_n_below_topk_names_the_flags(tmp_path, capsys, command, kind, need):
+    assert run([command, "--kind", kind, "--trunc-n", "3", "--topk", "5", "--replicas", "3",
+                "--seed", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: --trunc-n must be >= {need} for --topk 5: "
+                                       f"a replica tracks 3 values; {need} are needed\n")
+
+
 @pytest.mark.parametrize("args", [
     ["test-invariance", "--rho", "0.01", "--beta", "5", "--topk", "1", "--replicas", "50"],
     ["sample", "--rho", "0.01", "--beta", "5", "--topk", "1", "--replicas", "50"],
@@ -352,6 +375,35 @@ def test_pp_rows_finite_and_ranked(command, rho, beta, sigma, topk, extra, tau):
         assert np.all(np.diff(rows, axis=1) <= 0)  # points, largest first
     else:
         assert np.all(rows >= 0)  # gaps of points ranked largest first
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["sample", "evolve"]),
+       kind=st.sampled_from(["pd", "mixture-of-pd", "geometric"]),
+       alphas=st.lists(st.floats(0.02, 0.98), min_size=2, max_size=2),
+       sigma=st.floats(0.05, 400), beta=st.floats(0.05, 5), tau=st.integers(0, 3),
+       topk=st.integers(1, 5), extra=st.integers(0, 200))
+def test_partition_rows_valid_or_flag_error(command, kind, alphas, sigma, beta, tau, topk, extra):
+    # either valid ranked masses, or exit 2 with a message that starts with a flag
+    trunc_n = min(topk + extra, 200)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run([command, "--kind", kind, "--alpha", repr(alphas[0]),
+                    "--alphas", ",".join(map(repr, alphas)), "--sigma", repr(sigma),
+                    "--beta", repr(beta), "--tau", str(tau), "--topk", str(topk),
+                    "--trunc-n", str(trunc_n), "--replicas", "4", "--seed", "1", "--out", out])
+        if code == 0:
+            name = "sample.csv" if command == "sample" else "evolved.csv"
+            rows = np.loadtxt(os.path.join(out, name), delimiter=",", skiprows=1, ndmin=2)
+    if code == 2:
+        assert err.getvalue().startswith("error: --"), err.getvalue()
+        return
+    assert code == 0
+    assert rows.shape == (4, topk) and np.all(np.isfinite(rows))
+    assert np.all((rows >= 0) & (rows <= 1))
+    assert np.all(np.diff(rows, axis=1) <= 0)
+    assert np.all(rows.sum(axis=1) <= 1 + 1e-12)
 
 
 def test_cli_import_leaves_out_scipy_optimize():

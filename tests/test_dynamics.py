@@ -1,12 +1,16 @@
+from itertools import repeat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasistat import experiments
 from quasistat.dynamics import (
     IncrementLaw,
     evolve_additive,
     evolve_multiplicative,
+    reshuffle_rows,
     shift_tail,
 )
 from quasistat.pointproc import (
@@ -184,3 +188,115 @@ def test_reshuffle_output_is_valid_partition(seed, sigma):
     out = evolve_multiplicative(part, IncrementLaw(0.0, sigma), beta=1.0, rng=rng)
     assert np.all(np.diff(out.masses) <= 0)
     assert abs(out.masses.sum() + out.tail_mass - 1.0) <= 1e-10
+
+
+def test_multiplicative_zero_tail_stays_zero():
+    # E[W] = e^{800} overflows, but a zero tail has nothing to advance
+    law = _FixedDraws([0.0, 0.0])
+    law.log_mgf = lambda lam: 800.0
+    out = evolve_multiplicative(MassPartition([0.6, 0.4]), law, beta=1.0, rng=None)
+    assert out.tail_mass == 0.0
+    assert out.masses.tolist() == [0.6, 0.4]
+    with pytest.raises(FloatingPointError, match="overflows"):
+        evolve_multiplicative(MassPartition([0.6, 0.3], tail_mass=0.1), law, beta=1.0, rng=None)
+
+
+def test_reshuffled_rows_are_contiguous():
+    # the next reshuffle takes their log, which on a reversed view can differ in the last bit
+    masses, _ = reshuffle_rows(np.array([[0.5, 0.3, 0.2]]), np.array([0.0]), np.zeros((1, 3)),
+                               IncrementLaw(0.0, 1.0))
+    assert masses.flags.c_contiguous
+
+
+def test_top_masses_refuses_rows_that_underflow_below_k():
+    # e^{-800} underflows: one mass is left where two are needed
+    sampler = experiments.Partitions(lambda rng: MassPartition([0.6, 0.4]), 2)
+    with pytest.raises(FloatingPointError, match="keeps 1 positive masses after 1 reshuffles, "
+                                                 "2 are needed"):
+        experiments.top_masses([None], sampler, 2, law=_FixedDraws([0.0, -800.0]), steps=1)
+    with pytest.raises(ValueError, match="a replica tracks 2 values; 3 are needed"):
+        experiments.top_masses([None], sampler, 3)
+
+
+# The per-replica loop and arithmetic that the row kernels replace, kept as the reference.
+
+def _pk_loop(alpha, n, rng):
+    g = np.cumsum(rng.exponential(size=n))
+    atoms = g ** (-1.0 / alpha)
+    tail = alpha * g[-1] ** ((alpha - 1.0) / alpha) / (1.0 - alpha)
+    total = atoms.sum() + tail
+    return atoms / total, tail / total
+
+
+def _reshuffle_loop(masses, tail, law, beta, rng):
+    h = law.sample(masses.size, rng)
+    logm = np.log(masses) + beta * h
+    m = logm.max()
+    w = np.exp(logm - m)
+    scaled_tail = tail * np.exp(law.log_mgf(beta) - m)
+    total = w.sum() + scaled_tail
+    masses = np.sort(w / total)[::-1]
+    return masses[masses > 0], scaled_tail / total
+
+
+def _top_masses_loop(rngs, sample, k, law, beta, steps):
+    rows, fewest = [], np.inf
+    for rng in rngs:
+        masses, tail = sample(rng)
+        for _ in range(steps):
+            masses, tail = _reshuffle_loop(masses, tail, law, beta, rng)
+            fewest = min(fewest, masses.size)
+        rows.append(masses[:k])
+    return np.array(rows), fewest
+
+
+def _geometric(n):
+    masses = 0.5 ** np.arange(1, n + 1)
+    return masses, 0.5 ** n
+
+
+def _uneven(rng):
+    # like custom-from-file rows: comparable masses, a different count in each row
+    masses = np.sort(rng.dirichlet(np.ones(150 + rng.integers(51))))[::-1] * 0.9
+    return masses, 1.0 - masses.sum()
+
+
+# name -> (sampler, reference start, trunc-n, sigma)
+_LOOP_CASES = {
+    **{f"pd-{a}": (experiments.PoissonKingman((a,), 40), lambda rng, a=a: _pk_loop(a, 40, rng),
+                   40, 1.0) for a in (0.3, 0.5, 0.7)},
+    "mixture-of-pd": (experiments.PoissonKingman((0.3, 0.7), 40, mixture=True),
+                      lambda rng: _pk_loop((0.3, 0.7)[rng.integers(2)], 40, rng), 40, 1.0),
+    "geometric": (experiments.Partitions(lambda rng: MassPartition(*_geometric(40)), 40),
+                  lambda rng: _geometric(40), 40, 1.0),
+    "uneven-rows": (experiments.Partitions(lambda rng: MassPartition(*_uneven(rng)), 200),
+                    _uneven, 200, 1.0),
+    # 0.5**1074 is the smallest subnormal: most of the tail masses underflow and drop
+    "geometric-underflow": (experiments.Partitions(lambda rng: MassPartition(*_geometric(1074)),
+                                                   1074),
+                            lambda rng: _geometric(1074), 1074, 10.0),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 5])
+@pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+def test_top_masses_matches_replica_loop(monkeypatch, case, chunk_rows):
+    sampler, sample, n, sigma = _LOOP_CASES[case]
+    if chunk_rows:  # 23 replicas in chunks of 5, 5, 5, 5 and 3
+        monkeypatch.setattr(experiments, "_CHUNK_ELEMS", chunk_rows * n + 3)
+    law, beta, k, replicas = IncrementLaw(0.1, sigma), 0.8, 5, 23
+
+    def independent():
+        return [np.random.default_rng([7, i]) for i in range(replicas)]
+
+    def shared():  # as the acceptance suite passes its pinned generator
+        return repeat(np.random.default_rng(7), replicas)
+
+    for rngs, steps in [(independent, 0), (independent, 1), (independent, 2),
+                        (shared, 0), (shared, 1), (shared, 2)]:
+        reference, fewest = _top_masses_loop(rngs(), sample, k, law, beta, steps)
+        rows = experiments.top_masses(rngs(), sampler, k, law=law, beta=beta, steps=steps)
+        assert rows.shape == reference.shape
+        assert rows.tobytes() == reference.tobytes(), (rngs, steps)
+        if case == "geometric-underflow" and steps:
+            assert fewest < n
