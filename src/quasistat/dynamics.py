@@ -93,9 +93,11 @@ def reshuffle_rows(masses, tails, h, law, beta=1.0):
     if not np.all(np.isfinite(h)):
         raise ValueError("increment law produced non-finite draws")
     with np.errstate(divide="ignore"):  # log(0) = -inf: the zeros stay zero
-        logm = np.log(masses) + beta * h
-    m = logm.max(axis=1)
-    w = np.exp(logm - m[:, None])
+        w = np.log(masses)
+    w += beta * h
+    m = w.max(axis=1)
+    w -= m[:, None]
+    np.exp(w, out=w)
     with np.errstate(over="ignore"):  # an overflow shows in the total below
         growth = np.exp(law.log_mgf(beta) - m)
     scaled_tail = tails * np.where(tails > 0, growth, 0.0)
@@ -108,9 +110,10 @@ def reshuffle_rows(masses, tails, h, law, beta=1.0):
     if not np.all(np.isfinite(total)):
         raise FloatingPointError(f"E[e^{{beta h}}] = e^{{{law.log_mgf(beta):.6g}}} overflows "
                                  f"the reshuffled tail")
-    ranked = np.sort(w / total[:, None], axis=1)[:, ::-1]
+    w /= total[:, None]
+    w.sort(axis=1)
     # contiguous, as the next log must be: on a reversed view it can differ in the last bit
-    return np.ascontiguousarray(ranked), scaled_tail / total
+    return np.ascontiguousarray(w[:, ::-1]), scaled_tail / total
 
 
 def shift_tail(config: PointConfiguration) -> PointConfiguration:

@@ -17,8 +17,9 @@ import numpy as np
 from . import analysis, dynamics, pointproc, stattest
 
 # float64 elements per chunk of replica rows in ``top_masses``: bounds the
-# chunk x N arrays its row kernels hold at once
-_CHUNK_ELEMS = 2 ** 18
+# chunk x N arrays its row kernels hold at once.  Chunks of 2**18 ran no
+# faster and left the peak RSS of a 2000 x 500 ensemble 1-5 MB higher.
+_CHUNK_ELEMS = 2 ** 16
 
 
 def _stack(rows, width, rngs):
@@ -102,6 +103,7 @@ def _chunk_top_masses(rngs, sampler, k, law, beta, steps):
         if steps:
             h[i, :counts[i]] = law.sample(counts[i], rng)
     masses, tails = sampler.rows(draws, params)
+    del draws  # the reshuffles can reuse its memory
     short = np.flatnonzero(counts < k)
     if short.size:
         raise ValueError(f"a replica tracks {counts[short[0]]} values; {k} are needed")

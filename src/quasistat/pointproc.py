@@ -143,7 +143,8 @@ def poisson_kingman_rows(alphas, arrivals):
     powers = [g ** e for g, e in zip(arrivals[:, -1], (alphas - 1.0) / alphas)]
     tails = alphas * np.array(powers) / (1.0 - alphas)
     total = atoms.sum(axis=1) + tails
-    return atoms / total[:, None], tails / total
+    atoms /= total[:, None]
+    return atoms, tails / total
 
 
 def sample_pd_stickbreaking(alpha, n, rng) -> MassPartition:
