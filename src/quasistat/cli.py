@@ -184,6 +184,10 @@ def _top_masses(cfg, rngs, sampler, steps):
     law, beta = _increment_law(cfg), cfg["beta"]
     try:
         return experiments.top_masses(rngs, sampler, cfg["topk"], law=law, beta=beta, steps=steps)
+    except OverflowError as exc:  # raised by a PD start, before any reshuffle
+        key = "alphas" if cfg["kind"] == "mixture-of-pd" else "alpha"
+        raise ConfigError(f"{_flag(key)} {cfg[key]} takes the PD(alpha, 0) start beyond "
+                          f"float64: {exc}") from None
     except FloatingPointError as exc:
         raise ConfigError(f"--sigma {cfg['sigma']} and --beta {beta} take the reshuffle "
                           f"beyond float64: {exc}") from None
@@ -306,8 +310,12 @@ def cmd_verify_lemma(cfg):
         # sum_i e^{beta X_i} diverges, so the starts cannot be tail-normalized
         raise ConfigError(f"verify-lemma needs --beta > --rho, "
                           f"got --beta {beta} and --rho {cfg['rho']}")
-    starts = list(experiments.tail_normalized_starts(_rngs(cfg, 0), cfg["rho"], cfg["trunc_n"],
-                                                     beta=beta))
+    try:
+        starts = list(experiments.tail_normalized_starts(_rngs(cfg, 0), cfg["rho"],
+                                                         cfg["trunc_n"], beta=beta))
+    except OverflowError as exc:
+        raise ConfigError(f"--rho {cfg['rho']}, --beta {beta} and --trunc-n {cfg['trunc_n']} "
+                          f"take the tail of the starts beyond float64: {exc}") from None
     counts = experiments.front_bound_counts(starts, law, tau, beta=beta,
                                             grid_points=cfg["grid_points"])
     c = law.mu - 1.0
@@ -329,7 +337,12 @@ def cmd_gen_functional(cfg):
 def cmd_compare_oracles(cfg):
     _check_depth(cfg, cfg["topk"])
     streams = (_rngs(cfg, stream) for stream in range(3))
-    tops, sumsq = experiments.oracle_masses(streams, cfg["alpha"], cfg["trunc_n"], cfg["topk"])
+    try:
+        tops, sumsq = experiments.oracle_masses(streams, cfg["alpha"], cfg["trunc_n"],
+                                                cfg["topk"])
+    except OverflowError as exc:
+        raise ConfigError(f"--alpha {cfg['alpha']} and --trunc-n {cfg['trunc_n']} take an "
+                          f"oracle beyond float64: {exc}") from None
     # one permutation generator shared by all pairs
     pairs = experiments.pairwise_energy(tops, itertools.repeat(replica_rng(cfg["seed"], 10)),
                                         cfg["n_perm"])

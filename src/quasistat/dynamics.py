@@ -17,6 +17,7 @@ __all__ = [
     "IncrementLaw",
     "evolve_additive",
     "evolve_multiplicative",
+    "rerank_top",
     "reshuffle_rows",
     "shift_tail",
 ]
@@ -59,14 +60,44 @@ class IncrementLaw:
 def evolve_additive(config: PointConfiguration, law: IncrementLaw, rng) -> PointConfiguration:
     """One step X_i -> X_i + h_i, re-ranked; tail advanced by E[e^{beta h}]."""
     h = law.sample(len(config), rng)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("increment law produced non-finite draws")
     tail = config.tail_weight_estimate
     if tail:  # a zero tail stays zero, also where E[e^{beta h}] overflows
         tail *= np.exp(law.log_mgf(config.beta))
-    return PointConfiguration(
-        np.sort(config.points + h)[::-1], beta=config.beta, tail_weight_estimate=tail
-    )
+    points = config.points
+    return PointConfiguration(rerank_top(lambda m: points[:m], h, len(points)),
+                              beta=config.beta, tail_weight_estimate=tail)
+
+
+# relative widening of the cut in ``rerank_top``: far above the rounding of the
+# cut and of a count taken through another function (exp against log)
+_CUT_MARGIN = 1e-9
+
+
+def rerank_top(head, h, k, count_at_least=None):
+    """The k largest of x_i + h_i, ranked: bit for bit ``np.sort(x + h)[::-1][:k]``
+    for ranked points x_1 >= ... >= x_n and one increment h_i per point.
+
+    ``head(m)`` returns x_1, ..., x_m.  Where k < n, only the points that can
+    still reach the top k are formed and sorted, and ``count_at_least(c)``
+    returns #{i : x_i >= c}, give or take points within rounding of c.
+
+    Exact: t, the smallest of x_i + h_i over i <= k, is at most the k-th
+    largest of all, and as rounding is monotone, fl(x_i + h_i) <= fl(x_i + max h).
+    So no point with x_i < t - max h reaches the top k, and these points are a
+    suffix.  The cut is widened by ``_CUT_MARGIN`` relative to its terms, which
+    only adds candidates and absorbs the rounding of the cut and of the count.
+    """
+    if not np.all(np.isfinite(h)):
+        raise ValueError("increment law produced non-finite draws")
+    m = h.size
+    if k < m:
+        t = (head(k) + h[:k]).min()
+        hmax = h.max()
+        m = max(k, count_at_least(t - hmax - _CUT_MARGIN * (1.0 + abs(t) + abs(hmax))))
+    top = np.sort(head(m) + h[:m])[::-1][:k]
+    if not np.all(np.isfinite(top[[0, -1]])):
+        raise ValueError("points must be finite")
+    return top
 
 
 def evolve_multiplicative(
@@ -117,10 +148,17 @@ def reshuffle_rows(masses, tails, h, law, beta=1.0):
 
 
 def shift_tail(config: PointConfiguration) -> PointConfiguration:
-    """Re-center so sum_i e^{beta X_i} plus rescaled tail equals 1."""
+    """Re-center so sum_i e^{beta X_i} plus rescaled tail equals 1.  Raises
+    OverflowError where the tail, scaled to the leading weight, leaves float64
+    range (an underflowed tail times an overflowed e^{-beta X_1} is NaN)."""
     logw = config.beta * config.points
     m = logw[0]
-    log_total = m + np.log(np.exp(logw - m).sum() + config.tail_weight_estimate * np.exp(-m))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        scaled_tail = config.tail_weight_estimate * np.exp(-m)
+    if not np.isfinite(scaled_tail):
+        raise OverflowError(f"the tail estimate {config.tail_weight_estimate:.6g} times "
+                            f"e^{{-beta X_1}} = e^{{{-m:.6g}}} leaves float64 range")
+    log_total = m + np.log(np.exp(logw - m).sum() + scaled_tail)
     return PointConfiguration(
         config.points - log_total / config.beta,
         beta=config.beta,

@@ -77,7 +77,8 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0, steps=0):
 
     Replicas run in chunks of rows.  Each draws its start and its first step's
     increments, back to back, from its generator, as a loop over replicas
-    would; the arithmetic runs once per chunk.
+    would; the arithmetic runs once per chunk.  Raises OverflowError where a
+    start leaves float64 range, and FloatingPointError where a reshuffle does.
     """
     rngs = iter(rngs)
     size = max(1, _CHUNK_ELEMS // sampler.n)
@@ -107,6 +108,12 @@ def _chunk_top_masses(rngs, sampler, k, law, beta, steps):
     short = np.flatnonzero(counts < k)
     if short.size:
         raise ValueError(f"a replica tracks {counts[short[0]]} values; {k} are needed")
+    # a start's masses that underflowed are trailing zeros, dropped as a reshuffle drops them
+    counts = np.count_nonzero(masses, axis=1)
+    short = np.flatnonzero(counts < k)
+    if short.size:
+        raise OverflowError(f"a replica starts with {counts[short[0]]} positive masses, "
+                            f"{k} are needed: the rest underflowed")
     for step in range(steps):
         pointproc.check_partition_rows(masses, tails, counts)
         if step:
@@ -125,13 +132,40 @@ def _chunk_top_masses(rngs, sampler, k, law, beta, steps):
 
 def top_points(rngs, rho, n, k, law=None, steps=0):
     """Top k of the n largest points of PP(rho e^{-rho y} dy) per replica,
-    after ``steps`` additive steps.  Positions only: sampled at beta = rho,
-    which tracks no tail."""
+    after ``steps`` additive steps.  Positions only, which track no tail.
+
+    Each replica draws its n arrival times and then n increments per step, as
+    ``sample_pp_exponential`` and ``evolve_additive`` would, and its points are
+    theirs bit for bit; but only the points that can still reach the top k
+    are formed in the last step (``dynamics.rerank_top``).
+    """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+
     def row(rng):
-        config = pointproc.sample_pp_exponential(rho, n, rng, beta=rho)
-        for _ in range(steps):
-            config = dynamics.evolve_additive(config, law, rng)
-        return _top(config.points, k)
+        g = pointproc.sample_gamma_arrivals(n, rng)
+        if not np.isfinite(g[-1]):  # a cumsum of nonnegative draws: its last is its largest
+            raise ValueError("arrival times must be finite")
+
+        def head(m):  # X_i = -log(Gamma_i)/rho, as sample_pp_exponential forms them
+            x = -np.log(g[:m]) / rho
+            # a NaN fails the diff, and ranked points with finite ends are all finite
+            if not (np.all(np.diff(x) <= 0) and np.all(np.isfinite(x[[0, -1]]))):
+                raise ValueError("points must be finite and non-increasing")
+            return x
+
+        def count(c):  # X_i >= c iff Gamma_i <= e^{-rho c}; an overflow to inf keeps every point
+            with np.errstate(over="ignore"):
+                return np.searchsorted(g, np.exp(-rho * c), side="right")
+
+        if not steps:
+            return _top(head(min(n, k)), k)
+        for step in range(steps):
+            x = dynamics.rerank_top(head, law.sample(n, rng), k if step == steps - 1 else n, count)
+            # ranked points: those >= c are a prefix, found by bisection
+            head = lambda m, x=x: x[:m]
+            count = lambda c, x=x: x.size - np.searchsorted(x[::-1], c)
+        return _top(x, k)
 
     return _stack(map(row, rngs), k, rngs)
 

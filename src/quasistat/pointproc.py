@@ -112,22 +112,28 @@ def sample_pp_exponential(rho, n, rng, beta=1.0) -> PointConfiguration:
     beta > rho.  For beta <= rho the sum diverges and the tail is recorded as
     0, so ``shift_tail`` and ``mass_partition_from_config`` would normalize
     the tracked points alone: only the positions and gaps are meaningful
-    there, and ``verify-lemma`` refuses that range.
+    there, and ``verify-lemma`` refuses that range.  Raises OverflowError
+    where the tail estimate overflows.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     g = sample_gamma_arrivals(n, rng)
     r = beta / rho
-    tail = g[-1] ** (1.0 - r) / (r - 1.0) if r > 1 else 0.0
+    with np.errstate(over="ignore"):  # checked below
+        tail = g[-1] ** (1.0 - r) / (r - 1.0) if r > 1 else 0.0
+    if not np.isfinite(tail):
+        raise OverflowError(f"the tail estimate Gamma_n^(1 - beta/rho) / (beta/rho - 1) "
+                            f"leaves float64 range at Gamma_n = {g[-1]:.6g}")
     return PointConfiguration(-np.log(g) / rho, beta=beta, tail_weight_estimate=tail)
 
 
 def sample_pd_poisson_kingman(alpha, n, rng) -> MassPartition:
-    """PD(alpha, 0) as the top n atoms Gamma_i^{-1/alpha} of PP(alpha s^{-alpha-1} ds);
-    see ``poisson_kingman_rows``."""
+    """PD(alpha, 0) as the top n atoms Gamma_i^{-1/alpha} of PP(alpha s^{-alpha-1} ds),
+    less the masses that underflow to 0; see ``poisson_kingman_rows``."""
     masses, tails = poisson_kingman_rows(np.array([alpha], dtype=float),
                                          sample_gamma_arrivals(n, rng)[None])
-    return MassPartition(masses[0], tail_mass=tails[0])
+    row = masses[0]
+    return MassPartition(row[row > 0], tail_mass=tails[0])
 
 
 def poisson_kingman_rows(alphas, arrivals):
@@ -135,14 +141,23 @@ def poisson_kingman_rows(alphas, arrivals):
     its PD(alphas[i], 0) masses, the atoms Gamma_i^{-1/alpha} normalized by their
     sum plus the expected tail E[sum_{j>n} Gamma_j^{-1/alpha} | Gamma_n] (the
     integral of t^{-1/alpha} beyond Gamma_n), and that tail's share.
+
+    A mass that underflows is 0, and as the masses are ranked, these zeros
+    trail.  Raises OverflowError where an atom or a total overflows.
     """
     if not np.all((alphas > 0) & (alphas < 1)):
         raise ValueError("alpha must be in (0, 1): atoms are summable iff alpha < 1")
-    atoms = arrivals ** (-1.0 / alphas)[:, None]
-    # a float64-scalar power per row: numpy's vector ** can differ from it in the last bit
-    powers = [g ** e for g, e in zip(arrivals[:, -1], (alphas - 1.0) / alphas)]
+    with np.errstate(over="ignore"):  # an overflow shows in the total below
+        atoms = arrivals ** (-1.0 / alphas)[:, None]
+        # a float64-scalar power per row: numpy's vector ** can differ from it in the last bit
+        powers = [g ** e for g, e in zip(arrivals[:, -1], (alphas - 1.0) / alphas)]
     tails = alphas * np.array(powers) / (1.0 - alphas)
     total = atoms.sum(axis=1) + tails
+    off = np.flatnonzero(~np.isfinite(total))
+    if off.size:
+        i = off[0]
+        raise OverflowError(f"the atom Gamma_1^(-1/alpha) at Gamma_1 = {arrivals[i, 0]:.6g} and "
+                            f"alpha = {alphas[i]:.6g} leaves float64 range")
     atoms /= total[:, None]
     return atoms, tails / total
 

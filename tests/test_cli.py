@@ -358,6 +358,39 @@ def test_pp_positions_ignore_the_tail(tmp_path, capsys, args):
     assert run([*args, "--kind", "pp", "--seed", "3", "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("args,cause", [
+    (["--rho", "0.1", "--beta", "30", "--trunc-n", "1", "--replicas", "20"],
+     "Gamma_n^(1 - beta/rho)"),
+    (["--rho", "0.01", "--beta", "5", "--replicas", "50"], "times e^{-beta X_1}"),
+])
+def test_verify_lemma_tail_range_names_the_flags(tmp_path, capsys, args, cause):
+    # the tail overflows in the first case; in the second it underflows to 0
+    # where e^{-beta X_1} overflows, and 0 * inf is NaN
+    assert run(["verify-lemma", *args, "--seed", "3", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rho ") and "--beta" in err and "--trunc-n" in err
+    assert "beyond float64" in err and cause in err
+
+
+def test_pd_small_alpha_drops_underflowed_masses(tmp_path, capsys):
+    # one of these 2000 replicas has masses that underflow to 0
+    assert run(["sample", "--kind", "pd", "--alpha", "0.02", "--replicas", "2000", "--seed", "1",
+                "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "sample.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (2000, 5) and np.all(np.isfinite(rows))
+    assert np.all((rows > 0) & (rows <= 1)) and np.all(np.diff(rows, axis=1) <= 0)
+
+
+@pytest.mark.parametrize("kind,flag", [("pd", "--alpha 0.001 "),
+                                       ("mixture-of-pd", "--alphas 0.001,0.5 ")])
+def test_pd_atom_overflow_names_alpha(tmp_path, capsys, kind, flag):
+    # Gamma_1^{-1000} overflows for Gamma_1 < 0.49
+    assert run(["evolve", "--kind", kind, "--alpha", "0.001", "--alphas", "0.001,0.5",
+                "--replicas", "20", "--seed", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and "leaves float64 range" in err
+
+
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(["sample", "evolve"]),
        rho=st.floats(1e-3, 10), beta=st.floats(1e-3, 10), sigma=st.floats(0.05, 50),

@@ -10,6 +10,7 @@ from quasistat.dynamics import (
     IncrementLaw,
     evolve_additive,
     evolve_multiplicative,
+    rerank_top,
     reshuffle_rows,
     shift_tail,
 )
@@ -300,3 +301,66 @@ def test_top_masses_matches_replica_loop(monkeypatch, case, chunk_rows):
         assert rows.tobytes() == reference.tobytes(), (rngs, steps)
         if case == "geometric-underflow" and steps:
             assert fewest < n
+
+
+# The per-replica loop that ``experiments.top_points`` replaces, kept as the
+# reference: every point sampled, and every step re-ranks all of them.
+
+def _top_points_loop(rngs, rho, n, k, law, steps):
+    rows = []
+    for rng in rngs:
+        points = sample_pp_exponential(rho, n, rng, beta=rho).points
+        for _ in range(steps):
+            points = np.sort(points + law.sample(n, rng))[::-1]
+        rows.append(points[:k])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 1.0, 50.0])
+@pytest.mark.parametrize("rho", [1e-3, 0.3, 1.0, 10.0])
+def test_top_points_matches_evolve_loop(rho, sigma):
+    law, k = IncrementLaw(-0.4, sigma), 6
+    for n, replicas in [(k, 5), (k + 1, 5), (300, 5), (100_000, 2)]:
+        for steps in (0, 1, 2, 3):
+            independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
+            reference = _top_points_loop(independent, rho, n, k, law, steps)
+            independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
+            rows = experiments.top_points(independent, rho, n, k, law=law, steps=steps)
+            assert rows.tobytes() == reference.tobytes(), (n, steps)
+            # one generator for every replica, as the acceptance suite passes it
+            ref_rng, rng = np.random.default_rng([n, steps]), np.random.default_rng([n, steps])
+            reference = _top_points_loop(repeat(ref_rng, replicas), rho, n, k, law, steps)
+            rows = experiments.top_points(repeat(rng, replicas), rho, n, k, law=law, steps=steps)
+            assert rows.tobytes() == reference.tobytes(), (n, steps)
+            assert rng.random() == ref_rng.random()  # nothing more or less was drawn
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_top_points_cut_reaches_a_lifted_last_point(steps):
+    # the last point's increment lifts it to first place, so no point may be cut
+    n, k = 500, 3
+    law = _FixedDraws(np.r_[np.zeros(n - 1), 1e3])
+    reference = _top_points_loop([np.random.default_rng(3)], 1.0, n, k, law, steps)
+    rows = experiments.top_points([np.random.default_rng(3)], 1.0, n, k, law=law, steps=steps)
+    assert rows.tobytes() == reference.tobytes()
+
+
+def test_rerank_top_forms_only_the_points_that_can_reach_the_top():
+    rng = np.random.default_rng(12)
+    x = np.sort(rng.exponential(size=100_000))[::-1]
+    h = rng.normal(size=x.size)
+    formed = []
+
+    def head(m):
+        formed.append(m)
+        return x[:m]
+
+    def count(c):
+        return x.size - np.searchsorted(x[::-1], c)
+
+    top = rerank_top(head, h, 11, count)
+    assert top.tobytes() == np.sort(x + h)[::-1][:11].tobytes()
+    assert formed[-1] < x.size // 10
+    h[-1] = x[0] - x[-1] + 1.0  # lifts the last point to first place
+    top = rerank_top(head, h, 11, count)
+    assert formed[-1] == x.size and top[0] == x[-1] + h[-1]

@@ -96,6 +96,22 @@ def test_pk_powerlaw_transform():
     assert part.masses[1] / part.masses[0] == pytest.approx(0.001953125)
 
 
+def test_pk_drops_underflowed_masses_and_refuses_overflowed_atoms():
+    # Gamma = [1e-4, 1.0001, 1001.0001]: at alpha = 0.02 the masses are about
+    # [1, 1e-200, 1e-350], and the last underflows to 0
+    part = sample_pd_poisson_kingman(0.02, 3, _FixedExponentials([1e-4, 1.0, 1000.0]))
+    assert len(part) == 2 and np.all(part.masses > 0)
+    # (1e-7)^{-50} = 1e350 overflows
+    with pytest.raises(OverflowError, match="leaves float64 range"):
+        sample_pd_poisson_kingman(0.02, 2, _FixedExponentials([1e-7, 1.0]))
+
+
+def test_pp_tail_overflow_raises():
+    # Gamma_1^{1 - 300} / 299 overflows at Gamma_1 = 0.01
+    with pytest.raises(OverflowError, match="leaves float64 range"):
+        sample_pp_exponential(0.1, 1, _FixedExponentials([0.01]), beta=30.0)
+
+
 def test_pk_powerlaw_rejects_bad_alpha():
     rng = np.random.default_rng(0)
     for alpha in (0.0, 1.0, 1.5, -0.2):

@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
+from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 from quasistat import stattest
@@ -62,6 +65,44 @@ def test_ks_null_calibration():
     pvals = [ks_two_sample(rng.normal(size=500), rng.normal(size=500))[1] for _ in range(300)]
     frac = np.mean(np.asarray(pvals) < 0.05)
     assert 0.02 <= frac <= 0.09
+
+
+# samples of random sizes, with ties (a coarse grid) and a scale from 1e-9 to 1e9
+_SCALES = st.sampled_from([1e-9, 1e-3, 1.0, 1e3, 1e9])
+_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-1e3, 1e3))
+
+
+def _sample(min_size=1, max_size=60):
+    return st.lists(_VALUES, min_size=min_size, max_size=max_size).map(np.array)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sample(), _sample(), _SCALES)
+def test_ks_bounded_and_symmetric_property(x, y, scale):
+    d, p = ks_two_sample(x * scale, y * scale)
+    assert 0.0 <= d <= 1.0 and 0.0 <= p <= 1.0
+    assert ks_two_sample(y * scale, x * scale) == (d, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sample(), _SCALES)
+def test_marginal_law_bounded_property(x, scale):
+    d, p = marginal_law_test(x * scale, lambda v: ndtr(v / scale))
+    assert 0.0 <= d <= 1.0 and 0.0 <= p <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 3), _SCALES, st.integers(0, 2**32 - 1))
+def test_energy_p_value_property(data, k, scale, seed):
+    rows = st.lists(st.lists(_VALUES, min_size=k, max_size=k), min_size=1, max_size=30)
+    X, Y = (np.array(data.draw(rows)) * scale for _ in range(2))
+    n_perm = 199
+    p, observed = energy_distance_perm_test(X, Y, n_perm=n_perm, rng=np.random.default_rng(seed),
+                                            return_stat=True)
+    rank = p * (n_perm + 1)  # 1 + the permuted statistics at least the observed one
+    assert rank == pytest.approx(round(rank), abs=1e-9) and 1 <= round(rank) <= n_perm + 1
+    pooled = np.vstack([X, Y])
+    assert observed >= -1e-12 * cdist(pooled, pooled).max()
 
 
 def test_marginal_law_median_point_mass():
