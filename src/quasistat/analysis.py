@@ -7,7 +7,7 @@ For tail-normalized configurations both obey explicit exponential bounds
 driven by v_beta = log E[e^{beta h}].
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "gen_functional_pp_exponential",
     "sum_squares",
     "jump_event_bound_check",
-    "JumpBoundReport",
 ]
 
 
@@ -122,24 +121,21 @@ def gen_functional_mc(points, a, d):
     return mean, se
 
 
-def gen_functional_pp_exponential(rho, a, d, include_leader_term=False) -> float:
+def gen_functional_pp_exponential(rho, a, d) -> float:
     """Closed-form generating functional of the step f = a * 1_[0, d] for
     PP(rho e^{-rho y} dy).
 
     Conditioning on the (Gumbel) maximum, the points below it form the same
     Poisson process, giving G = 1/(1 + c) with
     c = int_0^d (1 - e^{-a}) rho e^{rho u} du = (1 - e^{-a}) (e^{rho d} - 1).
-    ``include_leader_term`` multiplies by e^{-f(0)} = e^{-a} to match the
-    Monte Carlo convention that counts the maximum itself.
+    The Monte Carlo convention, which counts the maximum itself, is G e^{-f(0)}
+    = G e^{-a}.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     _check_step(a, d)
     c = -np.expm1(-a) * (np.exp(rho * d) - 1)
-    g = 1.0 / (1.0 + c)
-    if include_leader_term:
-        g *= np.exp(-a)
-    return g
+    return 1.0 / (1.0 + c)
 
 
 def sum_squares(partition: MassPartition) -> float:
@@ -151,45 +147,29 @@ def sum_squares(partition: MassPartition) -> float:
                  + 0.5 * partition.tail_mass * partition.masses[-1])
 
 
-@dataclass
-class JumpBoundReport:
-    """Observed frequency of the big-jump event against its analytic bound."""
-
-    frequency: float
-    bound: float
-    n_replicas: int
-    n_events: int
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        self.passed = bool(self.frequency <= self.bound + self.three_se)
-
-    @property
-    def three_se(self):
-        p = self.bound
-        return 3.0 * np.sqrt(max(p * (1.0 - p), 1.0 / self.n_replicas) / self.n_replicas)
-
-
-def jump_event_bound_check(starts, law: IncrementLaw, tau, K, C, beta=1.0, rng=None) -> JumpBoundReport:
-    """Frequency of {some i : S_i(tau) >= -X_i + (C+K)tau} vs e^{-tau((C+K)beta - v_beta)}.
+def jump_event_bound_check(starts, law: IncrementLaw, tau, ck, beta=1.0, *, rng):
+    """Frequency of {some i : S_i(tau) >= -X_i + ck tau} vs e^{-tau(ck beta - v_beta)},
+    where ck = C + K.
 
     ``starts`` are tail-normalized PointConfigurations; the total jump of a point
     depends only on its origin and the summed increments, so S_i(tau) is drawn
-    directly from the tau-fold Gaussian law.
-    Passes when the empirical frequency is at most bound + 3 binomial SE.
+    directly from the tau-fold Gaussian law.  Returns the frequency, the bound,
+    three binomial SE of the bound, the number of events, and whether the
+    frequency is at most bound + 3 SE.
     """
     v = law.log_mgf(beta)
-    exponent = tau * ((C + K) * beta - v)
-    if tau > 0 and exponent <= 0:
-        raise ValueError("requires (C + K) * beta > v_beta")
-    bound = np.exp(-exponent) if tau > 0 else 0.0
-    threshold = (C + K) * tau
-    hits = 0
-    n = 0
+    exponent = tau * (ck * beta - v)
+    if tau > 0 and not exponent > 0:
+        raise ValueError(f"the bound needs (C + K) * beta > v_beta = log E[e^{{beta h}}], "
+                         f"got {ck * beta:.6g} <= {v:.6g}")
+    bound = float(np.exp(-exponent)) if tau > 0 else 0.0
+    threshold = ck * tau
+    hits = n = 0
     for cfg in starts:
         n += 1
-        if tau == 0:
-            continue
-        if np.max(cfg.points + law.sample_sum(tau, len(cfg), rng)) >= threshold:
+        if tau > 0 and np.max(cfg.points + law.sample_sum(tau, len(cfg), rng)) >= threshold:
             hits += 1
-    return JumpBoundReport(frequency=hits / n, bound=float(bound), n_replicas=n, n_events=hits)
+    frequency = hits / n
+    three_se = 3.0 * np.sqrt(max(bound * (1.0 - bound), 1.0 / n) / n)
+    return {"frequency": frequency, "bound": bound, "three_se": float(three_se),
+            "events": hits, "passed": bool(frequency <= bound + three_se)}

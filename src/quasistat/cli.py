@@ -29,6 +29,7 @@ def _above(low):
 
 
 _UNIT = "in (0, 1)", lambda v: 0 < v < 1
+_KINDS = ("pd", "pp", "geometric", "mixture-of-pd", "custom-from-file")
 
 
 class Option(NamedTuple):
@@ -44,7 +45,8 @@ class Option(NamedTuple):
 OPTIONS = {
     "seed": Option(None, int, "master seed (or set QUASISTAT_SEED)"),
     "out": Option(".", str, "output directory"),
-    "kind": Option("pd", str, "pd | pp | geometric | mixture-of-pd | custom-from-file"),
+    "kind": Option("pd", str, " | ".join(_KINDS),
+                   ("one of " + ", ".join(_KINDS), _KINDS.__contains__)),
     "replicas": Option(2000, int, "replicas per ensemble", _at_least(1)),
     "alpha": Option(0.5, float, "PD(alpha, 0) index", _UNIT),
     "alphas": Option("0.3,0.7", str, "comma list of mixture components"),
@@ -167,8 +169,8 @@ def _partition_sampler(cfg):
             raise ConfigError(f"bad --alphas list {cfg['alphas']!r}")
         if not alphas or any(not 0 < a < 1 for a in alphas):
             raise ConfigError("--alphas components must lie in (0, 1)")
-        return experiments.PoissonKingman(tuple(alphas), n, mixture=True)
-    raise ConfigError(f"unsupported partition kind {kind!r}")
+        return experiments.PoissonKingman(tuple(alphas), n)
+    raise ConfigError(f"--kind {kind} is read only by test-invariance")
 
 
 def _check_depth(cfg, need):
@@ -235,13 +237,12 @@ def _custom_ensembles(cfg):
     if data.shape[0] < 2:
         raise ConfigError("--input needs at least 2 rows")
     k = cfg["topk"]
-    partitions = iter([_input_partition(row, i, k) for i, row in enumerate(data, 1)])
-    half = data.shape[0] // 2
-    # one iterator: the first half of the partitions feeds before, the rest after
-    sampler = experiments.Partitions(lambda rng: next(partitions), data.shape[1])
-    before = experiments.top_masses(itertools.repeat(None, half), sampler, k)
-    after = _top_masses(cfg, _rngs(cfg, 1, data.shape[0] - half), sampler, steps=1)
-    return before, after
+    partitions = [_input_partition(row, i, k) for i, row in enumerate(data, 1)]
+    half = len(partitions) // 2
+    before = np.array([part.masses[:k] for part in partitions[:half]])
+    evolved = iter(partitions[half:])
+    sampler = experiments.Partitions(lambda rng: next(evolved), data.shape[1])
+    return before, _top_masses(cfg, _rngs(cfg, 1, len(partitions) - half), sampler, steps=1)
 
 
 def _header(prefix, k):
@@ -305,7 +306,7 @@ def cmd_test_invariance(cfg):
 
 
 def cmd_verify_lemma(cfg):
-    law, beta, tau = _increment_law(cfg), cfg["beta"], cfg["tau"]
+    law, beta, tau, ck = _increment_law(cfg), cfg["beta"], cfg["tau"], cfg["ck"]
     if not beta > cfg["rho"]:
         # sum_i e^{beta X_i} diverges, so the starts cannot be tail-normalized
         raise ConfigError(f"verify-lemma needs --beta > --rho, "
@@ -316,39 +317,55 @@ def cmd_verify_lemma(cfg):
     except OverflowError as exc:
         raise ConfigError(f"--rho {cfg['rho']}, --beta {beta} and --trunc-n {cfg['trunc_n']} "
                           f"take the tail of the starts beyond float64: {exc}") from None
+    try:  # before the front profiles, so a bound that says nothing stops the run early
+        jump = analysis.jump_event_bound_check(starts, law, tau, ck, beta=beta,
+                                               rng=replica_rng(cfg["seed"], 1))
+    except ValueError as exc:
+        raise ConfigError(f"--ck {ck} gives no jump bound at --beta {beta}, --mu {law.mu} "
+                          f"and --sigma {law.sigma}: {exc}") from None
     counts = experiments.front_bound_counts(starts, law, tau, beta=beta,
                                             grid_points=cfg["grid_points"])
-    c = law.mu - 1.0
-    jump = analysis.jump_event_bound_check(starts, law, tau, K=cfg["ck"] - c, C=c,
-                                           beta=beta, rng=replica_rng(cfg["seed"], 1))
-    passed = counts["markov_violations"] == 0 and counts["z_violations"] == 0 and jump.passed
-    jump_fields = {"frequency": jump.frequency, "bound": jump.bound,
-                   "events": jump.n_events, "passed": jump.passed}
-    return {"v_beta": law.log_mgf(beta), **counts, "jump": jump_fields, "passed": passed}, passed
+    passed = counts["markov_violations"] == 0 and counts["z_violations"] == 0 and jump["passed"]
+    return {"v_beta": law.log_mgf(beta), **counts, "jump": jump, "passed": passed}, passed
+
+
+def _check_se_replicas(cfg):
+    if cfg["replicas"] < 2:
+        raise ConfigError(f"--replicas must be >= 2 here, got {cfg['replicas']}: "
+                          f"a standard error needs two replicas")
 
 
 def cmd_gen_functional(cfg):
-    n = cfg["trunc_n"]
-    points = experiments.top_points(_rngs(cfg, 0), cfg["rho"], n, n)
-    check = experiments.gen_functional_check(points, cfg["rho"], cfg["f_a"], cfg["f_d"])
+    _check_se_replicas(cfg)
+    n, rho, d = cfg["trunc_n"], cfg["rho"], cfg["f_d"]
+    points = experiments.top_points(_rngs(cfg, 0), rho, n, n)
+    try:
+        check = experiments.gen_functional_check(points, rho, cfg["f_a"], d)
+    except analysis.ShallowTruncationError as exc:
+        raise ConfigError(f"--trunc-n {n} is too shallow for --f-d {d} at --rho {rho}: "
+                          f"{exc}") from None
     return check, check["passed"]
 
 
 def cmd_compare_oracles(cfg):
+    _check_se_replicas(cfg)
     _check_depth(cfg, cfg["topk"])
+    alpha, k = cfg["alpha"], cfg["topk"]
     streams = (_rngs(cfg, stream) for stream in range(3))
     try:
-        tops, sumsq = experiments.oracle_masses(streams, cfg["alpha"], cfg["trunc_n"],
-                                                cfg["topk"])
+        tops, sumsq = experiments.oracle_masses(streams, alpha, cfg["trunc_n"], k)
     except OverflowError as exc:
-        raise ConfigError(f"--alpha {cfg['alpha']} and --trunc-n {cfg['trunc_n']} take an "
+        raise ConfigError(f"--alpha {alpha} and --trunc-n {cfg['trunc_n']} take an "
                           f"oracle beyond float64: {exc}") from None
+    except ValueError as exc:  # e.g. a replica whose other masses underflowed to 0
+        raise ConfigError(f"--alpha {alpha} and --topk {k}: an oracle cannot give "
+                          f"the top {k} masses: {exc}") from None
     # one permutation generator shared by all pairs
     pairs = experiments.pairwise_energy(tops, itertools.repeat(replica_rng(cfg["seed"], 10)),
                                         cfg["n_perm"])
     consistent = all(p >= cfg["level"] for p in pairs.values())
     return {"pairwise_energy_p": pairs, "sum_squares": sumsq,
-            "expected_sum_squares": 1.0 - cfg["alpha"], "passed": consistent}, consistent
+            "expected_sum_squares": 1.0 - alpha, "passed": consistent}, consistent
 
 
 _COMMANDS = {

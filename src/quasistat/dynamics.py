@@ -100,9 +100,8 @@ def rerank_top(head, h, k, count_at_least=None):
     return top
 
 
-def evolve_multiplicative(
-    partition: MassPartition, law: IncrementLaw, beta=1.0, rng=None
-) -> MassPartition:
+def evolve_multiplicative(partition: MassPartition, law: IncrementLaw, beta=1.0, *,
+                          rng) -> MassPartition:
     """One reshuffle xi_i -> xi_i W_i / sum_j xi_j W_j with W_i = e^{beta h_i};
     see ``reshuffle_rows``."""
     h = law.sample(len(partition), rng)

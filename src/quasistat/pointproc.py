@@ -184,11 +184,9 @@ def sample_pd_stickbreaking(alpha, n, rng) -> MassPartition:
         sticks = remainder * v * np.cumprod(np.concatenate(([1.0], 1.0 - v[:-1])))
         products.append(sticks)
         remainder *= np.prod(1.0 - v)
-        drawn += block
-        if drawn >= n:
-            kth = np.partition(np.concatenate(products), -n)[-n]
-            if remainder < kth:
-                break
+        drawn += block  # at least 4n, so the products hold a top n
+        if remainder < np.partition(np.concatenate(products), -n)[-n]:
+            break
     else:
         raise ValueError(f"stick-breaking PD({alpha}, 0): the top {n} masses are not exact "
                          f"after {drawn} sticks")

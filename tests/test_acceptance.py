@@ -130,10 +130,9 @@ def test_criterion_4_markov_and_front_bounds():
 def test_criterion_5_jump_event_bound():
     tau, ck = 10, 1.5  # (C+K)*beta - v_beta = 1, bound e^{-10}
     starts = experiments.tail_normalized_starts(repeat(_rng(5, 0), 100_000), 0.5, 500)
-    report = jump_event_bound_check(starts, GAUSS, tau, K=ck + 1.0, C=-1.0, beta=1.0,
-                                    rng=_rng(5, 1))
-    return report.passed, (f"frequency={report.frequency:.2e} ({report.n_events} events), "
-                           f"bound={report.bound:.2e} + 3SE={report.three_se:.2e}")
+    report = jump_event_bound_check(starts, GAUSS, tau, ck, beta=1.0, rng=_rng(5, 1))
+    return report["passed"], (f"frequency={report['frequency']:.2e} ({report['events']} events), "
+                              f"bound={report['bound']:.2e} + 3SE={report['three_se']:.2e}")
 
 
 @_criterion(6, "generating functional: MC vs closed form on 3x3 (a,d) grid")

@@ -147,7 +147,6 @@ def test_gen_functional_zero_function_is_one():
     mean, se = gen_functional_mc(np.array([[0.0, -2.0, -4.0]]), 0.0, 1.0)
     assert mean == 1.0
     assert gen_functional_pp_exponential(1.0, 0.0, 1.0) == 1.0
-    assert gen_functional_pp_exponential(1.0, 0.0, 1.0, include_leader_term=True) == 1.0
 
 
 def test_gen_functional_large_amplitude_kills_leader():
@@ -168,9 +167,6 @@ def test_gen_functional_closed_form_single_step():
     assert gen_functional_pp_exponential(1.0, a, d) == pytest.approx(2.0 / 3.0)
     c = (1 - np.exp(-a)) * (np.exp(1.0 * d) - 1.0)
     assert gen_functional_pp_exponential(1.0, a, d) == pytest.approx(1.0 / (1.0 + c))
-    assert gen_functional_pp_exponential(1.0, a, d, include_leader_term=True) == pytest.approx(
-        np.exp(-a) / (1.0 + c)
-    )
 
 
 def test_gen_functional_closed_form_matches_quadrature():
@@ -185,6 +181,15 @@ def test_gen_functional_mc_agrees_with_closed_form():
     points = experiments.top_points(itertools.repeat(rng, 4000), 1.0, 100, 100)
     check = experiments.gen_functional_check(points, 1.0, np.log(2.0), np.log(2.0))
     assert abs(check["mc_estimate"] - check["closed_form"]) <= 3.0 * check["mc_se"]
+
+
+@pytest.mark.parametrize("a,d", [(0.0, 1.0), (np.log(2.0), np.log(2.0)), (1.5, 0.25)])
+def test_gen_functional_check_counts_the_leader_once(a, d):
+    # the Monte Carlo convention counts the maximum, whose own step is e^{-a}
+    points = experiments.top_points(itertools.repeat(np.random.default_rng(3), 20), 1.0, 40, 40)
+    check = experiments.gen_functional_check(points, 1.0, a, d)
+    assert check["closed_form"] == check["closed_form_no_leader"] * np.exp(-a)
+    assert check["closed_form"] == pytest.approx(np.exp(-a) / (1.0 + -np.expm1(-a) * np.expm1(d)))
 
 
 def test_gen_functional_mc_matches_row_loop():
@@ -208,11 +213,11 @@ def test_sum_squares():
 def test_jump_event_trivial_cases():
     rng = np.random.default_rng(8)
     starts = [_tail_normalized(0.5, 50, rng) for _ in range(50)]
-    report = jump_event_bound_check(starts, GAUSS, tau=5, K=100.0, C=-1.0, beta=1.0,
+    report = jump_event_bound_check(starts, GAUSS, tau=5, ck=99.0, beta=1.0,
                                     rng=np.random.default_rng(9))
-    assert report.frequency == 0.0 and report.passed
-    report = jump_event_bound_check(starts, GAUSS, tau=0, K=1.0, C=-1.0, beta=1.0,
+    assert report["frequency"] == 0.0 and report["passed"]
+    report = jump_event_bound_check(starts, GAUSS, tau=0, ck=0.0, beta=1.0,
                                     rng=np.random.default_rng(10))
-    assert report.frequency == 0.0 and report.n_events == 0
+    assert report["frequency"] == 0.0 and report["events"] == 0
     with pytest.raises(ValueError):
-        jump_event_bound_check(starts, GAUSS, tau=5, K=1.0, C=-1.0, beta=1.0, rng=rng)
+        jump_event_bound_check(starts, GAUSS, tau=5, ck=0.0, beta=1.0, rng=rng)

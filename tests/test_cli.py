@@ -161,7 +161,19 @@ def test_verify_lemma(tmp_path, capsys):
     assert record["markov_violations"] == 0
     assert record["z_violations"] == 0
     assert record["jump"]["passed"]
+    assert sorted(record["jump"]) == ["bound", "events", "frequency", "passed", "three_se"]
     assert code == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_lemma_infinite_markov_bound(tmp_path, capsys):
+    # e^{v tau - beta y} overflows at the low end of the grid, where the bound holds trivially
+    code = run(["verify-lemma", "--rho", "0.5", "--sigma", "30", "--tau", "10", "--ck", "1000",
+                "--replicas", "5", "--trunc-n", "50", "--seed", "1", "--out", str(tmp_path)])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert record["markov_violations"] == 0 and record["z_violations"] == 0
+    assert np.isfinite(record["max_bound_ratio"])
 
 
 def test_gen_functional(tmp_path, capsys):
@@ -172,6 +184,21 @@ def test_gen_functional(tmp_path, capsys):
     assert record["closed_form_no_leader"] == pytest.approx(2.0 / 3.0)
     assert abs(record["mc_estimate"] - record["closed_form"]) <= 3 * record["mc_se"]
     assert code == 0
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("gen-functional", ["--trunc-n", "20"]),
+    ("compare-oracles", ["--trunc-n", "60", "--topk", "3"]),
+])
+def test_two_replicas_write_standard_json(tmp_path, capsys, command, flags):
+    def no_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code = run([command, "--replicas", "2", *flags, "--seed", "4", "--out", str(tmp_path)])
+    assert code in (0, 1)
+    json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    report = tmp_path / f"{command.replace('-', '_')}_report.json"
+    json.loads(report.read_text(), parse_constant=no_constant)
 
 
 def test_compare_oracles(tmp_path, capsys):
@@ -217,6 +244,20 @@ def test_golden_csv_stream(tmp_path, capsys, command, kind):
     capsys.readouterr()
     csv = tmp_path / ("sample.csv" if command == "sample" else "evolved.csv")
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == _GOLDEN_CSV[(command, kind)]
+
+
+@pytest.mark.parametrize("command", ["sample", "evolve"])
+def test_single_component_mixture_is_pd(tmp_path, capsys, command):
+    # one alpha takes no draw, so the replica streams are those of kind=pd
+    flags = [command, "--alpha", "0.5", "--alphas", "0.5", "--replicas", "6", "--trunc-n", "40",
+             "--topk", "3", "--tau", "2", "--seed", "123"]
+    csv = "sample.csv" if command == "sample" else "evolved.csv"
+    written = []
+    for kind in ("pd", "mixture-of-pd"):
+        assert run([*flags, "--kind", kind, "--out", str(tmp_path / kind)]) == 0
+        written.append((tmp_path / kind / csv).read_bytes())
+    capsys.readouterr()
+    assert written[0] == written[1]
 
 
 def test_golden_report_numbers(tmp_path, capsys):
@@ -324,6 +365,31 @@ def test_invariance_pp_needs_trunc_n_above_topk(tmp_path, capsys):
     assert run(["test-invariance", "--kind", "pp", "--trunc-n", "5", "--topk", "5",
                 "--replicas", "3", "--seed", "1", "--out", str(tmp_path)]) == 2
     assert "a replica tracks 5 values; 6 are needed" in capsys.readouterr().err
+
+
+_LEMMA_FLAGS = ["--ck", "--beta", "--mu", "--sigma"]
+_DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
+
+
+# each case: the flag the message starts with, then what else it must name
+@pytest.mark.parametrize("args,names", [
+    (["verify-lemma", "--rho", "0.5", "--ck", "-3"], _LEMMA_FLAGS),
+    (["verify-lemma", "--rho", "0.5", "--mu", "3"], _LEMMA_FLAGS),
+    (["gen-functional", "--trunc-n", "1"], _DEPTH_FLAGS),
+    (["gen-functional", "--rho", "50", "--f-d", "50", "--trunc-n", "50"], _DEPTH_FLAGS),
+    (["gen-functional", "--replicas", "1", "--trunc-n", "20"], ["--replicas", "two replicas"]),
+    (["compare-oracles", "--alpha", "0.002", "--topk", "3"], ["--alpha", "--topk"]),
+    (["compare-oracles", "--replicas", "1", "--trunc-n", "60", "--topk", "3"],
+     ["--replicas", "two replicas"]),
+    (["sample", "--kind", "weird"], ["--kind"]),
+    (["evolve", "--kind", "custom-from-file"], ["--kind", "test-invariance"]),
+])
+def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
+    replicas = [] if "--replicas" in args else ["--replicas", "5"]
+    assert run([*args, *replicas, "--seed", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {names[0]} "), err
+    assert all(name in err for name in names[1:]), err
 
 
 @pytest.mark.parametrize("kind,trunc_n", [("pd", "500"), ("geometric", "50")])

@@ -266,7 +266,7 @@ def _uneven(rng):
 _LOOP_CASES = {
     **{f"pd-{a}": (experiments.PoissonKingman((a,), 40), lambda rng, a=a: _pk_loop(a, 40, rng),
                    40, 1.0) for a in (0.3, 0.5, 0.7)},
-    "mixture-of-pd": (experiments.PoissonKingman((0.3, 0.7), 40, mixture=True),
+    "mixture-of-pd": (experiments.PoissonKingman((0.3, 0.7), 40),
                       lambda rng: _pk_loop((0.3, 0.7)[rng.integers(2)], 40, rng), 40, 1.0),
     "geometric": (experiments.Partitions(lambda rng: MassPartition(*_geometric(40)), 40),
                   lambda rng: _geometric(40), 40, 1.0),
