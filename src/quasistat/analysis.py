@@ -45,13 +45,8 @@ class FrontProfile:
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        grid = np.atleast_1d(y)
-        # grid x points tail-probability matrix, summed over points
-        vals = self.law.sum_tail_probability(
-            grid[:, None] - self.config.points[None, :], self.tau
-        ).sum(axis=1)
-        return float(vals[0]) if scalar else vals
+        vals = self.law._tail_sums(y, self.config.points, self.tau)
+        return float(vals) if y.ndim == 0 else vals
 
 
 def front_profile(config: PointConfiguration, law: IncrementLaw, tau) -> FrontProfile:

@@ -52,9 +52,23 @@ class IncrementLaw:
         y = np.asarray(y, dtype=float)
         if tau < 0:
             raise ValueError("tau must be >= 0")
+        return self._tail_sums(y, np.zeros(1), tau)
+
+    def _tail_sums(self, levels, points, tau):
+        """sum_i P(h_1 + ... + h_tau >= y - x_i) for each level y: the one kernel
+        behind ``sum_tail_probability`` and the front profile, for tau >= 0.
+
+        Works in place on one levels x points buffer, summed along each row.
+        Private and free of numpy error state, so worker threads may call it.
+        """
+        buf = np.subtract.outer(levels, points)
         if tau == 0:
-            return (y <= 0).astype(float)
-        return ndtr((tau * self.mu - y) / (self.sigma * np.sqrt(tau)))
+            np.less_equal(buf, 0.0, out=buf)
+        else:
+            np.subtract(tau * self.mu, buf, out=buf)
+            buf /= self.sigma * np.sqrt(tau)
+            ndtr(buf, out=buf)
+        return buf.sum(axis=-1)
 
 
 def evolve_additive(config: PointConfiguration, law: IncrementLaw, rng) -> PointConfiguration:

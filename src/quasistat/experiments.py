@@ -8,8 +8,10 @@ Results are arrays and plain numbers; writing files and judging verdicts is
 left to the caller.
 """
 
+import collections
 import itertools
 import operator
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -236,27 +238,59 @@ def tail_normalized_starts(rngs, rho, n, beta=1.0):
         yield dynamics.shift_tail(pointproc.sample_pp_exponential(rho, n, rng, beta=beta))
 
 
+def _in_order(pool, fn, items, ahead):
+    """``map(fn, items)`` on ``pool`` with at most ``ahead`` tasks in flight, so a
+    lazy ``items`` is drawn on the calling thread as the results are taken."""
+    pending = collections.deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) > ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     """Pathwise checks of F(y) <= (1 + tail) e^{v tau - beta y} on a grid and of
     Z <= (v/beta) tau, with v = log E[e^{beta h}].
 
     Returns the number of starts violating each bound and the largest ratio
-    F / bound seen on the grid.
+    F / bound seen on the grid where the bound is positive.  Each start's F, on
+    the grid and at the level (v/beta) tau, is one call of the front-profile
+    kernel on a thread pool as wide as the CPUs this process may use (ndtr
+    releases the GIL).  Results are taken in start order, so the counts are
+    those of a loop over ``front_profile``, bit for bit.
     """
+    # imported here, as front_position imports brentq: only this check needs a pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
     v = law.log_mgf(beta)
     speed = v / beta * tau
     grid = np.linspace(-5.0, speed + 5.0, grid_points)
+    levels = np.append(grid, speed)
+    with np.errstate(over="ignore"):  # an inf bound holds (F <= #points), and F / inf = 0
+        decay = np.exp(v * tau - beta * grid)
+
+    def profile(config):  # on a worker thread: perfbench's one-stack tracer patches public names
+        return config.tail_weight_estimate, law._tail_sums(levels, config.points, tau)
+
     markov_violations = z_violations = 0
     max_ratio = 0.0
-    for config in starts:
-        profile = analysis.front_profile(config, law, tau)
-        fvals = profile(grid)
-        with np.errstate(over="ignore"):  # an inf bound holds (F <= #points), and F / inf = 0
-            rhs = (1.0 + config.tail_weight_estimate) * np.exp(v * tau - beta * grid)
-        markov_violations += int(np.any(fvals > rhs))
-        max_ratio = max(max_ratio, float(np.max(fvals / rhs)))
-        # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
-        if tau > 0 and profile(speed) > 1.0:
-            z_violations += 1
+    # the CPUs this process may run on; sched_getaffinity is not on every platform
+    width = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    with ThreadPoolExecutor(width) as pool:
+        for tail, fvals in _in_order(pool, profile, starts, ahead=2 * width):
+            rhs = (1.0 + tail) * decay
+            f_speed, fvals = fvals[-1], fvals[:-1]
+            # F > 0 where the bound underflows to 0 is a violation, but has no ratio
+            markov_violations += int(np.any(fvals > rhs))
+            ratio = np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
+            max_ratio = max(max_ratio, float(np.max(ratio)))
+            # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
+            if tau > 0 and f_speed > 1.0:
+                z_violations += 1
     return {"markov_violations": markov_violations, "z_violations": z_violations,
             "max_bound_ratio": max_ratio}

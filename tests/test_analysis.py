@@ -85,6 +85,33 @@ def test_markov_bound_holds_pathwise():
         assert counts["markov_violations"] == 0
 
 
+@pytest.mark.parametrize("tau", [0, 1, 10])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_front_bound_counts_match_a_serial_loop(tau, lazy):
+    law, beta, grid_points = IncrementLaw(0.2, 0.8), 1.5, 40
+
+    def starts():
+        rngs = itertools.repeat(np.random.default_rng(7), 30)
+        return experiments.tail_normalized_starts(rngs, 0.6, 120, beta=beta)
+
+    v = law.log_mgf(beta)
+    speed = v / beta * tau
+    grid = np.linspace(-5.0, speed + 5.0, grid_points)
+    markov = z = 0
+    max_ratio = 0.0
+    for cfg in starts():
+        profile = front_profile(cfg, law, tau)
+        fvals = profile(grid)
+        rhs = (1.0 + cfg.tail_weight_estimate) * np.exp(v * tau - beta * grid)
+        markov += int(np.any(fvals > rhs))
+        max_ratio = max(max_ratio, float(np.max(fvals / rhs)))
+        z += int(tau > 0 and profile(speed) > 1.0)
+    assert max_ratio > 0
+    given = starts() if lazy else list(starts())
+    counts = experiments.front_bound_counts(given, law, tau, beta=beta, grid_points=grid_points)
+    assert counts == {"markov_violations": markov, "z_violations": z, "max_bound_ratio": max_ratio}
+
+
 @settings(max_examples=40, deadline=None)
 @given(rho=st.floats(0.05, 2.0), excess=st.floats(0.05, 2.0), mu=st.floats(-2.0, 2.0),
        sigma=st.floats(0.05, 3.0), tau=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
