@@ -2,8 +2,10 @@
 
 Subcommands: sample | evolve | test-invariance | verify-lemma |
 gen-functional | compare-oracles.  Every run needs an explicit master seed
-(--seed or QUASISTAT_SEED); per-replica generators are spawned from it as
-SeedSequence(seed, spawn_key=(stream, replica)), so outputs are byte-stable.
+(--seed or QUASISTAT_SEED, a nonnegative int).  Replica r of stream s draws
+from the generator of SeedSequence(seed, spawn_key=(s, r)), so outputs are
+byte-stable; the seed states of a block of replicas are hashed in one numpy
+pass (``_seed_states``), which tests/test_cli.py pins against numpy's own.
 Exit codes: 0 all checks pass, 1 statistical rejection, 2 usage/config error.
 """
 
@@ -43,7 +45,7 @@ class Option(NamedTuple):
 # and the range checks are all generated from this table.  Every float option
 # must also be finite.
 OPTIONS = {
-    "seed": Option(None, int, "master seed (or set QUASISTAT_SEED)"),
+    "seed": Option(None, int, "master seed (or set QUASISTAT_SEED)", _at_least(0)),
     "out": Option(".", str, "output directory"),
     "kind": Option("pd", str, " | ".join(_KINDS),
                    ("one of " + ", ".join(_KINDS), _KINDS.__contains__)),
@@ -132,8 +134,106 @@ def resolve_config(args):
     return cfg
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for _seed_states
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+# replicas seeded per pass: a 4096 x 4 uint64 block of states, 128 KB.  It divides
+# 2**32, so no aligned block straddles a multiple of 2**32, where an index gains a word.
+_SEED_BLOCK = 4096
+
+
+def _words(n):
+    """The uint32 words of a nonnegative int, least significant first, as SeedSequence
+    splits its entropy."""
+    if n < 0:  # the shifts below would never reach 0
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(init, mult):
+    """The multipliers SeedSequence's hashes xor in and multiply by, in turn."""
+    const = init
+    while True:
+        nxt = const * mult & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+def _hashmix(value, consts):
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult  # uint32 arrays wrap, as numpy's C loop does
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_states(seed, stream, replicas):
+    """Row r holds ``SeedSequence(seed, spawn_key=(stream, r)).generate_state(4,
+    np.uint64)`` for each r in the range ``replicas``, hashed for all of them at
+    once: numpy's mix_entropy and generate_state on uint32 columns.
+
+    The replicas must share their words above the lowest, so that every row's
+    entropy has the same length and the hashes advance alike in each row.
+    """
+    lo, count = replicas.start, len(replicas)
+    if lo >> 32 != (replicas.stop - 1) >> 32:
+        raise ValueError(f"replicas {replicas} differ above their lowest 32-bit word")
+    # the seed zero-padded to the pool, the stream, then the replica's words
+    seed_words, lo_words = _words(seed), _words(lo)
+    head = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + _words(stream)
+    entropy = np.empty((len(head) + len(lo_words), count), dtype=np.uint32)
+    entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head)] = np.arange(lo_words[0], lo_words[0] + count, dtype=np.uint64)
+    entropy[len(head) + 1:] = np.array(lo_words[1:], dtype=np.uint32)[:, None]
+
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    state = np.stack([_hashmix(pool[i % _POOL_SIZE], consts) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _GeneratedState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is already generated, for PCG64 to seed from."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _generators(seed, stream, replicas):
+    """One Generator per replica in the range ``replicas``, seeded a block at a time."""
+    lo = replicas.start
+    while lo < replicas.stop:
+        hi = min(lo - lo % _SEED_BLOCK + _SEED_BLOCK, replicas.stop)  # aligned blocks
+        for state in _seed_states(seed, stream, range(lo, hi)):
+            yield np.random.Generator(np.random.PCG64(_GeneratedState(state)))
+        lo = hi
+
+
 def replica_rng(seed, stream, replica=0):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, replica)))
+    """The generator of ``SeedSequence(seed, spawn_key=(stream, replica))``."""
+    return next(_generators(seed, stream, range(replica, replica + 1)))
 
 
 def write_csv(path, header, rows):
@@ -144,7 +244,7 @@ def write_csv(path, header, rows):
 def _rngs(cfg, stream, n=None):
     """One generator per replica, spawned from the master seed."""
     n = cfg["replicas"] if n is None else n
-    return (replica_rng(cfg["seed"], stream, i) for i in range(n))
+    return _generators(cfg["seed"], stream, range(n))
 
 
 def _increment_law(cfg):

@@ -168,7 +168,9 @@ def sample_pd_stickbreaking(alpha, n, rng) -> MassPartition:
     Sticks are drawn in blocks until the unbroken remainder cannot displace
     the n-th largest product, so the returned top n is exact; the remainder
     and the discarded products are folded into tail_mass.  Raises ValueError
-    when that takes more than ``_MAX_STICKS`` sticks.
+    when that takes more than ``_MAX_STICKS`` sticks, or when the remainder
+    underflows to 0 first: a draw V_i that rounds to 1 leaves every later
+    stick 0, so fewer than n masses can ever be positive.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
@@ -187,6 +189,9 @@ def sample_pd_stickbreaking(alpha, n, rng) -> MassPartition:
         drawn += block  # at least 4n, so the products hold a top n
         if remainder < np.partition(np.concatenate(products), -n)[-n]:
             break
+        if remainder == 0.0:
+            raise ValueError(f"stick-breaking PD({alpha}, 0): the remainder underflowed to 0 "
+                             f"after {drawn} sticks, with fewer than {n} positive masses")
     else:
         raise ValueError(f"stick-breaking PD({alpha}, 0): the top {n} masses are not exact "
                          f"after {drawn} sticks")

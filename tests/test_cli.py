@@ -281,6 +281,47 @@ def test_golden_csv_stream(tmp_path, capsys, command, kind):
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == _GOLDEN_CSV[(command, kind)]
 
 
+_SEED_CASES = [(seed, stream) for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
+               for stream in (0, 1, 2, 10)]
+# across the first block edge of _SEED_BLOCK = 4096 replicas
+_SEED_REPLICAS = [*range(300), 4095, 4096, 4097]
+
+
+def _numpy_seed_sequence(seed, stream, replica):
+    return np.random.SeedSequence(seed, spawn_key=(stream, replica))
+
+
+@pytest.mark.parametrize("seed,stream", _SEED_CASES)
+def test_seed_states_are_numpys(seed, stream):
+    from quasistat.cli import _seed_states
+
+    # a numpy whose SeedSequence hashes otherwise must fail here, not move the streams
+    states = np.concatenate([_seed_states(seed, stream, range(300)),
+                             _seed_states(seed, stream, range(4095, 4098))])
+    expected = np.array([_numpy_seed_sequence(seed, stream, r).generate_state(4, np.uint64)
+                         for r in _SEED_REPLICAS])
+    assert states.dtype == expected.dtype == np.uint64
+    assert states.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed,stream", _SEED_CASES)
+def test_replica_generators_are_numpys(seed, stream):
+    from quasistat.cli import _rngs, replica_rng
+
+    def first_draws(rng):
+        return rng.random(4).tolist()
+
+    def expected(r):
+        return first_draws(np.random.default_rng(_numpy_seed_sequence(seed, stream, r)))
+
+    rngs = list(_rngs({"seed": seed, "replicas": 4098}, stream))
+    assert len(set(map(id, rngs))) == len(rngs)
+    for r in _SEED_REPLICAS:
+        assert first_draws(rngs[r]) == expected(r), r
+    for r in (0, 4096):
+        assert first_draws(replica_rng(seed, stream, r)) == expected(r), r
+
+
 @pytest.mark.parametrize("command", ["sample", "evolve"])
 def test_single_component_mixture_is_pd(tmp_path, capsys, command):
     # one alpha takes no draw, so the replica streams are those of kind=pd
@@ -418,10 +459,16 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
      ["--replicas", "two replicas"]),
     (["sample", "--kind", "weird"], ["--kind"]),
     (["evolve", "--kind", "custom-from-file"], ["--kind", "test-invariance"]),
+    (["sample", "--seed", "-1"], ["--seed", ">= 0"]),
+    (["QUASISTAT_SEED=-4", "sample"], ["--seed", ">= 0"]),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
+    env_seed = None
+    if args[0].startswith("QUASISTAT_SEED="):  # as a shell would set it before the command
+        env_seed, args = args[0].split("=", 1)[1], args[1:]
     replicas = [] if "--replicas" in args else ["--replicas", "5"]
-    assert run([*args, *replicas, "--seed", "1", "--out", str(tmp_path)]) == 2
+    seed = [] if "--seed" in args or env_seed else ["--seed", "1"]
+    assert run([*args, *replicas, *seed, "--out", str(tmp_path)], env_seed=env_seed) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {names[0]} "), err
     assert all(name in err for name in names[1:]), err

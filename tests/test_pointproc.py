@@ -169,6 +169,24 @@ def test_stickbreaking_cap_raises():
         sample_pd_stickbreaking(0.7, 50, np.random.default_rng(0))
 
 
+def test_stickbreaking_stops_when_the_remainder_underflows():
+    # at alpha = 0.01 a V_i ~ Beta(0.99, 0.01 i) rounds to 1 within the first sticks,
+    # which leaves the remainder, and every later stick, 0
+    class _Counting:
+        def __init__(self, rng):
+            self.rng, self.drawn = rng, 0
+
+        def beta(self, a, b):
+            self.drawn += np.size(b)
+            return self.rng.beta(a, b)
+
+    rng = _Counting(np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"remainder underflowed to 0 after \d+ sticks, "
+                                         r"with fewer than 50 positive masses"):
+        sample_pd_stickbreaking(0.01, 50, rng)
+    assert 0 < rng.drawn < 200_000
+
+
 def test_sum_of_squared_masses_identity():
     # E[sum xi_i^2] = 1 - alpha for PD(alpha, 0), for both samplers
     from quasistat.analysis import sum_squares
