@@ -7,22 +7,17 @@ For tail-normalized configurations both obey explicit exponential bounds
 driven by v_beta = log E[e^{beta h}].
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import IncrementLaw
-from .pointproc import MassPartition, PointConfiguration
 
 __all__ = [
-    "FrontProfile",
     "FrontRootError",
     "ShallowTruncationError",
-    "front_profile",
     "front_position",
     "gen_functional_mc",
     "gen_functional_pp_exponential",
-    "sum_squares",
+    "sum_squares_rows",
     "jump_event_bound_check",
 ]
 
@@ -35,41 +30,26 @@ class ShallowTruncationError(ValueError):
     """The configuration is too shallow for the test function's support."""
 
 
-@dataclass
-class FrontProfile:
-    """Expected-count-above-level function for one configuration and horizon."""
-
-    config: PointConfiguration
-    law: IncrementLaw
-    tau: int
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        vals = self.law._tail_sums(y, self.config.points, self.tau)
-        return float(vals) if y.ndim == 0 else vals
-
-
-def front_profile(config: PointConfiguration, law: IncrementLaw, tau) -> FrontProfile:
-    """Build F(y) = sum_i P(S_i(tau) >= y - X_i) over the tracked points."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    return FrontProfile(config=config, law=law, tau=int(tau))
-
-
-def front_position(profile: FrontProfile) -> float:
-    """Root z of F(z) = 1, i.e. inf{y : F(y) < 1}.
+def front_position(points, law: IncrementLaw, tau, beta=1.0) -> float:
+    """Root z of F(z) = 1, i.e. inf{y : F(y) < 1}, for the front profile
+    F(y) = sum_i P(S_i(tau) >= y - X_i) of one row of ranked points.
 
     Profiles with F < 1 everywhere (a single tracked point) raise
     FrontRootError.
     """
-    pts, law = profile.config.points, profile.law
-    if profile.tau == 0:
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    if tau == 0:
         # step profile: F(y) = #{i : X_i >= y} crosses below 1 at the leader
-        return float(pts[0])
-    if len(pts) < 2:
+        return float(points[0])
+    if len(points) < 2:
         raise FrontRootError("fewer than one expected survivor at every level")
-    lo = pts[0] - 10.0
-    hi = pts[0] + (law.log_mgf(profile.config.beta) / profile.config.beta) * profile.tau + 10.0
+
+    def profile(y):
+        return law._tail_sums(y, points, tau)
+
+    lo = points[0] - 10.0
+    hi = points[0] + (law.log_mgf(beta) / beta) * tau + 10.0
     hi = max(hi, lo + 1.0)
     width = hi - lo
     while profile(lo) < 1.0:
@@ -133,22 +113,28 @@ def gen_functional_pp_exponential(rho, a, d) -> float:
     return 1.0 / (1.0 + c)
 
 
-def sum_squares(partition: MassPartition) -> float:
-    """Sum of squared masses with bracketed tail adjustment (midpoint used).
+def sum_squares_rows(masses, tails):
+    """Sum of squared masses of each row, with bracketed tail adjustment
+    (midpoint used).
 
-    The untracked squares lie in [0, tail_mass * smallest tracked mass].
+    Row i holds one partition's ranked masses, zeros beyond the ones it tracks,
+    and its tail mass ``tails[i]``.  The untracked squares lie in
+    [0, tails[i] * smallest tracked mass].
     """
-    return float(np.dot(partition.masses, partition.masses)
-                 + 0.5 * partition.tail_mass * partition.masses[-1])
+    counts = np.count_nonzero(masses, axis=1)
+    # over the tracked masses alone: trailing zeros change the dot product's rounding
+    return np.array([np.dot(row[:c], row[:c]) + 0.5 * tail * row[c - 1]
+                     for row, tail, c in zip(masses, tails, counts)])
 
 
 def jump_event_bound_check(starts, law: IncrementLaw, tau, ck, beta=1.0, *, rng):
     """Frequency of {some i : S_i(tau) >= -X_i + ck tau} vs e^{-tau(ck beta - v_beta)},
     where ck = C + K.
 
-    ``starts`` are tail-normalized PointConfigurations; the total jump of a point
-    depends only on its origin and the summed increments, so S_i(tau) is drawn
-    directly from the tau-fold Gaussian law.  Returns the frequency, the bound,
+    ``starts`` yields matrices of tail-normalized points, one row per start;
+    the total jump of a point depends only on its origin and the summed
+    increments, so S_i(tau) is drawn directly from the tau-fold Gaussian law,
+    for a whole matrix at once, in row order.  Returns the frequency, the bound,
     three binomial SE of the bound, the number of events, and whether the
     frequency is at most bound + 3 SE.
     """
@@ -160,10 +146,12 @@ def jump_event_bound_check(starts, law: IncrementLaw, tau, ck, beta=1.0, *, rng)
     bound = float(np.exp(-exponent)) if tau > 0 else 0.0
     threshold = ck * tau
     hits = n = 0
-    for cfg in starts:
-        n += 1
-        if tau > 0 and np.max(cfg.points + law.sample_sum(tau, len(cfg), rng)) >= threshold:
-            hits += 1
+    for points in starts:
+        n += len(points)
+        if tau > 0:
+            jumps = law.sample_sum(tau, points.shape, rng)
+            jumps += points
+            hits += int(np.count_nonzero(jumps.max(axis=1) >= threshold))
     frequency = hits / n
     three_se = 3.0 * np.sqrt(max(bound * (1.0 - bound), 1.0 / n) / n)
     return {"frequency": frequency, "bound": bound, "three_se": float(three_se),

@@ -418,8 +418,8 @@ def cmd_verify_lemma(cfg):
         raise ConfigError(f"--rho {cfg['rho']}, --beta {beta} and --trunc-n {cfg['trunc_n']} "
                           f"take the tail of the starts beyond float64: {exc}") from None
     try:  # before the front profiles, so a bound that says nothing stops the run early
-        jump = analysis.jump_event_bound_check(starts, law, tau, ck, beta=beta,
-                                               rng=replica_rng(cfg["seed"], 1))
+        jump = analysis.jump_event_bound_check((points for points, _ in starts), law, tau, ck,
+                                               beta=beta, rng=replica_rng(cfg["seed"], 1))
     except ValueError as exc:
         raise ConfigError(f"--ck {ck} gives no jump bound at --beta {beta}, --mu {law.mu} "
                           f"and --sigma {law.sigma}: {exc}") from None

@@ -1,9 +1,10 @@
 """Evolution maps for ranked configurations and mass-partitions.
 
 Additive picture: every point gets an independent Gaussian increment h_i and
-the configuration is re-ranked.  Multiplicative picture: every mass is
-reweighted by the lognormal W_i = e^{beta*h_i} and renormalized.  Both advance
-the untracked tail by its mean factor E[e^{beta*h}].
+the configuration is re-ranked (``rerank_top``, positions only).
+Multiplicative picture: every mass is reweighted by the lognormal
+W_i = e^{beta*h_i} and renormalized (``reshuffle_rows``), and the untracked
+tail advances by its mean factor E[e^{beta*h}].
 """
 
 from dataclasses import dataclass
@@ -11,15 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .pointproc import MassPartition, PointConfiguration
-
 __all__ = [
     "IncrementLaw",
-    "evolve_additive",
-    "evolve_multiplicative",
     "rerank_top",
     "reshuffle_rows",
-    "shift_tail",
 ]
 
 
@@ -47,16 +43,9 @@ class IncrementLaw:
         """log E[e^{lam * h}], finite for every real lam."""
         return lam * self.mu + 0.5 * lam * lam * self.sigma * self.sigma
 
-    def sum_tail_probability(self, y, tau):
-        """P(h_1 + ... + h_tau >= y), vectorized in y."""
-        y = np.asarray(y, dtype=float)
-        if tau < 0:
-            raise ValueError("tau must be >= 0")
-        return self._tail_sums(y, np.zeros(1), tau)
-
     def _tail_sums(self, levels, points, tau):
         """sum_i P(h_1 + ... + h_tau >= y - x_i) for each level y: the one kernel
-        behind ``sum_tail_probability`` and the front profile, for tau >= 0.
+        behind the front profile F, for tau >= 0.
 
         Works in place on one levels x points buffer, summed along each row.
         Private and free of numpy error state, so worker threads may call it.
@@ -69,17 +58,6 @@ class IncrementLaw:
             buf /= self.sigma * np.sqrt(tau)
             ndtr(buf, out=buf)
         return buf.sum(axis=-1)
-
-
-def evolve_additive(config: PointConfiguration, law: IncrementLaw, rng) -> PointConfiguration:
-    """One step X_i -> X_i + h_i, re-ranked; tail advanced by E[e^{beta h}]."""
-    h = law.sample(len(config), rng)
-    tail = config.tail_weight_estimate
-    if tail:  # a zero tail stays zero, also where E[e^{beta h}] overflows
-        tail *= np.exp(law.log_mgf(config.beta))
-    points = config.points
-    return PointConfiguration(rerank_top(lambda m: points[:m], h, len(points)),
-                              beta=config.beta, tail_weight_estimate=tail)
 
 
 # relative widening of the cut in ``rerank_top``: far above the rounding of the
@@ -112,17 +90,6 @@ def rerank_top(head, h, k, count_at_least=None):
     if not np.all(np.isfinite(top[[0, -1]])):
         raise ValueError("points must be finite")
     return top
-
-
-def evolve_multiplicative(partition: MassPartition, law: IncrementLaw, beta=1.0, *,
-                          rng) -> MassPartition:
-    """One reshuffle xi_i -> xi_i W_i / sum_j xi_j W_j with W_i = e^{beta h_i};
-    see ``reshuffle_rows``."""
-    h = law.sample(len(partition), rng)
-    masses, tails = reshuffle_rows(partition.masses[None],
-                                   np.array([partition.tail_mass], dtype=float), h[None], law, beta)
-    row = masses[0]
-    return MassPartition(row[row > 0], tail_mass=tails[0])
 
 
 def reshuffle_rows(masses, tails, h, law, beta=1.0):
@@ -158,22 +125,3 @@ def reshuffle_rows(masses, tails, h, law, beta=1.0):
     w.sort(axis=1)
     # contiguous, as the next log must be: on a reversed view it can differ in the last bit
     return np.ascontiguousarray(w[:, ::-1]), scaled_tail / total
-
-
-def shift_tail(config: PointConfiguration) -> PointConfiguration:
-    """Re-center so sum_i e^{beta X_i} plus rescaled tail equals 1.  Raises
-    OverflowError where the tail, scaled to the leading weight, leaves float64
-    range (an underflowed tail times an overflowed e^{-beta X_1} is NaN)."""
-    logw = config.beta * config.points
-    m = logw[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        scaled_tail = config.tail_weight_estimate * np.exp(-m)
-    if not np.isfinite(scaled_tail):
-        raise OverflowError(f"the tail estimate {config.tail_weight_estimate:.6g} times "
-                            f"e^{{-beta X_1}} = e^{{{-m:.6g}}} leaves float64 range")
-    log_total = m + np.log(np.exp(logw - m).sum() + scaled_tail)
-    return PointConfiguration(
-        config.points - log_total / config.beta,
-        beta=config.beta,
-        tail_weight_estimate=config.tail_weight_estimate * np.exp(-log_total),
-    )

@@ -18,10 +18,29 @@ import numpy as np
 
 from . import analysis, dynamics, pointproc, stattest
 
-# float64 elements per chunk of replica rows in ``top_masses``: bounds the
-# chunk x N arrays its row kernels hold at once.  Chunks of 2**18 ran no
-# faster and left the peak RSS of a 2000 x 500 ensemble 1-5 MB higher.
+# float64 elements per chunk of replica rows in ``top_masses``, ``oracle_masses``
+# and ``tail_normalized_starts``: bounds the chunk x N arrays their row kernels
+# hold at once.  Chunks of 2**18 ran no faster and left the peak RSS of a
+# 2000 x 500 ensemble 1-5 MB higher.
 _CHUNK_ELEMS = 2 ** 16
+
+
+def _chunks(rngs, n):
+    """The generators of ``rngs`` in lists, one per chunk of rows of n values:
+    at most ``_CHUNK_ELEMS`` values, and at least one row."""
+    rngs = iter(rngs)
+    size = max(1, _CHUNK_ELEMS // n)
+    while chunk := list(itertools.islice(rngs, size)):
+        yield chunk
+
+
+def _arrivals(rngs, n):
+    """The first n arrival times of a unit-rate Poisson process per generator,
+    one row each, drawn in loop order."""
+    draws = np.empty((len(rngs), n))
+    for row, rng in zip(draws, rngs):
+        row[:] = rng.exponential(size=n)
+    return np.cumsum(draws, axis=1, out=draws)
 
 
 def _stack(rows, width, rngs):
@@ -82,10 +101,8 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0, steps=0):
     would; the arithmetic runs once per chunk.  Raises OverflowError where a
     start leaves float64 range, and FloatingPointError where a reshuffle does.
     """
-    rngs = iter(rngs)
-    size = max(1, _CHUNK_ELEMS // sampler.n)
     tops = [np.empty((0, k))]
-    while chunk := list(itertools.islice(rngs, size)):
+    for chunk in _chunks(rngs, sampler.n):
         if steps > 1 and len(set(map(id, chunk))) < len(chunk):
             # later steps draw after the whole chunk's first step, so a shared
             # generator goes one replica at a time to keep its order
@@ -136,10 +153,10 @@ def top_points(rngs, rho, n, k, law=None, steps=0):
     """Top k of the n largest points of PP(rho e^{-rho y} dy) per replica,
     after ``steps`` additive steps.  Positions only, which track no tail.
 
-    Each replica draws its n arrival times and then n increments per step, as
-    ``sample_pp_exponential`` and ``evolve_additive`` would, and its points are
-    theirs bit for bit; but only the points that can still reach the top k
-    are formed in the last step (``dynamics.rerank_top``).
+    Each replica draws its n arrival times and then n increments per step, and
+    its points are those of a full sort after each step, bit for bit; but only
+    the points that can still reach the top k are formed in the last step
+    (``dynamics.rerank_top``).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -149,7 +166,7 @@ def top_points(rngs, rho, n, k, law=None, steps=0):
         if not np.isfinite(g[-1]):  # a cumsum of nonnegative draws: its last is its largest
             raise ValueError("arrival times must be finite")
 
-        def head(m):  # X_i = -log(Gamma_i)/rho, as sample_pp_exponential forms them
+        def head(m):  # X_i = -log(Gamma_i)/rho, as pointproc.pp_exponential_rows forms them
             x = -np.log(g[:m]) / rho
             # a NaN fails the diff, and ranked points with finite ends are all finite
             if not (np.all(np.diff(x) <= 0) and np.all(np.isfinite(x[[0, -1]]))):
@@ -182,25 +199,38 @@ def oracle_masses(streams, alpha, n, k):
 
     ``streams`` holds one ``rngs`` iterable per sampler, in the order
     poisson_kingman, stick_breaking, exp_of_pp.  Returns name -> replica x k
-    rows, and name -> mean and standard error of sum xi_i^2.
+    rows, and name -> mean and standard error of sum xi_i^2.  Each replica
+    draws its start from its generator in loop order; the arithmetic runs once
+    per chunk of rows.
     """
-    samplers = {
-        "poisson_kingman": lambda rng: pointproc.sample_pd_poisson_kingman(alpha, n, rng),
-        "stick_breaking": lambda rng: pointproc.sample_pd_stickbreaking(alpha, max(k, 50), rng),
-        "exp_of_pp": lambda rng: pointproc.mass_partition_from_config(
-            pointproc.sample_pp_exponential(alpha, n, rng, beta=1.0)),
+    sticks = max(k, 50)
+
+    def stick_breaking(rngs):
+        parts = [pointproc.sample_pd_stickbreaking(alpha, sticks, rng) for rng in rngs]
+        return (np.array([part.masses for part in parts]),
+                np.array([part.tail_mass for part in parts]))
+
+    samplers = {  # name -> (values per row, chunk of generators -> masses and tails)
+        "poisson_kingman": (n, lambda rngs: pointproc.poisson_kingman_rows(
+            np.full(len(rngs), alpha, dtype=float), _arrivals(rngs, n))),
+        "stick_breaking": (sticks, stick_breaking),
+        "exp_of_pp": (n, lambda rngs: pointproc.mass_partition_rows(
+            *pointproc.pp_exponential_rows(alpha, _arrivals(rngs, n)))),
     }
     tops, sumsq = {}, {}
-    for (name, sample), rngs in zip(samplers.items(), streams):
-        sums = []
-
-        def row(rng):
-            part = sample(rng)
-            sums.append(analysis.sum_squares(part))
-            return _top(part.masses, k)
-
-        tops[name] = _stack(map(row, rngs), k, rngs)
-        ss = np.asarray(sums)
+    for (name, (width, sample)), rngs in zip(samplers.items(), streams):
+        rows, sums = [np.empty((0, k))], []
+        for chunk in _chunks(rngs, width):
+            masses, tails = sample(chunk)
+            counts = np.count_nonzero(masses, axis=1)
+            pointproc.check_partition_rows(masses, tails, counts)
+            short = np.flatnonzero(counts < k)
+            if short.size:
+                raise ValueError(f"a replica tracks {counts[short[0]]} values; {k} are needed")
+            rows.append(masses[:, :k])
+            sums.append(analysis.sum_squares_rows(masses, tails))
+        tops[name] = np.concatenate(rows)
+        ss = np.concatenate(sums)
         sumsq[name] = {"mean": float(ss.mean()), "se": float(ss.std(ddof=1) / np.sqrt(len(ss)))}
     return tops, sumsq
 
@@ -232,10 +262,16 @@ def gen_functional_check(points, rho, a, d):
 
 
 def tail_normalized_starts(rngs, rho, n, beta=1.0):
-    """Lazily yield the n largest points of PP(rho), shifted so that
-    sum e^{beta X_i} plus the tail estimate is 1."""
-    for rng in rngs:
-        yield dynamics.shift_tail(pointproc.sample_pp_exponential(rho, n, rng, beta=beta))
+    """Lazily yield the n largest points of PP(rho) per replica, shifted so that
+    sum e^{beta X_i} plus the tail estimate is 1, in chunks of rows: a points
+    matrix and its tail column per chunk.
+
+    Each replica draws its n arrival times from its generator, in the order a
+    loop over replicas would; the arithmetic runs once per chunk.
+    """
+    for chunk in _chunks(rngs, n):
+        points, tails = pointproc.pp_exponential_rows(rho, _arrivals(chunk, n), beta)
+        yield pointproc.shift_tail_rows(points, tails, beta)
 
 
 def _in_order(pool, fn, items, ahead):
@@ -254,12 +290,15 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     """Pathwise checks of F(y) <= (1 + tail) e^{v tau - beta y} on a grid and of
     Z <= (v/beta) tau, with v = log E[e^{beta h}].
 
-    Returns the number of starts violating each bound and the largest ratio
-    F / bound seen on the grid where the bound is positive.  Each start's F, on
-    the grid and at the level (v/beta) tau, is one call of the front-profile
-    kernel on a thread pool as wide as the CPUs this process may use (ndtr
-    releases the GIL).  Results are taken in start order, so the counts are
-    those of a loop over ``front_profile``, bit for bit.
+    ``starts`` yields chunks of tail-normalized starts, as
+    ``tail_normalized_starts`` does: a points matrix with one row per start,
+    and its tail column.  Returns the number of starts violating each bound
+    and the largest ratio F / bound seen on the grid where the bound is
+    positive.  Each start's F, on the grid and at the level (v/beta) tau, is
+    one call of the front-profile kernel on a thread pool as wide as the CPUs
+    this process may use (ndtr releases the GIL).  Results are taken in start
+    order, so the counts are those of a serial loop over the starts, bit for
+    bit.
     """
     # imported here, as front_position imports brentq: only this check needs a pool
     from concurrent.futures import ThreadPoolExecutor
@@ -273,8 +312,11 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     with np.errstate(over="ignore"):  # an inf bound holds (F <= #points), and F / inf = 0
         decay = np.exp(v * tau - beta * grid)
 
-    def profile(config):  # on a worker thread: perfbench's one-stack tracer patches public names
-        return config.tail_weight_estimate, law._tail_sums(levels, config.points, tau)
+    def profile(start):  # on a worker thread: perfbench's one-stack tracer patches public names
+        tail, points = start
+        return tail, law._tail_sums(levels, points, tau)
+
+    rows = (start for points, tails in starts for start in zip(tails, points))
 
     markov_violations = z_violations = 0
     max_ratio = 0.0
@@ -282,7 +324,7 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     width = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     with ThreadPoolExecutor(width) as pool:
-        for tail, fvals in _in_order(pool, profile, starts, ahead=2 * width):
+        for tail, fvals in _in_order(pool, profile, rows, ahead=2 * width):
             rhs = (1.0 + tail) * decay
             f_speed, fvals = fvals[-1], fvals[:-1]
             # F > 0 where the bound underflows to 0 is a violation, but has no ratio

@@ -14,49 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PointConfiguration",
     "MassPartition",
     "sample_gamma_arrivals",
-    "sample_pp_exponential",
-    "sample_pd_poisson_kingman",
+    "pp_exponential_rows",
+    "check_point_rows",
     "poisson_kingman_rows",
     "check_partition_rows",
     "sample_pd_stickbreaking",
-    "mass_partition_from_config",
+    "mass_partition_rows",
+    "shift_tail_rows",
 ]
 
 _SUM_TOL = 1e-12
 # stick-breaking gives up past this many sticks rather than return an inexact top n
 _MAX_STICKS = 200_000
-
-
-@dataclass
-class PointConfiguration:
-    """Decreasing finite truncation of a point configuration on the line.
-
-    ``tail_weight_estimate`` estimates sum_{i>N} e^{beta*X_i} beyond the
-    tracked points; ``beta`` is the exponent for which that sum is finite.
-    """
-
-    points: np.ndarray
-    beta: float = 1.0
-    tail_weight_estimate: float = 0.0
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 1 or self.points.size == 0:
-            raise ValueError("points must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("points must be finite")
-        if np.any(np.diff(self.points) > 0):
-            raise ValueError("points must be non-increasing")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not (np.isfinite(self.tail_weight_estimate) and self.tail_weight_estimate >= 0):
-            raise ValueError("tail_weight_estimate must be finite and nonnegative")
-
-    def __len__(self):
-        return self.points.size
 
 
 @dataclass
@@ -98,6 +69,16 @@ def check_partition_rows(masses, tails, counts=None):
         raise ValueError(f"masses + tail_mass must equal 1, got {total[off][0]!r}")
 
 
+def check_point_rows(points, tails):
+    """Raise ValueError unless every row of ``points`` is finite and does not
+    increase, and every tail estimate ``tails[i]`` is finite and nonnegative."""
+    # a NaN fails the diff, and ranked points with finite ends are all finite
+    if not (np.all(np.diff(points, axis=1) <= 0) and np.all(np.isfinite(points[:, [0, -1]]))):
+        raise ValueError("points must be finite and non-increasing")
+    if not np.all(np.isfinite(tails) & (tails >= 0)):
+        raise ValueError("tail_weight_estimate must be finite and nonnegative")
+
+
 def sample_gamma_arrivals(n, rng) -> np.ndarray:
     """First n arrival times Gamma_1 < ... < Gamma_n of a unit-rate Poisson process."""
     if n < 1:
@@ -105,35 +86,35 @@ def sample_gamma_arrivals(n, rng) -> np.ndarray:
     return np.cumsum(rng.exponential(size=int(n)))
 
 
-def sample_pp_exponential(rho, n, rng, beta=1.0) -> PointConfiguration:
-    """Top n points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy).
+def pp_exponential_rows(rho, arrivals, beta=1.0):
+    """Row i holds one replica's arrival times Gamma_1 < ... < Gamma_n; returns
+    its top n points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy), and the
+    tail estimate E[sum_{j>n} e^{beta X_j} | Gamma_n] of each row.
 
-    The tail estimate E[sum_{i>n} e^{beta X_i} | Gamma_n] is finite only when
-    beta > rho.  For beta <= rho the sum diverges and the tail is recorded as
-    0, so ``shift_tail`` and ``mass_partition_from_config`` would normalize
-    the tracked points alone: only the positions and gaps are meaningful
-    there, and ``verify-lemma`` refuses that range.  Raises OverflowError
-    where the tail estimate overflows.
+    The tail estimate is finite only when beta > rho.  For beta <= rho the sum
+    diverges and the tail is recorded as 0, so ``shift_tail_rows`` and
+    ``mass_partition_rows`` would normalize the tracked points alone: only the
+    positions and gaps are meaningful there, and ``verify-lemma`` refuses that
+    range.  Raises OverflowError where a tail estimate overflows.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    g = sample_gamma_arrivals(n, rng)
+    if not beta > 0:
+        raise ValueError("beta must be positive")
     r = beta / rho
-    with np.errstate(over="ignore"):  # checked below
-        tail = g[-1] ** (1.0 - r) / (r - 1.0) if r > 1 else 0.0
-    if not np.isfinite(tail):
+    if r > 1:
+        with np.errstate(over="ignore"):  # checked below
+            # a float64-scalar power per row, as in poisson_kingman_rows
+            tails = np.array([g ** (1.0 - r) for g in arrivals[:, -1]]) / (r - 1.0)
+    else:
+        tails = np.zeros(len(arrivals))
+    off = np.flatnonzero(~np.isfinite(tails))
+    if off.size:
         raise OverflowError(f"the tail estimate Gamma_n^(1 - beta/rho) / (beta/rho - 1) "
-                            f"leaves float64 range at Gamma_n = {g[-1]:.6g}")
-    return PointConfiguration(-np.log(g) / rho, beta=beta, tail_weight_estimate=tail)
-
-
-def sample_pd_poisson_kingman(alpha, n, rng) -> MassPartition:
-    """PD(alpha, 0) as the top n atoms Gamma_i^{-1/alpha} of PP(alpha s^{-alpha-1} ds),
-    less the masses that underflow to 0; see ``poisson_kingman_rows``."""
-    masses, tails = poisson_kingman_rows(np.array([alpha], dtype=float),
-                                         sample_gamma_arrivals(n, rng)[None])
-    row = masses[0]
-    return MassPartition(row[row > 0], tail_mass=tails[0])
+                            f"leaves float64 range at Gamma_n = {arrivals[off[0], -1]:.6g}")
+    points = -np.log(arrivals) / rho
+    check_point_rows(points, tails)
+    return points, tails
 
 
 def poisson_kingman_rows(alphas, arrivals):
@@ -200,17 +181,45 @@ def sample_pd_stickbreaking(alpha, n, rng) -> MassPartition:
     return MassPartition(top, tail_mass=max(0.0, 1.0 - top.sum()))
 
 
-def mass_partition_from_config(config: PointConfiguration) -> MassPartition:
-    """Masses e^{beta X_i} / (sum_j e^{beta X_j} + tail), max-subtracted for stability.
+def _weights(points, tails, beta):
+    """Each row's weights e^{beta X_i - m}, against its leading m = beta X_1, its
+    tail estimate times e^{-m}, and m."""
+    w = beta * points
+    m = w[:, 0].copy()
+    w -= m[:, None]
+    np.exp(w, out=w)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite tail fails a check later
+        scaled_tails = tails * np.exp(-m)
+    return w, scaled_tails, m
 
-    Entries whose weight underflows to exactly zero are folded into tail_mass.
+
+def mass_partition_rows(points, tails, beta=1.0):
+    """Row i holds one replica's ranked points and ``tails[i]``, its tail estimate
+    of sum_{j>n} e^{beta X_j}; returns its masses e^{beta X_i} / (sum_j e^{beta X_j}
+    + tail), max-subtracted for stability, and that tail's share.
+
+    A mass that underflows is 0, and as the points are ranked, these zeros trail.
     """
-    logw = config.beta * config.points
-    m = logw[0]
-    w = np.exp(logw - m)
-    scaled_tail = config.tail_weight_estimate * np.exp(-m)
-    total = w.sum() + scaled_tail
-    masses = w / total
-    keep = masses > 0.0
-    return MassPartition(masses[keep], tail_mass=scaled_tail / total)
+    w, scaled_tails, _ = _weights(points, tails, beta)
+    total = w.sum(axis=1) + scaled_tails
+    w /= total[:, None]
+    return w, scaled_tails / total
 
+
+def shift_tail_rows(points, tails, beta=1.0):
+    """Re-center each row of ranked points, with its tail estimate ``tails[i]``,
+    so that sum_i e^{beta X_i} plus the rescaled tail equals 1.  Raises
+    OverflowError where a tail, scaled to its row's leading weight, leaves
+    float64 range (an underflowed tail times an overflowed e^{-beta X_1} is NaN).
+    """
+    w, scaled_tails, m = _weights(points, tails, beta)
+    off = np.flatnonzero(~np.isfinite(scaled_tails))
+    if off.size:
+        i = off[0]
+        raise OverflowError(f"the tail estimate {tails[i]:.6g} times "
+                            f"e^{{-beta X_1}} = e^{{{-m[i]:.6g}}} leaves float64 range")
+    log_totals = m + np.log(w.sum(axis=1) + scaled_tails)
+    shifted = points - (log_totals / beta)[:, None]
+    tails = tails * np.exp(-log_totals)
+    check_point_rows(shifted, tails)
+    return shifted, tails

@@ -1,7 +1,8 @@
 """Two-sample machinery turning simulation ensembles into invariance verdicts.
 
 Replica ensembles are plain 2-d arrays: one row per replica, one column per
-tracked coordinate (top-k gaps or top-k masses).  The verdict combines
+tracked coordinate (top-k gaps or top-k masses).  A 1-d sample of m values is
+read as m replicas of one coordinate.  The verdict combines
 Bonferroni-corrected per-coordinate Kolmogorov-Smirnov tests with a joint
 energy-distance permutation test.
 """
@@ -53,6 +54,13 @@ def marginal_law_test(samples, cdf):
     return d, float(kolmogorov(np.sqrt(n) * d))
 
 
+def _observations(sample):
+    """A sample as rows of observations: a 1-d sample of m values is m rows of
+    one coordinate."""
+    sample = np.asarray(sample, dtype=float)
+    return sample.reshape(-1, 1) if sample.ndim < 2 else sample
+
+
 # float64 entries of one distance tile (16 MiB): the energy test holds one
 # rows x tile_rows block at a time, never the pooled rows x rows matrix
 _TILE_ELEMS = 2 ** 21
@@ -62,10 +70,10 @@ def energy_distance_perm_test(X, Y, n_perm=199, *, rng, return_stat=False):
     """Permutation p-value of the two-sample energy distance.
 
     E = 2 mean||x - y|| - mean||x - x'|| - mean||y - y'|| over the k tracked
-    coordinates; p = (1 + #{permuted E* >= E}) / (n_perm + 1).
+    coordinates, one row of X or Y per observation (a 1-d sample is one
+    coordinate); p = (1 + #{permuted E* >= E}) / (n_perm + 1).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    X, Y = _observations(X), _observations(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError("X and Y must have the same number of columns")
     if n_perm < 199:
@@ -118,8 +126,7 @@ def invariance_verdict(before, after, level=0.01, n_perm=199, *, rng) -> Invaria
     Verdict is "rejected" iff some KS p-value falls below level/k or the
     energy permutation p-value falls below level, else "consistent".
     """
-    before = np.atleast_2d(np.asarray(before, dtype=float))
-    after = np.atleast_2d(np.asarray(after, dtype=float))
+    before, after = _observations(before), _observations(after)
     if before.shape[1] != after.shape[1]:
         raise ValueError("ensembles must share the coordinate count")
     k = before.shape[1]

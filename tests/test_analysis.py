@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,72 +8,63 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from quasistat import experiments
+from quasistat import cli, experiments
 from quasistat.analysis import (
     FrontRootError,
     ShallowTruncationError,
     front_position,
-    front_profile,
     gen_functional_mc,
     gen_functional_pp_exponential,
     jump_event_bound_check,
-    sum_squares,
+    sum_squares_rows,
 )
-from quasistat.dynamics import IncrementLaw, shift_tail
-from quasistat.pointproc import (
-    MassPartition,
-    PointConfiguration,
-    sample_pp_exponential,
-)
+from quasistat.dynamics import IncrementLaw
+from quasistat.pointproc import pp_exponential_rows
 
 GAUSS = IncrementLaw(0.0, 1.0)
 
 
 def _tail_normalized(alpha, n, rng):
-    cfg = sample_pp_exponential(alpha, n, rng, beta=1.0)
-    return shift_tail(cfg)
+    """One tail-normalized start: its points row and its tail estimate."""
+    (points, tails), = experiments.tail_normalized_starts([rng], alpha, n)
+    return points[0], tails[0]
+
+
+def _profile(points, tau, y, law=GAUSS):
+    """The front profile F(y) of one row of points."""
+    return law._tail_sums(np.asarray(y, dtype=float), np.asarray(points, dtype=float), tau)
 
 
 def test_profile_at_tau_zero_counts_points():
-    cfg = PointConfiguration([2.0, 1.0, -0.5])
-    prof = front_profile(cfg, GAUSS, 0)
-    assert prof(3.0) == 0.0
-    assert prof(1.5) == 1.0
-    assert prof(-1.0) == 3.0
+    assert _profile([2.0, 1.0, -0.5], 0, [3.0, 1.5, -1.0]).tolist() == [0.0, 1.0, 3.0]
 
 
 def test_profile_single_point_gaussian():
-    prof = front_profile(PointConfiguration([0.0]), GAUSS, 1)
     for y in (-1.0, 0.0, 0.7, 2.5):
-        assert prof(y) == pytest.approx(0.5 * erfc(y / np.sqrt(2)), rel=1e-12)
+        assert _profile([0.0], 1, y) == pytest.approx(0.5 * erfc(y / np.sqrt(2)), rel=1e-12)
 
 
 def test_profile_monotone_on_grid():
-    cfg = _tail_normalized(0.5, 200, np.random.default_rng(1))
-    prof = front_profile(cfg, GAUSS, 3)
-    vals = prof(np.linspace(-6.0, 6.0, 100))
+    points, _ = _tail_normalized(0.5, 200, np.random.default_rng(1))
+    vals = _profile(points, 3, np.linspace(-6.0, 6.0, 100))
     assert np.all(np.diff(vals) <= 1e-12)
 
 
 def test_front_position_tau_zero_is_leader():
-    cfg = PointConfiguration([2.0, 1.0, -0.5])
-    prof = front_profile(cfg, GAUSS, 0)
-    assert front_position(prof) == 2.0
+    assert front_position(np.array([2.0, 1.0, -0.5]), GAUSS, 0) == 2.0
 
 
 def test_front_position_error_for_single_point():
-    prof = front_profile(PointConfiguration([0.0]), GAUSS, 2)
     with pytest.raises(FrontRootError):
-        front_position(prof)
+        front_position(np.array([0.0]), GAUSS, 2)
 
 
 def test_front_position_root_quality():
     rng = np.random.default_rng(2)
     for tau in (1, 4):
-        cfg = _tail_normalized(0.5, 150, rng)
-        prof = front_profile(cfg, GAUSS, tau)
-        z = front_position(prof)
-        assert abs(prof(z) - 1.0) <= 1e-9
+        points, _ = _tail_normalized(0.5, 150, rng)
+        z = front_position(points, GAUSS, tau)
+        assert abs(_profile(points, tau, z) - 1.0) <= 1e-9
         # almost-sure speed bound for tail-normalized starts
         assert z <= GAUSS.log_mgf(1.0) * tau
 
@@ -85,6 +77,44 @@ def test_markov_bound_holds_pathwise():
         assert counts["markov_violations"] == 0
 
 
+# The per-replica loops that ``tail_normalized_starts``, ``jump_event_bound_check``
+# and ``front_bound_counts`` replace, kept as the reference: one start at a
+# time, with the same float expressions.
+
+def _start_loop(rng, rho, n, beta):
+    g = np.cumsum(rng.exponential(size=n))
+    r = beta / rho
+    tail = g[-1] ** (1.0 - r) / (r - 1.0) if r > 1 else 0.0
+    points = -np.log(g) / rho
+    logw = beta * points
+    m = logw[0]
+    log_total = m + np.log(np.exp(logw - m).sum() + tail * np.exp(-m))
+    return points - log_total / beta, tail * np.exp(-log_total)
+
+
+def _jump_events_loop(starts, law, tau, ck, rng):
+    return sum(int(np.max(points + law.sample_sum(tau, len(points), rng)) >= ck * tau)
+               for points, _ in starts)
+
+
+def _front_counts_loop(starts, law, tau, beta, grid_points):
+    v = law.log_mgf(beta)
+    speed = v / beta * tau
+    grid = np.linspace(-5.0, speed + 5.0, grid_points)
+    with np.errstate(over="ignore"):
+        decay = np.exp(v * tau - beta * grid)
+    markov = z = 0
+    max_ratio = 0.0
+    for points, tail in starts:
+        fvals = _profile(points, tau, grid, law)
+        rhs = (1.0 + tail) * decay
+        markov += int(np.any(fvals > rhs))
+        ratio = np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
+        max_ratio = max(max_ratio, float(np.max(ratio)))
+        z += int(tau > 0 and _profile(points, tau, speed, law) > 1.0)
+    return {"markov_violations": markov, "z_violations": z, "max_bound_ratio": max_ratio}
+
+
 @pytest.mark.parametrize("tau", [0, 1, 10])
 @pytest.mark.parametrize("lazy", [False, True])
 def test_front_bound_counts_match_a_serial_loop(tau, lazy):
@@ -94,22 +124,62 @@ def test_front_bound_counts_match_a_serial_loop(tau, lazy):
         rngs = itertools.repeat(np.random.default_rng(7), 30)
         return experiments.tail_normalized_starts(rngs, 0.6, 120, beta=beta)
 
-    v = law.log_mgf(beta)
-    speed = v / beta * tau
-    grid = np.linspace(-5.0, speed + 5.0, grid_points)
-    markov = z = 0
-    max_ratio = 0.0
-    for cfg in starts():
-        profile = front_profile(cfg, law, tau)
-        fvals = profile(grid)
-        rhs = (1.0 + cfg.tail_weight_estimate) * np.exp(v * tau - beta * grid)
-        markov += int(np.any(fvals > rhs))
-        max_ratio = max(max_ratio, float(np.max(fvals / rhs)))
-        z += int(tau > 0 and profile(speed) > 1.0)
-    assert max_ratio > 0
+    rows = [start for points, tails in starts() for start in zip(points, tails)]
+    reference = _front_counts_loop(rows, law, tau, beta, grid_points)
+    assert reference["max_bound_ratio"] > 0
     given = starts() if lazy else list(starts())
-    counts = experiments.front_bound_counts(given, law, tau, beta=beta, grid_points=grid_points)
-    assert counts == {"markov_violations": markov, "z_violations": z, "max_bound_ratio": max_ratio}
+    assert experiments.front_bound_counts(given, law, tau, beta=beta,
+                                          grid_points=grid_points) == reference
+
+
+# rho, beta, n, law, ck: beta = 150 underflows the tail estimates and the bound
+_START_CASES = [(0.6, 1.5, 120, IncrementLaw(0.2, 0.8), 0.8),
+                (0.5, 150.0, 60, IncrementLaw(0.0, 0.1), 1.0),
+                (0.5, 1.0, 1, GAUSS, 1.5)]
+
+
+@pytest.mark.parametrize("rho,beta,n,law,ck", _START_CASES)
+def test_starts_and_their_checks_match_a_replica_loop(monkeypatch, rho, beta, n, law, ck):
+    monkeypatch.setattr(experiments, "_CHUNK_ELEMS", 5 * n + n // 2)  # chunks of 5, 5, 5, 5, 3
+    tau, replicas = 3, 23
+
+    def independent():
+        return [np.random.default_rng([7, i]) for i in range(replicas)]
+
+    def shared():  # as the acceptance suite passes its pinned generator
+        return itertools.repeat(np.random.default_rng(7), replicas)
+
+    for rngs in (independent, shared):
+        reference = [_start_loop(rng, rho, n, beta) for rng in rngs()]
+        starts = list(experiments.tail_normalized_starts(rngs(), rho, n, beta=beta))
+        assert [len(points) for points, _ in starts] == [5, 5, 5, 5, 3]
+        points = np.concatenate([points for points, _ in starts])
+        tails = np.concatenate([tails for _, tails in starts])
+        assert points.tobytes() == np.array([p for p, _ in reference]).tobytes()
+        assert tails.tobytes() == np.array([t for _, t in reference]).tobytes()
+
+        ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        events = _jump_events_loop(reference, law, tau, ck, ref_rng)
+        jump = jump_event_bound_check((p for p, _ in starts), law, tau, ck, beta=beta, rng=rng)
+        assert (jump["events"], jump["frequency"]) == (events, events / replicas)
+        assert rng.random() == ref_rng.random()  # nothing more or less was drawn
+
+        counts = experiments.front_bound_counts(starts, law, tau, beta=beta, grid_points=30)
+        assert counts == _front_counts_loop(reference, law, tau, beta, 30)
+
+
+def test_starts_are_built_a_chunk_at_a_time():
+    # verify-lemma's starts at the front_bounds benchmark size hold 1000 x 500 points,
+    # 4 MB; drawn and shifted as one matrix, they would peak near 21 MB
+    rngs = cli._generators(1, 0, range(1000))
+    tracemalloc.start()
+    try:
+        starts = list(experiments.tail_normalized_starts(rngs, 0.5, 500))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(points) for points, _ in starts) == 1000
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,20 +196,17 @@ def test_front_bounds_hold_over_parameter_range(rho, excess, mu, sigma, tau, see
 
 
 def test_normalized_profile_is_one_at_origin():
-    cfg = _tail_normalized(0.5, 150, np.random.default_rng(4))
-    prof = front_profile(cfg, GAUSS, 2)
-    assert prof(0.0 + front_position(prof)) == pytest.approx(1.0, abs=1e-9)
+    points, _ = _tail_normalized(0.5, 150, np.random.default_rng(4))
+    assert _profile(points, 2, front_position(points, GAUSS, 2)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_normalized_profile_shift_covariance():
-    cfg = _tail_normalized(0.5, 150, np.random.default_rng(5))
-    prof0 = front_profile(cfg, GAUSS, 2)
-    shifted = PointConfiguration(cfg.points + 7.3, beta=1.0,
-                                 tail_weight_estimate=cfg.tail_weight_estimate * np.exp(-7.3))
-    prof1 = front_profile(shifted, GAUSS, 2)
+    points, _ = _tail_normalized(0.5, 150, np.random.default_rng(5))
+    shifted = points + 7.3
     grid = np.linspace(-1.0, 2.0, 25)
-    np.testing.assert_allclose(prof0(grid + front_position(prof0)),
-                               prof1(grid + front_position(prof1)), atol=1e-8)
+    np.testing.assert_allclose(_profile(points, 2, grid + front_position(points, GAUSS, 2)),
+                               _profile(shifted, 2, grid + front_position(shifted, GAUSS, 2)),
+                               atol=1e-8)
 
 
 def test_normalized_profile_mean_shape_is_exponential():
@@ -148,9 +215,9 @@ def test_normalized_profile_mean_shape_is_exponential():
     grid = np.linspace(0.0, 1.5, 20)
     acc = np.zeros_like(grid)
     n_rep = 250
-    for _ in range(n_rep):
-        prof = front_profile(sample_pp_exponential(1.0, 1500, rng), GAUSS, 2)
-        acc += prof(grid + front_position(prof))
+    starts, _ = pp_exponential_rows(1.0, rng.exponential(size=(n_rep, 1500)).cumsum(axis=1))
+    for points in starts:
+        acc += _profile(points, 2, grid + front_position(points, GAUSS, 2))
     logmean = np.log(acc / n_rep)
     slope, intercept = np.polyfit(grid, logmean, 1)
     resid = logmean - (slope * grid + intercept)
@@ -231,15 +298,17 @@ def test_gen_functional_mc_matches_row_loop():
 
 
 def test_sum_squares():
-    assert sum_squares(MassPartition([1.0])) == 1.0
-    assert sum_squares(MassPartition([0.5, 0.5])) == 0.5
-    part = MassPartition([0.6, 0.3], tail_mass=0.1)
-    assert sum_squares(part) == pytest.approx(0.45 + 0.5 * 0.1 * 0.3)
+    masses = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.6, 0.3, 0.0], [0.5, 0.3, 0.1]])
+    sums = sum_squares_rows(masses, np.array([0.0, 0.0, 0.1, 0.1]))
+    # the tail adds half its largest square sum, tail times the smallest tracked mass
+    assert sums.tolist() == pytest.approx([1.0, 0.5, 0.45 + 0.5 * 0.1 * 0.3,
+                                           0.35 + 0.5 * 0.1 * 0.1])
 
 
 def test_jump_event_trivial_cases():
     rng = np.random.default_rng(8)
-    starts = [_tail_normalized(0.5, 50, rng) for _ in range(50)]
+    starts = [points for points, _ in
+              experiments.tail_normalized_starts(itertools.repeat(rng, 50), 0.5, 50)]
     report = jump_event_bound_check(starts, GAUSS, tau=5, ck=99.0, beta=1.0,
                                     rng=np.random.default_rng(9))
     assert report["frequency"] == 0.0 and report["passed"]

@@ -1,7 +1,10 @@
 import contextlib
+import importlib
 import io
+import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasistat import analysis, dynamics
+import quasistat
+from quasistat import analysis, pointproc
 from quasistat.cli import main
 
 
@@ -121,11 +125,11 @@ def test_invariance_mixture_consistent(tmp_path, capsys):
 
 def _pd_rows_file(tmp_path, edit=lambda rows: rows):
     """600 rows of the top 40 PD(1/2, 0) masses, passed through ``edit``, as CSV."""
+    from quasistat import experiments
     from quasistat.cli import write_csv
-    from quasistat.pointproc import sample_pd_poisson_kingman
 
-    rng = np.random.default_rng(3)
-    rows = np.array([sample_pd_poisson_kingman(0.5, 100, rng).masses[:40] for _ in range(600)])
+    rngs = itertools.repeat(np.random.default_rng(3), 600)
+    rows = experiments.top_masses(rngs, experiments.PoissonKingman((0.5,), 100), 40)
     path = tmp_path / "masses.csv"
     write_csv(path, [f"xi_{j}" for j in range(1, 41)], edit(rows))
     return ["test-invariance", "--kind", "custom-from-file", "--input", str(path),
@@ -202,8 +206,8 @@ def test_front_checks_call_public_names_on_the_main_thread_only(tmp_path, capsys
             return original(*args, **kwargs)
         return guarded
 
-    for owner, name in [(dynamics.IncrementLaw, "sum_tail_probability"),
-                        (analysis.FrontProfile, "__call__"), (analysis, "front_profile")]:
+    for owner, name in [(analysis, "front_position"), (pointproc, "pp_exponential_rows"),
+                        (pointproc, "check_point_rows"), (pointproc, "shift_tail_rows")]:
         monkeypatch.setattr(owner, name, main_thread_only(getattr(owner, name)))
     code = run(["verify-lemma", "--rho", "0.5", "--replicas", "40", "--trunc-n", "60",
                 "--tau", "3", "--ck", "1.5", "--seed", "2", "--out", str(tmp_path)])
@@ -585,6 +589,17 @@ def test_partition_rows_valid_or_flag_error(command, kind, alphas, sigma, beta, 
     assert np.all((rows >= 0) & (rows <= 1))
     assert np.all(np.diff(rows, axis=1) <= 0)
     assert np.all(rows.sum(axis=1) <= 1 + 1e-12)
+
+
+def test_every_name_in_all_resolves():
+    modules = [importlib.import_module(f"quasistat.{info.name}")
+               for info in pkgutil.iter_modules(quasistat.__path__)]
+    listed = [module for module in modules if hasattr(module, "__all__")]
+    assert {module.__name__ for module in listed} >= {
+        "quasistat.pointproc", "quasistat.dynamics", "quasistat.analysis", "quasistat.stattest"}
+    for module in listed:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_cli_import_leaves_out_scipy_optimize():

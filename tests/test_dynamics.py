@@ -6,19 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasistat import experiments
-from quasistat.dynamics import (
-    IncrementLaw,
-    evolve_additive,
-    evolve_multiplicative,
-    rerank_top,
-    reshuffle_rows,
-    shift_tail,
-)
+from quasistat.dynamics import IncrementLaw, rerank_top, reshuffle_rows
 from quasistat.pointproc import (
     MassPartition,
-    PointConfiguration,
-    mass_partition_from_config,
-    sample_pp_exponential,
+    mass_partition_rows,
+    pp_exponential_rows,
+    sample_gamma_arrivals,
+    shift_tail_rows,
 )
 
 
@@ -57,17 +51,27 @@ def test_sample_sum_draws():
     assert rng.random() == ref_rng.random()
 
 
+def _rerank(x, h):
+    """One additive step of the ranked points x, re-ranked in full."""
+    x, h = np.asarray(x, dtype=float), np.asarray(h, dtype=float)
+    return rerank_top(lambda m: x[:m], h, x.size)
+
+
+def _reshuffle(masses, tail, h, law, beta=1.0):
+    """One reshuffle of a single partition: its positive masses and its tail mass."""
+    out, tails = reshuffle_rows(np.array([masses], dtype=float), np.array([tail], dtype=float),
+                                np.array([h], dtype=float), law, beta)
+    return out[0][out[0] > 0], tails[0]
+
+
 def test_additive_common_shift_preserves_gaps():
-    cfg = PointConfiguration([1.0, 0.0])
-    out = evolve_additive(cfg, _FixedDraws([2.5, 2.5]), None)
-    np.testing.assert_allclose(out.points, [3.5, 2.5])
-    np.testing.assert_allclose(np.diff(out.points), np.diff(cfg.points))
+    out = _rerank([1.0, 0.0], [2.5, 2.5])
+    np.testing.assert_allclose(out, [3.5, 2.5])
+    np.testing.assert_allclose(np.diff(out), [-1.0])
 
 
 def test_additive_resorts_after_order_swap():
-    cfg = PointConfiguration([0.0, -3.0])
-    out = evolve_additive(cfg, _FixedDraws([-2.0, 0.0]), None)
-    np.testing.assert_allclose(out.points, [-2.0, -3.0])
+    np.testing.assert_allclose(_rerank([0.0, -3.0], [-2.0, 0.0]), [-2.0, -3.0])
 
 
 # points and draws on a coarse grid collide exactly after the step
@@ -83,82 +87,82 @@ def test_additive_rerank_matches_stable_argsort(pairs):
     # one thing a value sort may change, and it has probability zero
     x = np.sort(np.array([p for p, _ in pairs]) + 0.0)[::-1]
     h = np.array([q for _, q in pairs]) + 0.0
-    out = evolve_additive(PointConfiguration(x), _FixedDraws(h), None)
+    out = _rerank(x, h)
     v = x + h
     reference = v[np.argsort(-v, kind="stable")]
-    assert out.points.tobytes() == reference.tobytes()
+    assert out.tobytes() == reference.tobytes()
 
 
 def test_additive_rejects_non_finite_draws():
-    cfg = PointConfiguration([0.0, -1.0])
     with pytest.raises(ValueError):
-        evolve_additive(cfg, _FixedDraws([np.nan, 0.0]), None)
+        _rerank([0.0, -1.0], [np.nan, 0.0])
 
 
 def test_multiplicative_constant_weight_is_identity():
-    part = MassPartition([0.5, 0.3, 0.2])
-    out = evolve_multiplicative(part, _FixedDraws([0.7, 0.7, 0.7], mean_weight=np.exp(1.3 * 0.7)),
-                                beta=1.3, rng=None)
-    np.testing.assert_allclose(out.masses, part.masses, atol=1e-12)
-    assert out.tail_mass == pytest.approx(0.0, abs=1e-12)
+    masses = [0.5, 0.3, 0.2]
+    out, tail = _reshuffle(masses, 0.0, [0.7, 0.7, 0.7],
+                           _FixedDraws([], mean_weight=np.exp(1.3 * 0.7)), beta=1.3)
+    np.testing.assert_allclose(out, masses, atol=1e-12)
+    assert tail == pytest.approx(0.0, abs=1e-12)
 
 
 def test_multiplicative_reweights_and_reorders():
-    part = MassPartition([0.8, 0.2])
-    out = evolve_multiplicative(part, _FixedDraws([0.0, np.log(8.0)]), beta=1.0, rng=None)
-    np.testing.assert_allclose(out.masses, [2 / 3, 1 / 3], atol=1e-12)
+    out, _ = _reshuffle([0.8, 0.2], 0.0, [0.0, np.log(8.0)], _FixedDraws([]))
+    np.testing.assert_allclose(out, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_multiplicative_drops_underflowed_masses():
-    # e^{-800} underflows to exactly 0 and must not reach the partition
-    out = evolve_multiplicative(MassPartition([0.6, 0.4]), _FixedDraws([0.0, -800.0]),
-                                beta=1.0, rng=None)
-    assert len(out) == 1
-    assert np.all(out.masses > 0)
-    assert out.masses.sum() + out.tail_mass == 1.0
+    # e^{-800} underflows to exactly 0 and trails the row
+    masses, tails = reshuffle_rows(np.array([[0.6, 0.4]]), np.zeros(1), np.array([[0.0, -800.0]]),
+                                   _FixedDraws([]))
+    assert masses.tolist() == [[1.0, 0.0]]
+    assert masses.sum() + tails[0] == 1.0
 
 
 def test_multiplicative_mass_conservation():
     rng = np.random.default_rng(3)
     law = IncrementLaw(0.0, 1.5)
-    part = MassPartition(np.full(10, 0.09), tail_mass=0.1)
+    masses, tails = np.full((1, 10), 0.09), np.array([0.1])
     for _ in range(20):
-        part = evolve_multiplicative(part, law, beta=1.0, rng=rng)
-        assert abs(part.masses.sum() + part.tail_mass - 1.0) <= 1e-10
+        masses, tails = reshuffle_rows(masses, tails, law.sample((1, 10), rng), law)
+        assert abs(masses.sum() + tails[0] - 1.0) <= 1e-10
 
 
 def test_additive_multiplicative_commutation():
     # coupled draws: masses of the evolved configuration equal the reshuffled masses
-    cfg = sample_pp_exponential(0.5, 60, np.random.default_rng(8), beta=1.0)
+    points, tails = pp_exponential_rows(0.5, sample_gamma_arrivals(60, np.random.default_rng(8))[None])
     law = IncrementLaw(0.1, 0.9)
-    evolved_cfg = evolve_additive(cfg, law, np.random.default_rng(21))
-    via_points = mass_partition_from_config(evolved_cfg)
-    via_masses = evolve_multiplicative(
-        mass_partition_from_config(cfg), law, beta=1.0, rng=np.random.default_rng(21)
-    )
-    np.testing.assert_allclose(via_points.masses, via_masses.masses, atol=1e-10)
-    assert via_points.tail_mass == pytest.approx(via_masses.tail_mass, abs=1e-10)
+    h = law.sample(60, np.random.default_rng(21))
+    # the additive step advances the tail estimate by E[e^{beta h}], as the reshuffle does
+    via_points, via_points_tail = mass_partition_rows(_rerank(points[0], h)[None],
+                                                      tails * np.exp(law.log_mgf(1.0)))
+    via_masses, via_masses_tail = reshuffle_rows(*mass_partition_rows(points, tails), h[None], law)
+    np.testing.assert_allclose(via_points, via_masses, atol=1e-10)
+    np.testing.assert_allclose(via_points_tail, via_masses_tail, atol=1e-10)
 
 
 def test_shift_tail_normalizes_weights():
-    cfg = PointConfiguration([0.0, 0.0])
-    out = shift_tail(cfg)
-    np.testing.assert_allclose(out.points, [-np.log(2), -np.log(2)])
+    out, tails = shift_tail_rows(np.zeros((1, 2)), np.zeros(1))
+    np.testing.assert_allclose(out, [[-np.log(2), -np.log(2)]])
+    assert tails.tolist() == [0.0]
     rng = np.random.default_rng(17)
-    cfg = sample_pp_exponential(0.5, 100, rng, beta=1.0)
-    out = shift_tail(cfg)
-    total = np.exp(out.beta * out.points).sum() + out.tail_weight_estimate
-    assert abs(total - 1.0) <= 1e-10
-    np.testing.assert_allclose(np.diff(out.points), np.diff(cfg.points), atol=1e-12)
-    twice = shift_tail(out)
-    np.testing.assert_allclose(twice.points, out.points, atol=1e-12)
+    points, tails = pp_exponential_rows(0.5, rng.exponential(size=(3, 100)).cumsum(axis=1))
+    out, out_tails = shift_tail_rows(points, tails)
+    totals = np.exp(out).sum(axis=1) + out_tails
+    assert np.all(np.abs(totals - 1.0) <= 1e-10)
+    np.testing.assert_allclose(np.diff(out), np.diff(points), atol=1e-12)
+    twice, _ = shift_tail_rows(out, out_tails)
+    np.testing.assert_allclose(twice, out, atol=1e-12)
+    # at beta = 2 the weights are e^{2 X}
+    out, out_tails = shift_tail_rows(points, tails, beta=2.0)
+    assert np.all(np.abs(np.exp(2.0 * out).sum(axis=1) + out_tails - 1.0) <= 1e-10)
 
 
 def test_shift_tail_matches_mass_normalization_at_beta_one():
-    cfg = sample_pp_exponential(0.5, 50, np.random.default_rng(29), beta=1.0)
-    via_shift = shift_tail(cfg)
-    via_masses = np.log(mass_partition_from_config(cfg).masses)
-    np.testing.assert_allclose(via_shift.points, via_masses, atol=1e-12)
+    points, tails = pp_exponential_rows(0.5, sample_gamma_arrivals(50, np.random.default_rng(29))[None])
+    via_shift, _ = shift_tail_rows(points, tails)
+    via_masses = np.log(mass_partition_rows(points, tails)[0])
+    np.testing.assert_allclose(via_shift, via_masses, atol=1e-12)
 
 
 def test_pp_gap_law_invariant_under_evolution():
@@ -171,9 +175,9 @@ def test_pp_gap_law_invariant_under_evolution():
     after = np.empty((n_rep, k))
     rng = np.random.default_rng(55)
     for r in range(n_rep):
-        before[r] = -np.diff(sample_pp_exponential(1.0, k + 1, rng).points)
-        cfg = sample_pp_exponential(1.0, 3000, rng)
-        after[r] = -np.diff(evolve_additive(cfg, law, rng).points[: k + 1])
+        before[r] = -np.diff(-np.log(sample_gamma_arrivals(k + 1, rng)))
+        x = -np.log(sample_gamma_arrivals(3000, rng))
+        after[r] = -np.diff(_rerank(x, law.sample(x.size, rng))[: k + 1])
     report = invariance_verdict(before, after, level=0.01, n_perm=199,
                                 rng=np.random.default_rng(56))
     assert report.verdict == "consistent"
@@ -185,21 +189,22 @@ def test_reshuffle_output_is_valid_partition(seed, sigma):
     rng = np.random.default_rng(seed)
     masses = np.sort(rng.dirichlet(np.ones(8) * 0.5) * 0.9)[::-1]
     masses = masses[masses > 0]
-    part = MassPartition(masses, tail_mass=1.0 - masses.sum())
-    out = evolve_multiplicative(part, IncrementLaw(0.0, sigma), beta=1.0, rng=rng)
-    assert np.all(np.diff(out.masses) <= 0)
-    assert abs(out.masses.sum() + out.tail_mass - 1.0) <= 1e-10
+    law = IncrementLaw(0.0, sigma)
+    out, tail = _reshuffle(masses, 1.0 - masses.sum(), law.sample(masses.size, rng), law)
+    MassPartition(out, tail_mass=tail)  # positive, ranked, and summing to 1
+    assert np.all(np.diff(out) <= 0)
+    assert abs(out.sum() + tail - 1.0) <= 1e-10
 
 
 def test_multiplicative_zero_tail_stays_zero():
     # E[W] = e^{800} overflows, but a zero tail has nothing to advance
-    law = _FixedDraws([0.0, 0.0])
+    law = _FixedDraws([])
     law.log_mgf = lambda lam: 800.0
-    out = evolve_multiplicative(MassPartition([0.6, 0.4]), law, beta=1.0, rng=None)
-    assert out.tail_mass == 0.0
-    assert out.masses.tolist() == [0.6, 0.4]
+    out, tail = _reshuffle([0.6, 0.4], 0.0, [0.0, 0.0], law)
+    assert tail == 0.0
+    assert out.tolist() == [0.6, 0.4]
     with pytest.raises(FloatingPointError, match="overflows"):
-        evolve_multiplicative(MassPartition([0.6, 0.3], tail_mass=0.1), law, beta=1.0, rng=None)
+        _reshuffle([0.6, 0.3], 0.1, [0.0, 0.0], law)
 
 
 def test_reshuffled_rows_are_contiguous():
@@ -309,7 +314,7 @@ def test_top_masses_matches_replica_loop(monkeypatch, case, chunk_rows):
 def _top_points_loop(rngs, rho, n, k, law, steps):
     rows = []
     for rng in rngs:
-        points = sample_pp_exponential(rho, n, rng, beta=rho).points
+        points = -np.log(np.cumsum(rng.exponential(size=n))) / rho
         for _ in range(steps):
             points = np.sort(points + law.sample(n, rng))[::-1]
         rows.append(points[:k])

@@ -235,6 +235,18 @@ def test_energy_detects_mean_shift():
     assert p == pytest.approx(1.0 / 200.0)
 
 
+def test_one_dimensional_samples_are_one_coordinate():
+    # a 1-d sample of m values is m observations, not one observation of m coordinates
+    x = np.random.default_rng(17).normal(size=500)
+    y = x + 5.0
+    p = energy_distance_perm_test(x, y, n_perm=199, rng=np.random.default_rng(18))
+    assert p == 1.0 / 200.0
+    assert p == energy_distance_perm_test(x[:, None], y[:, None], n_perm=199,
+                                          rng=np.random.default_rng(18))
+    report = invariance_verdict(x, y, level=0.01, n_perm=199, rng=np.random.default_rng(18))
+    assert report.verdict == "rejected" and len(report.per_coordinate_ks) == 1
+
+
 def test_verdict_identical_ensembles_consistent():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(400, 4))
