@@ -30,7 +30,7 @@ class ShallowTruncationError(ValueError):
     """The configuration is too shallow for the test function's support."""
 
 
-def front_position(points, law: IncrementLaw, tau, beta=1.0) -> float:
+def front_position(points, law: IncrementLaw, tau) -> float:
     """Root z of F(z) = 1, i.e. inf{y : F(y) < 1}, for the front profile
     F(y) = sum_i P(S_i(tau) >= y - X_i) of one row of ranked points.
 
@@ -49,7 +49,7 @@ def front_position(points, law: IncrementLaw, tau, beta=1.0) -> float:
         return law._tail_sums(y, points, tau)
 
     lo = points[0] - 10.0
-    hi = points[0] + (law.log_mgf(beta) / beta) * tau + 10.0
+    hi = points[0] + law.log_mgf(1.0) * tau + 10.0
     hi = max(hi, lo + 1.0)
     width = hi - lo
     while profile(lo) < 1.0:

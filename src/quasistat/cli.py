@@ -455,8 +455,8 @@ def cmd_compare_oracles(cfg):
     try:
         tops, sumsq = experiments.oracle_masses(streams, alpha, cfg["trunc_n"], k)
     except OverflowError as exc:
-        raise ConfigError(f"--alpha {alpha} and --trunc-n {cfg['trunc_n']} take an "
-                          f"oracle beyond float64: {exc}") from None
+        raise ConfigError(f"--alpha {alpha}, --trunc-n {cfg['trunc_n']} and --topk {k} take "
+                          f"an oracle beyond float64: {exc}") from None
     except ValueError as exc:  # e.g. a replica whose other masses underflowed to 0
         raise ConfigError(f"--alpha {alpha} and --topk {k}: an oracle cannot give "
                           f"the top {k} masses: {exc}") from None

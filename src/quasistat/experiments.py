@@ -18,41 +18,30 @@ import numpy as np
 
 from . import analysis, dynamics, pointproc, stattest
 
-# float64 elements per chunk of replica rows in ``top_masses``, ``oracle_masses``
-# and ``tail_normalized_starts``: bounds the chunk x N arrays their row kernels
-# hold at once.  Chunks of 2**18 ran no faster and left the peak RSS of a
-# 2000 x 500 ensemble 1-5 MB higher.
+# float64 elements per chunk of replica rows in ``top_masses`` and ``oracle_masses``:
+# bounds the chunk x N arrays their row kernels hold at once.  Chunks of 2**18 ran
+# no faster and left the peak RSS of a 2000 x 500 ensemble 1-5 MB higher.
 _CHUNK_ELEMS = 2 ** 16
+# and in ``tail_normalized_starts``, whose chunks verify-lemma keeps: at 2**14 (128 KB)
+# verify-lemma's peak RSS at 1000 x 500 is that of one array per start; chunks of
+# 2**16 left it ~1 MB higher, and 2**18 ~4 MB, with no faster run.
+_START_CHUNK_ELEMS = 2 ** 14
 
 
-def _chunks(rngs, n):
+def _chunks(rngs, n, elems):
     """The generators of ``rngs`` in lists, one per chunk of rows of n values:
-    at most ``_CHUNK_ELEMS`` values, and at least one row."""
+    at most ``elems`` values, and at least one row."""
     rngs = iter(rngs)
-    size = max(1, _CHUNK_ELEMS // n)
+    size = max(1, elems // n)
     while chunk := list(itertools.islice(rngs, size)):
         yield chunk
 
 
-def _arrivals(rngs, n):
-    """The first n arrival times of a unit-rate Poisson process per generator,
-    one row each, drawn in loop order."""
-    draws = np.empty((len(rngs), n))
-    for row, rng in zip(draws, rngs):
-        row[:] = rng.exponential(size=n)
-    return np.cumsum(draws, axis=1, out=draws)
-
-
-def _stack(rows, width, rngs):
-    """Replica x width matrix from an iterable of rows, one row per generator."""
-    count = operator.length_hint(rngs, -1)
-    return np.fromiter(rows, dtype=np.dtype((float, width)), count=count)
-
-
-def _top(values, k):
-    if values.size < k:
-        raise ValueError(f"a replica tracks {values.size} values; {k} are needed")
-    return values[:k]
+def _check_counts(counts, k, error, message):
+    """Raise ``error(message.format(count, k))`` at the first count below k."""
+    short = np.flatnonzero(counts < k)
+    if short.size:
+        raise error(message.format(counts[short[0]], k))
 
 
 class PoissonKingman(NamedTuple):
@@ -92,6 +81,55 @@ class Partitions(NamedTuple):
         return draws, tails
 
 
+class PPExponential(NamedTuple):
+    """The top n points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy); as
+    masses, e^{X_i} normalized with the tail, a PD(rho, 0) start."""
+
+    rho: float
+    n: int
+
+    def draw(self, rng, row):
+        row[:] = rng.exponential(size=self.n)
+        return self.rho, self.n
+
+    def points(self, draws, beta=1.0):
+        """Points and tail estimates of sum e^{beta X_i} of a chunk of drawn rows."""
+        return pointproc.pp_exponential_rows(self.rho, np.cumsum(draws, axis=1, out=draws), beta)
+
+    def rows(self, draws, _):
+        return pointproc.mass_partition_rows(*self.points(draws))
+
+
+def _draw_rows(rngs, sampler, law=None):
+    """One chunk's draws in loop order, each replica's start by ``sampler.draw``
+    and, given ``law``, its first step's increments right after: the chunk x n
+    draws, each row's parameter and count of values, and the increments."""
+    draws = np.empty((len(rngs), sampler.n))
+    h = None if law is None else np.zeros_like(draws)
+    params = np.empty(len(rngs))
+    counts = np.empty(len(rngs), dtype=int)
+    for i, rng in enumerate(rngs):
+        params[i], counts[i] = sampler.draw(rng, draws[i])
+        if h is not None:
+            h[i, :counts[i]] = law.sample(counts[i], rng)
+    return draws, params, counts, h
+
+
+def _chunk_starts(rngs, sampler, k, law=None):
+    """Masses, tails, counts of positive masses and increments of one checked
+    chunk of ``_draw_rows``; OverflowError where fewer than k masses are > 0."""
+    draws, params, counts, h = _draw_rows(rngs, sampler, law)
+    masses, tails = sampler.rows(draws, params)
+    del draws  # the reshuffles can reuse its memory
+    _check_counts(counts, k, ValueError, "a replica tracks {} values; {} are needed")
+    # a start's masses that underflowed are trailing zeros, dropped as a reshuffle drops them
+    counts = np.count_nonzero(masses, axis=1)
+    _check_counts(counts, k, OverflowError,
+                  "a replica starts with {} positive masses, {} are needed: the rest underflowed")
+    pointproc.check_partition_rows(masses, tails, counts)
+    return masses, tails, counts, h
+
+
 def top_masses(rngs, sampler, k, law=None, beta=1.0, steps=0):
     """Top k masses per replica after ``steps`` multiplicative reshuffles,
     from the starts ``sampler`` (a ``PoissonKingman`` or ``Partitions``) draws.
@@ -102,7 +140,7 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0, steps=0):
     start leaves float64 range, and FloatingPointError where a reshuffle does.
     """
     tops = [np.empty((0, k))]
-    for chunk in _chunks(rngs, sampler.n):
+    for chunk in _chunks(rngs, sampler.n, _CHUNK_ELEMS):
         if steps > 1 and len(set(map(id, chunk))) < len(chunk):
             # later steps draw after the whole chunk's first step, so a shared
             # generator goes one replica at a time to keep its order
@@ -114,38 +152,17 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0, steps=0):
 
 def _chunk_top_masses(rngs, sampler, k, law, beta, steps):
     """``top_masses`` of one chunk of replicas, one generator per row."""
-    draws = np.empty((len(rngs), sampler.n))
-    h = np.zeros_like(draws)
-    params = np.empty(len(rngs))
-    counts = np.empty(len(rngs), dtype=int)
-    for i, rng in enumerate(rngs):
-        params[i], counts[i] = sampler.draw(rng, draws[i])
-        if steps:
-            h[i, :counts[i]] = law.sample(counts[i], rng)
-    masses, tails = sampler.rows(draws, params)
-    del draws  # the reshuffles can reuse its memory
-    short = np.flatnonzero(counts < k)
-    if short.size:
-        raise ValueError(f"a replica tracks {counts[short[0]]} values; {k} are needed")
-    # a start's masses that underflowed are trailing zeros, dropped as a reshuffle drops them
-    counts = np.count_nonzero(masses, axis=1)
-    short = np.flatnonzero(counts < k)
-    if short.size:
-        raise OverflowError(f"a replica starts with {counts[short[0]]} positive masses, "
-                            f"{k} are needed: the rest underflowed")
+    masses, tails, counts, h = _chunk_starts(rngs, sampler, k, law if steps else None)
     for step in range(steps):
-        pointproc.check_partition_rows(masses, tails, counts)
         if step:
             h[:] = 0.0
             for i, rng in enumerate(rngs):
                 h[i, :counts[i]] = law.sample(counts[i], rng)
         masses, tails = dynamics.reshuffle_rows(masses, tails, h, law, beta)
         counts = np.count_nonzero(masses, axis=1)
-    pointproc.check_partition_rows(masses, tails, counts)
-    short = np.flatnonzero(counts < k)
-    if short.size:
-        raise FloatingPointError(f"a replica keeps {counts[short[0]]} positive masses after "
-                                 f"{steps} reshuffles, {k} are needed: the rest underflowed")
+        pointproc.check_partition_rows(masses, tails, counts)
+    _check_counts(counts, k, FloatingPointError, f"a replica keeps {{}} positive masses after "
+                  f"{steps} reshuffles, {{}} are needed: the rest underflowed")
     return masses[:, :k]
 
 
@@ -160,6 +177,7 @@ def top_points(rngs, rho, n, k, law=None, steps=0):
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+    _check_counts(np.array([n]), k, ValueError, "a replica tracks {} values; {} are needed")
 
     def row(rng):
         g = pointproc.sample_gamma_arrivals(n, rng)
@@ -168,9 +186,7 @@ def top_points(rngs, rho, n, k, law=None, steps=0):
 
         def head(m):  # X_i = -log(Gamma_i)/rho, as pointproc.pp_exponential_rows forms them
             x = -np.log(g[:m]) / rho
-            # a NaN fails the diff, and ranked points with finite ends are all finite
-            if not (np.all(np.diff(x) <= 0) and np.all(np.isfinite(x[[0, -1]]))):
-                raise ValueError("points must be finite and non-increasing")
+            pointproc.check_point_rows(x[None])
             return x
 
         def count(c):  # X_i >= c iff Gamma_i <= e^{-rho c}; an overflow to inf keeps every point
@@ -178,15 +194,16 @@ def top_points(rngs, rho, n, k, law=None, steps=0):
                 return np.searchsorted(g, np.exp(-rho * c), side="right")
 
         if not steps:
-            return _top(head(min(n, k)), k)
+            return head(k)
         for step in range(steps):
             x = dynamics.rerank_top(head, law.sample(n, rng), k if step == steps - 1 else n, count)
             # ranked points: those >= c are a prefix, found by bisection
             head = lambda m, x=x: x[:m]
             count = lambda c, x=x: x.size - np.searchsorted(x[::-1], c)
-        return _top(x, k)
+        return x
 
-    return _stack(map(row, rngs), k, rngs)
+    return np.fromiter(map(row, rngs), dtype=np.dtype((float, k)),
+                       count=operator.length_hint(rngs, -1))
 
 
 def top_gaps(rngs, rho, n, k, law=None, steps=0):
@@ -204,29 +221,17 @@ def oracle_masses(streams, alpha, n, k):
     per chunk of rows.
     """
     sticks = max(k, 50)
-
-    def stick_breaking(rngs):
-        parts = [pointproc.sample_pd_stickbreaking(alpha, sticks, rng) for rng in rngs]
-        return (np.array([part.masses for part in parts]),
-                np.array([part.tail_mass for part in parts]))
-
-    samplers = {  # name -> (values per row, chunk of generators -> masses and tails)
-        "poisson_kingman": (n, lambda rngs: pointproc.poisson_kingman_rows(
-            np.full(len(rngs), alpha, dtype=float), _arrivals(rngs, n))),
-        "stick_breaking": (sticks, stick_breaking),
-        "exp_of_pp": (n, lambda rngs: pointproc.mass_partition_rows(
-            *pointproc.pp_exponential_rows(alpha, _arrivals(rngs, n)))),
+    samplers = {
+        "poisson_kingman": PoissonKingman((alpha,), n),
+        "stick_breaking": Partitions(
+            lambda rng: pointproc.sample_pd_stickbreaking(alpha, sticks, rng), sticks),
+        "exp_of_pp": PPExponential(alpha, n),
     }
     tops, sumsq = {}, {}
-    for (name, (width, sample)), rngs in zip(samplers.items(), streams):
+    for (name, sampler), rngs in zip(samplers.items(), streams):
         rows, sums = [np.empty((0, k))], []
-        for chunk in _chunks(rngs, width):
-            masses, tails = sample(chunk)
-            counts = np.count_nonzero(masses, axis=1)
-            pointproc.check_partition_rows(masses, tails, counts)
-            short = np.flatnonzero(counts < k)
-            if short.size:
-                raise ValueError(f"a replica tracks {counts[short[0]]} values; {k} are needed")
+        for chunk in _chunks(rngs, sampler.n, _CHUNK_ELEMS):
+            masses, tails, _, _ = _chunk_starts(chunk, sampler, k)
             rows.append(masses[:, :k])
             sums.append(analysis.sum_squares_rows(masses, tails))
         tops[name] = np.concatenate(rows)
@@ -262,16 +267,14 @@ def gen_functional_check(points, rho, a, d):
 
 
 def tail_normalized_starts(rngs, rho, n, beta=1.0):
-    """Lazily yield the n largest points of PP(rho) per replica, shifted so that
-    sum e^{beta X_i} plus the tail estimate is 1, in chunks of rows: a points
-    matrix and its tail column per chunk.
-
-    Each replica draws its n arrival times from its generator, in the order a
-    loop over replicas would; the arithmetic runs once per chunk.
-    """
-    for chunk in _chunks(rngs, n):
-        points, tails = pointproc.pp_exponential_rows(rho, _arrivals(chunk, n), beta)
-        yield pointproc.shift_tail_rows(points, tails, beta)
+    """Lazily yield, per chunk of rows, a matrix of each replica's n largest
+    points of PP(rho), shifted so that sum e^{beta X_i} plus the tail estimate
+    is 1, and its tail column.  Each replica draws its arrival times from its
+    generator in loop order; the arithmetic runs once per chunk."""
+    sampler = PPExponential(rho, n)
+    for chunk in _chunks(rngs, n, _START_CHUNK_ELEMS):
+        # nothing holds a chunk's draws or points across the yield
+        yield pointproc.shift_tail_rows(*sampler.points(_draw_rows(chunk, sampler)[0], beta), beta)
 
 
 def _in_order(pool, fn, items, ahead):

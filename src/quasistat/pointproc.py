@@ -69,13 +69,13 @@ def check_partition_rows(masses, tails, counts=None):
         raise ValueError(f"masses + tail_mass must equal 1, got {total[off][0]!r}")
 
 
-def check_point_rows(points, tails):
+def check_point_rows(points, tails=None):
     """Raise ValueError unless every row of ``points`` is finite and does not
-    increase, and every tail estimate ``tails[i]`` is finite and nonnegative."""
-    # a NaN fails the diff, and ranked points with finite ends are all finite
-    if not (np.all(np.diff(points, axis=1) <= 0) and np.all(np.isfinite(points[:, [0, -1]]))):
+    increase, and every tail estimate ``tails[i]`` given is finite and >= 0."""
+    # a NaN fails the comparison, and ranked points with finite ends are all finite
+    if not (np.all(points[:, 1:] <= points[:, :-1]) and np.all(np.isfinite(points[:, [0, -1]]))):
         raise ValueError("points must be finite and non-increasing")
-    if not np.all(np.isfinite(tails) & (tails >= 0)):
+    if tails is not None and not np.all(np.isfinite(tails) & (tails >= 0)):
         raise ValueError("tail_weight_estimate must be finite and nonnegative")
 
 
@@ -112,7 +112,8 @@ def pp_exponential_rows(rho, arrivals, beta=1.0):
     if off.size:
         raise OverflowError(f"the tail estimate Gamma_n^(1 - beta/rho) / (beta/rho - 1) "
                             f"leaves float64 range at Gamma_n = {arrivals[off[0], -1]:.6g}")
-    points = -np.log(arrivals) / rho
+    points = np.log(arrivals)
+    points /= -rho  # the bits of -log(Gamma_i) / rho, with one chunk-sized array
     check_point_rows(points, tails)
     return points, tails
 
@@ -219,7 +220,7 @@ def shift_tail_rows(points, tails, beta=1.0):
         raise OverflowError(f"the tail estimate {tails[i]:.6g} times "
                             f"e^{{-beta X_1}} = e^{{{-m[i]:.6g}}} leaves float64 range")
     log_totals = m + np.log(w.sum(axis=1) + scaled_tails)
-    shifted = points - (log_totals / beta)[:, None]
+    shifted = np.subtract(points, (log_totals / beta)[:, None], out=w)
     tails = tails * np.exp(-log_totals)
     check_point_rows(shifted, tails)
     return shifted, tails

@@ -140,7 +140,8 @@ _START_CASES = [(0.6, 1.5, 120, IncrementLaw(0.2, 0.8), 0.8),
 
 @pytest.mark.parametrize("rho,beta,n,law,ck", _START_CASES)
 def test_starts_and_their_checks_match_a_replica_loop(monkeypatch, rho, beta, n, law, ck):
-    monkeypatch.setattr(experiments, "_CHUNK_ELEMS", 5 * n + n // 2)  # chunks of 5, 5, 5, 5, 3
+    # chunks of 5, 5, 5, 5, 3
+    monkeypatch.setattr(experiments, "_START_CHUNK_ELEMS", 5 * n + n // 2)
     tau, replicas = 3, 23
 
     def independent():
