@@ -160,6 +160,24 @@ def test_invariance_custom_first_half_checked(tmp_path, capsys):
     assert "--input row 1: masses must be nonnegative and sum to at most 1" in capsys.readouterr().err
 
 
+# each case: the --input rows (None for a file that is not there), then what the message holds
+@pytest.mark.parametrize("rows,pieces", [
+    ([[0.5, 0.3, 0.2]], ["error: --input needs at least 2 rows"]),
+    ([[0.5, 0.3, 0.2], [0.5, 0.5, 0.0]], ["error: --input row 2: 2 positive masses, --topk is 3"]),
+    ([[0.5, 0.3, 0.2], [0.6, 0.3, 0.1], [0.5, 0.3, 0.2 + 5e-10]],
+     ["error: --input row 3: ", "must equal 1"]),
+    (None, ["error: cannot read --input file"]),
+], ids=["one-row", "short-row", "sum-above-1", "missing-file"])
+def test_bad_input_rows_exit_2(tmp_path, capsys, rows, pieces):
+    path = tmp_path / "masses.csv"
+    if rows is not None:
+        path.write_text("xi_1,xi_2,xi_3\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    assert run(["test-invariance", "--kind", "custom-from-file", "--input", str(path),
+                "--topk", "3", "--seed", "4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert all(piece in err for piece in pieces), err
+
+
 def test_verify_lemma(tmp_path, capsys):
     code = run(["verify-lemma", "--rho", "0.5", "--replicas", "200", "--trunc-n", "100",
                 "--tau", "3", "--ck", "1.5", "--seed", "6", "--out", str(tmp_path)])
