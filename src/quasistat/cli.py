@@ -260,7 +260,7 @@ def _partition_sampler(cfg):
         if n > _GEOMETRIC_MAX_N:
             raise ConfigError(f"--trunc-n must be <= {_GEOMETRIC_MAX_N} for kind=geometric, "
                               f"where 0.5**n underflows beyond it")
-        geometric = pointproc.MassPartition(0.5 ** np.arange(1, n + 1), tail_mass=0.5 ** n)
+        geometric = 0.5 ** np.arange(1, n + 1), 0.5 ** n
         return experiments.Partitions(lambda rng: geometric, n)
     if kind == "mixture-of-pd":
         try:
@@ -311,18 +311,20 @@ def _ensemble(cfg, stream, steps):
 
 
 def _input_partition(row, i, k):
-    """One --input row as a MassPartition: its positive entries in decreasing
-    order, and the mass they miss as the tail."""
+    """One --input row as a checked partition: its positive entries in
+    decreasing order, and the mass they miss as the tail."""
     total = row.sum()
     if not (np.all(row >= 0) and total <= 1 + 1e-9):
         raise ConfigError(f"--input row {i}: masses must be nonnegative and sum to at most 1")
     masses = np.sort(row[row > 0])[::-1]
     if masses.size < k:
         raise ConfigError(f"--input row {i}: {masses.size} positive masses, --topk is {k}")
+    tail = max(0.0, 1.0 - total)
     try:
-        return pointproc.MassPartition(masses, tail_mass=max(0.0, 1.0 - total))
+        pointproc.check_partition_rows(masses[None], np.array([tail]))
     except ValueError as exc:
         raise ConfigError(f"--input row {i}: {exc}") from None
+    return masses, tail
 
 
 def _custom_ensembles(cfg):
@@ -339,7 +341,7 @@ def _custom_ensembles(cfg):
     k = cfg["topk"]
     partitions = [_input_partition(row, i, k) for i, row in enumerate(data, 1)]
     half = len(partitions) // 2
-    before = np.array([part.masses[:k] for part in partitions[:half]])
+    before = np.array([masses[:k] for masses, _ in partitions[:half]])
     evolved = iter(partitions[half:])
     sampler = experiments.Partitions(lambda rng: next(evolved), data.shape[1])
     return before, _top_masses(cfg, _rngs(cfg, 1, len(partitions) - half), sampler, steps=1)
@@ -393,16 +395,14 @@ def cmd_test_invariance(cfg):
     report = stattest.invariance_verdict(before, after, level=cfg["level"],
                                          n_perm=cfg["n_perm"], rng=replica_rng(cfg["seed"], 2))
     pcsv = _write(cfg, "pvalues.csv", ["coordinate", "ks_statistic", "ks_p"],
-                  [[j + 1, d, p] for j, (d, p) in enumerate(report.per_coordinate_ks)])
+                  [[j + 1, d, p] for j, (d, p) in enumerate(report["ks"])])
     fields = {
+        **report,
         "coordinates": names,
-        "ks": [{"coordinate": n, "statistic": d, "p": p}
-               for n, (d, p) in zip(names, report.per_coordinate_ks)],
-        "energy_p": report.energy_p,
-        "verdict": report.verdict,
+        "ks": [{"coordinate": n, "statistic": d, "p": p} for n, (d, p) in zip(names, report["ks"])],
         "files": [pcsv],
     }
-    return fields, report.verdict == "consistent"
+    return fields, report["verdict"] == "consistent"
 
 
 def cmd_verify_lemma(cfg):

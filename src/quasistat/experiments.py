@@ -3,7 +3,8 @@
 Every sampling function takes ``rngs``, an iterable with one numpy Generator
 per replica; replica i draws everything it needs from the i-th generator, in a
 fixed order.  The command line passes independent per-replica generators, the
-acceptance suite one pinned generator repeated, and both get the same loop.
+acceptance suite one pinned generator repeated (at most one reshuffle deep),
+and both get the same loop.
 Results are arrays and plain numbers; writing files and judging verdicts is
 left to the caller.
 """
@@ -65,17 +66,17 @@ class PoissonKingman(NamedTuple):
 
 
 class Partitions(NamedTuple):
-    """Starts given one MassPartition of at most n masses per replica, by
-    ``sample(rng)``."""
+    """Starts given per replica by ``sample(rng)``: a pair of at most n positive
+    ranked masses, as a 1-d array, and the tail they leave."""
 
     sample: object
     n: int
 
     def draw(self, rng, row):
-        part = self.sample(rng)
-        row[:len(part)] = part.masses
-        row[len(part):] = 0.0
-        return part.tail_mass, len(part)
+        masses, tail = self.sample(rng)
+        row[:masses.size] = masses
+        row[masses.size:] = 0.0
+        return tail, masses.size
 
     def rows(self, draws, tails):
         return draws, tails
@@ -136,22 +137,23 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0, steps=0):
 
     Replicas run in chunks of rows.  Each draws its start and its first step's
     increments, back to back, from its generator, as a loop over replicas
-    would; the arithmetic runs once per chunk.  Raises OverflowError where a
-    start leaves float64 range, and FloatingPointError where a reshuffle does.
+    would; the arithmetic runs once per chunk.  Later steps draw after the
+    whole chunk's first step, so past one step the rows of a chunk need a
+    generator each.  Raises OverflowError where a start leaves float64 range,
+    and FloatingPointError where a reshuffle does.
     """
     tops = [np.empty((0, k))]
     for chunk in _chunks(rngs, sampler.n, _CHUNK_ELEMS):
         if steps > 1 and len(set(map(id, chunk))) < len(chunk):
-            # later steps draw after the whole chunk's first step, so a shared
-            # generator goes one replica at a time to keep its order
-            tops += [_chunk_top_masses([rng], sampler, k, law, beta, steps) for rng in chunk]
-        else:
-            tops.append(_chunk_top_masses(chunk, sampler, k, law, beta, steps))
+            raise ValueError(f"{steps} reshuffles need one generator per replica: "
+                             f"a shared one would be drawn out of loop order")
+        tops.append(_chunk_top_masses(chunk, sampler, k, law, beta, steps))
     return np.concatenate(tops)
 
 
 def _chunk_top_masses(rngs, sampler, k, law, beta, steps):
-    """``top_masses`` of one chunk of replicas, one generator per row."""
+    """``top_masses`` of one chunk of replicas, one generator per row; its
+    increments and tails go when it returns."""
     masses, tails, counts, h = _chunk_starts(rngs, sampler, k, law if steps else None)
     for step in range(steps):
         if step:

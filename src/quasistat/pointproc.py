@@ -9,12 +9,9 @@ point positions.  The untracked part of each normalizing sum is carried as an
 explicit tail estimate.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "MassPartition",
     "sample_gamma_arrivals",
     "pp_exponential_rows",
     "check_point_rows",
@@ -28,23 +25,6 @@ __all__ = [
 _SUM_TOL = 1e-12
 # stick-breaking gives up past this many sticks rather than return an inexact top n
 _MAX_STICKS = 200_000
-
-
-@dataclass
-class MassPartition:
-    """Non-increasing masses in (0,1]; tracked masses plus tail sum to 1."""
-
-    masses: np.ndarray
-    tail_mass: float = 0.0
-
-    def __post_init__(self):
-        self.masses = np.asarray(self.masses, dtype=float)
-        if self.masses.ndim != 1 or self.masses.size == 0:
-            raise ValueError("masses must be a nonempty 1-d sequence")
-        check_partition_rows(self.masses[None], np.array([self.tail_mass], dtype=float))
-
-    def __len__(self):
-        return self.masses.size
 
 
 def check_partition_rows(masses, tails, counts=None):
@@ -62,11 +42,11 @@ def check_partition_rows(masses, tails, counts=None):
     if not (np.all(ends) and np.all(masses[rows, np.minimum(counts, n - 1)][counts < n] == 0)):
         raise ValueError("masses must lie in (0, 1]")
     if not np.all(np.isfinite(tails) & (tails >= 0)):
-        raise ValueError("tail_mass must be finite and nonnegative")
+        raise ValueError("tails must be finite and nonnegative")
     total = masses.sum(axis=1) + tails
     off = ~(np.abs(total - 1.0) <= _SUM_TOL)
     if np.any(off):
-        raise ValueError(f"masses + tail_mass must equal 1, got {total[off][0]!r}")
+        raise ValueError(f"masses + tails must equal 1, got {float(total[off][0])!r}")
 
 
 def check_point_rows(points, tails=None):
@@ -76,7 +56,7 @@ def check_point_rows(points, tails=None):
     if not (np.all(points[:, 1:] <= points[:, :-1]) and np.all(np.isfinite(points[:, [0, -1]]))):
         raise ValueError("points must be finite and non-increasing")
     if tails is not None and not np.all(np.isfinite(tails) & (tails >= 0)):
-        raise ValueError("tail_weight_estimate must be finite and nonnegative")
+        raise ValueError("tails must be finite and nonnegative")
 
 
 def sample_gamma_arrivals(n, rng) -> np.ndarray:
@@ -144,15 +124,15 @@ def poisson_kingman_rows(alphas, arrivals):
     return atoms, tails / total
 
 
-def sample_pd_stickbreaking(alpha, n, rng) -> MassPartition:
+def sample_pd_stickbreaking(alpha, n, rng):
     """PD(alpha, 0) via residual allocation: V_i ~ Beta(1-alpha, i*alpha).
 
     Sticks are drawn in blocks until the unbroken remainder cannot displace
-    the n-th largest product, so the returned top n is exact; the remainder
-    and the discarded products are folded into tail_mass.  Raises ValueError
-    when that takes more than ``_MAX_STICKS`` sticks, or when the remainder
-    underflows to 0 first: a draw V_i that rounds to 1 leaves every later
-    stick 0, so fewer than n masses can ever be positive.
+    the n-th largest product, so the returned top n masses are exact; the
+    remainder and the discarded products are folded into the returned tail.
+    Raises ValueError when that takes more than ``_MAX_STICKS`` sticks, or
+    when the remainder underflows to 0 first: a draw V_i that rounds to 1
+    leaves every later stick 0, so fewer than n masses can ever be positive.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
@@ -179,7 +159,7 @@ def sample_pd_stickbreaking(alpha, n, rng) -> MassPartition:
                          f"after {drawn} sticks")
     allp = np.sort(np.concatenate(products))[::-1]
     top = allp[:n]
-    return MassPartition(top, tail_mass=max(0.0, 1.0 - top.sum()))
+    return top, max(0.0, 1.0 - top.sum())
 
 
 def _weights(points, tails, beta):

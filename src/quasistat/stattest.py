@@ -7,14 +7,11 @@ Bonferroni-corrected per-coordinate Kolmogorov-Smirnov tests with a joint
 energy-distance permutation test.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import kolmogorov
 
 __all__ = [
-    "InvarianceReport",
     "ks_two_sample",
     "marginal_law_test",
     "energy_distance_perm_test",
@@ -111,20 +108,12 @@ def energy_distance_perm_test(X, Y, n_perm=199, *, rng, return_stat=False):
     return (p, observed) if return_stat else p
 
 
-@dataclass
-class InvarianceReport:
-    """Statistical verdict comparing two replica ensembles coordinate-wise and jointly."""
-
-    per_coordinate_ks: list
-    energy_p: float
-    verdict: str
-
-
-def invariance_verdict(before, after, level=0.01, n_perm=199, *, rng) -> InvarianceReport:
+def invariance_verdict(before, after, level=0.01, n_perm=199, *, rng):
     """Bonferroni per-coordinate KS plus joint energy test.
 
-    Verdict is "rejected" iff some KS p-value falls below level/k or the
-    energy permutation p-value falls below level, else "consistent".
+    Returns {"ks": [(statistic, p) per coordinate], "energy_p": p, "verdict": v},
+    where v is "rejected" iff some KS p-value falls below level/k or the energy
+    permutation p-value falls below level, else "consistent".
     """
     before, after = _observations(before), _observations(after)
     if before.shape[1] != after.shape[1]:
@@ -133,8 +122,4 @@ def invariance_verdict(before, after, level=0.01, n_perm=199, *, rng) -> Invaria
     ks = [ks_two_sample(before[:, j], after[:, j]) for j in range(k)]
     energy_p = energy_distance_perm_test(before, after, n_perm=n_perm, rng=rng)
     rejected = min(p for _, p in ks) < level / k or energy_p < level
-    return InvarianceReport(
-        per_coordinate_ks=ks,
-        energy_p=energy_p,
-        verdict="rejected" if rejected else "consistent",
-    )
+    return {"ks": ks, "energy_p": energy_p, "verdict": "rejected" if rejected else "consistent"}

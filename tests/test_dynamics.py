@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quasistat import experiments
 from quasistat.dynamics import IncrementLaw, rerank_top, reshuffle_rows
 from quasistat.pointproc import (
-    MassPartition,
+    check_partition_rows,
     mass_partition_rows,
     pp_exponential_rows,
     sample_gamma_arrivals,
@@ -180,7 +180,7 @@ def test_pp_gap_law_invariant_under_evolution():
         after[r] = -np.diff(_rerank(x, law.sample(x.size, rng))[: k + 1])
     report = invariance_verdict(before, after, level=0.01, n_perm=199,
                                 rng=np.random.default_rng(56))
-    assert report.verdict == "consistent"
+    assert report["verdict"] == "consistent"
 
 
 @settings(max_examples=30, deadline=None)
@@ -191,7 +191,7 @@ def test_reshuffle_output_is_valid_partition(seed, sigma):
     masses = masses[masses > 0]
     law = IncrementLaw(0.0, sigma)
     out, tail = _reshuffle(masses, 1.0 - masses.sum(), law.sample(masses.size, rng), law)
-    MassPartition(out, tail_mass=tail)  # positive, ranked, and summing to 1
+    check_partition_rows(out[None], np.array([tail]))  # positive, ranked, and summing to 1
     assert np.all(np.diff(out) <= 0)
     assert abs(out.sum() + tail - 1.0) <= 1e-10
 
@@ -216,7 +216,7 @@ def test_reshuffled_rows_are_contiguous():
 
 def test_top_masses_refuses_rows_that_underflow_below_k():
     # e^{-800} underflows: one mass is left where two are needed
-    sampler = experiments.Partitions(lambda rng: MassPartition([0.6, 0.4]), 2)
+    sampler = experiments.Partitions(lambda rng: (np.array([0.6, 0.4]), 0.0), 2)
     with pytest.raises(FloatingPointError, match="keeps 1 positive masses after 1 reshuffles, "
                                                  "2 are needed"):
         experiments.top_masses([None], sampler, 2, law=_FixedDraws([0.0, -800.0]), steps=1)
@@ -273,13 +273,11 @@ _LOOP_CASES = {
                    40, 1.0) for a in (0.3, 0.5, 0.7)},
     "mixture-of-pd": (experiments.PoissonKingman((0.3, 0.7), 40),
                       lambda rng: _pk_loop((0.3, 0.7)[rng.integers(2)], 40, rng), 40, 1.0),
-    "geometric": (experiments.Partitions(lambda rng: MassPartition(*_geometric(40)), 40),
+    "geometric": (experiments.Partitions(lambda rng: _geometric(40), 40),
                   lambda rng: _geometric(40), 40, 1.0),
-    "uneven-rows": (experiments.Partitions(lambda rng: MassPartition(*_uneven(rng)), 200),
-                    _uneven, 200, 1.0),
+    "uneven-rows": (experiments.Partitions(_uneven, 200), _uneven, 200, 1.0),
     # 0.5**1074 is the smallest subnormal: most of the tail masses underflow and drop
-    "geometric-underflow": (experiments.Partitions(lambda rng: MassPartition(*_geometric(1074)),
-                                                   1074),
+    "geometric-underflow": (experiments.Partitions(lambda rng: _geometric(1074), 1074),
                             lambda rng: _geometric(1074), 1074, 10.0),
 }
 
@@ -299,13 +297,16 @@ def test_top_masses_matches_replica_loop(monkeypatch, case, chunk_rows):
         return repeat(np.random.default_rng(7), replicas)
 
     for rngs, steps in [(independent, 0), (independent, 1), (independent, 2),
-                        (shared, 0), (shared, 1), (shared, 2)]:
+                        (shared, 0), (shared, 1)]:
         reference, fewest = _top_masses_loop(rngs(), sample, k, law, beta, steps)
         rows = experiments.top_masses(rngs(), sampler, k, law=law, beta=beta, steps=steps)
         assert rows.shape == reference.shape
         assert rows.tobytes() == reference.tobytes(), (rngs, steps)
         if case == "geometric-underflow" and steps:
             assert fewest < n
+    # later steps draw after a whole chunk's first step, out of a shared generator's loop order
+    with pytest.raises(ValueError, match="2 reshuffles need one generator per replica"):
+        experiments.top_masses(shared(), sampler, k, law=law, beta=beta, steps=2)
 
 
 # The per-replica loop that ``experiments.top_points`` replaces, kept as the

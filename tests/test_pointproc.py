@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quasistat import experiments
 from quasistat.analysis import sum_squares_rows
 from quasistat.pointproc import (
-    MassPartition,
+    check_partition_rows,
     check_point_rows,
     mass_partition_rows,
     poisson_kingman_rows,
@@ -156,7 +156,7 @@ def test_pk_matches_stickbreaking_oracle():
     rng = np.random.default_rng(23)
     n = 700
     pk = _pd_rows(0.5, 500, n, rng)[0][:, :5]
-    sb = np.array([sample_pd_stickbreaking(0.5, 5, rng).masses for _ in range(n)])
+    sb = np.array([sample_pd_stickbreaking(0.5, 5, rng)[0] for _ in range(n)])
     p = energy_distance_perm_test(pk, sb, n_perm=199, rng=np.random.default_rng(1))
     assert p >= 0.01
 
@@ -166,9 +166,9 @@ def test_stickbreaking_degenerate_first_stick():
         def beta(self, a, b):
             return np.ones(np.broadcast(a, b).shape)
 
-    part = sample_pd_stickbreaking(0.5, 1, _OneBeta())
-    np.testing.assert_allclose(part.masses, [1.0])
-    assert part.tail_mass == 0.0
+    masses, tail = sample_pd_stickbreaking(0.5, 1, _OneBeta())
+    np.testing.assert_allclose(masses, [1.0])
+    assert tail == 0.0
 
 
 def test_stickbreaking_cap_raises():
@@ -199,10 +199,7 @@ def test_sum_of_squared_masses_identity():
     # E[sum xi_i^2] = 1 - alpha for PD(alpha, 0), for both samplers
     rng = np.random.default_rng(31)
     parts = [sample_pd_stickbreaking(0.4, 40, rng) for _ in range(800)]
-    for masses, tails in (
-        _pd_rows(0.4, 400, 800, rng),
-        (np.array([part.masses for part in parts]), np.array([part.tail_mass for part in parts])),
-    ):
+    for masses, tails in (_pd_rows(0.4, 400, 800, rng), map(np.array, zip(*parts))):
         vals = sum_squares_rows(masses, tails)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - 0.6) < 4 * se
@@ -225,7 +222,7 @@ def test_pp_to_masses_matches_pd_oracle():
     n = 600
     arrivals = rng.exponential(size=(n, 500)).cumsum(axis=1)
     via_pp = mass_partition_rows(*pp_exponential_rows(0.5, arrivals))[0][:, :5]
-    sb = np.array([sample_pd_stickbreaking(0.5, 5, rng).masses for _ in range(n)])
+    sb = np.array([sample_pd_stickbreaking(0.5, 5, rng)[0] for _ in range(n)])
     p = energy_distance_perm_test(via_pp, sb, n_perm=199, rng=np.random.default_rng(2))
     assert p >= 0.01
 
@@ -235,10 +232,11 @@ def test_pp_to_masses_matches_pd_oracle():
 def test_mass_partition_round_trip(raw):
     masses = np.sort(np.asarray(raw))[::-1]
     masses = masses / masses.sum()
-    part = MassPartition(masses, tail_mass=max(0.0, 1.0 - masses.sum()))
-    back, tails = mass_partition_rows(np.log(part.masses)[None], np.array([part.tail_mass]))
-    np.testing.assert_allclose(back[0], part.masses, atol=1e-12)
-    assert abs(tails[0] - part.tail_mass) < 1e-12
+    tail = max(0.0, 1.0 - masses.sum())
+    check_partition_rows(masses[None], np.array([tail]))
+    back, tails = mass_partition_rows(np.log(masses)[None], np.array([tail]))
+    np.testing.assert_allclose(back[0], masses, atol=1e-12)
+    assert abs(tails[0] - tail) < 1e-12
 
 
 def test_exact_top_n_prefix_property():
@@ -253,8 +251,8 @@ def test_sampler_outputs_satisfy_mass_invariant():
     masses, tails = _pd_rows(0.7, 200, 20, rng)
     assert np.all(np.abs(masses.sum(axis=1) + tails - 1.0) <= 1e-12)
     for _ in range(20):
-        part = sample_pd_stickbreaking(0.3, 20, rng)
-        assert abs(part.masses.sum() + part.tail_mass - 1.0) <= 1e-12
+        masses, tail = sample_pd_stickbreaking(0.3, 20, rng)
+        assert abs(masses.sum() + tail - 1.0) <= 1e-12
 
 
 def test_type_validation():
@@ -264,8 +262,8 @@ def test_type_validation():
         with pytest.raises(ValueError):
             check_point_rows(np.array([[0.0, -1.0], points]), np.array([0.0, tail]))
     with pytest.raises(ValueError):
-        MassPartition([0.5, 0.0], tail_mass=0.5)  # zero mass entry
+        check_partition_rows(np.array([[0.5, 0.0]]), np.array([0.5]))  # zero mass entry
     with pytest.raises(ValueError):
-        MassPartition([0.5, 0.3], tail_mass=0.0)  # mass deficit
+        check_partition_rows(np.array([[0.5, 0.3]]), np.array([0.0]))  # mass deficit
     with pytest.raises(ValueError):
         sample_gamma_arrivals(0, np.random.default_rng(0))

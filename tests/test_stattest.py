@@ -244,7 +244,7 @@ def test_one_dimensional_samples_are_one_coordinate():
     assert p == energy_distance_perm_test(x[:, None], y[:, None], n_perm=199,
                                           rng=np.random.default_rng(18))
     report = invariance_verdict(x, y, level=0.01, n_perm=199, rng=np.random.default_rng(18))
-    assert report.verdict == "rejected" and len(report.per_coordinate_ks) == 1
+    assert report["verdict"] == "rejected" and len(report["ks"]) == 1
 
 
 def test_verdict_identical_ensembles_consistent():
@@ -252,9 +252,9 @@ def test_verdict_identical_ensembles_consistent():
     x = rng.normal(size=(400, 4))
     report = invariance_verdict(x, x.copy(), level=0.01, n_perm=199,
                                 rng=np.random.default_rng(12))
-    assert report.verdict == "consistent"
-    assert all(0.0 <= p <= 1.0 for _, p in report.per_coordinate_ks)
-    assert len(report.per_coordinate_ks) == 4
+    assert report["verdict"] == "consistent"
+    assert all(0.0 <= p <= 1.0 for _, p in report["ks"])
+    assert len(report["ks"]) == 4
 
 
 def test_verdict_shifted_ensembles_rejected():
@@ -262,9 +262,9 @@ def test_verdict_shifted_ensembles_rejected():
     x = rng.normal(size=(500, 3))
     y = rng.normal(0.6, 1.0, size=(500, 3))
     report = invariance_verdict(x, y, level=0.01, n_perm=199, rng=np.random.default_rng(14))
-    assert report.verdict == "rejected"
-    min_ks_p = min(p for _, p in report.per_coordinate_ks)
-    assert min_ks_p < 0.01 / 3 or report.energy_p < 0.01
+    assert report["verdict"] == "rejected"
+    min_ks_p = min(p for _, p in report["ks"])
+    assert min_ks_p < 0.01 / 3 or report["energy_p"] < 0.01
 
 
 def test_verdict_rule_matches_definition():
@@ -272,6 +272,6 @@ def test_verdict_rule_matches_definition():
     x = rng.normal(size=(300, 2))
     y = rng.normal(size=(300, 2))
     report = invariance_verdict(x, y, level=0.05, n_perm=199, rng=np.random.default_rng(16))
-    min_ks_p = min(p for _, p in report.per_coordinate_ks)
-    rejected = min_ks_p < 0.05 / 2 or report.energy_p < 0.05
-    assert (report.verdict == "rejected") == rejected
+    min_ks_p = min(p for _, p in report["ks"])
+    rejected = min_ks_p < 0.05 / 2 or report["energy_p"] < 0.05
+    assert (report["verdict"] == "rejected") == rejected
