@@ -304,6 +304,29 @@ def test_golden_csv_stream(tmp_path, capsys, command, kind):
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == _GOLDEN_CSV[(command, kind)]
 
 
+# One step (--tau 1): the streams every path keeps bit for bit whatever the
+# multi-step arithmetic, including the evolved half of test-invariance.
+_GOLDEN_ONE_STEP_CSV = {
+    ("evolve", "pd"): "5fcbc373dc409938bedd5020e1644590b77d3b7b6e884f5bc9472c9189bbc376",
+    ("evolve", "pp"): "b3a8419b66c5bb256ea0815131c271634587d1544e549266e637ac5efb825d6f",
+    ("evolve", "geometric"): "d13d3e99c4a90c0e74d8d989cc6d7b15f806eab475977c2db7bbd14957efd4a2",
+    ("evolve", "mixture-of-pd"): "c670aac80e06b09b68c0d8c59c25852edb45254b0a5143bad88e6cfa53f2b16a",
+    ("test-invariance", "pd"): "42b91b7556be14f86547d7f9c8a807094734c8bce6c140638c10e7a70fa4730f",
+    ("test-invariance", "pp"): "b9f5a7b5058f8a705e391c092fa56aa16b349960fe003c6b1d8285030fdaf6eb",
+}
+
+
+@pytest.mark.parametrize("command,kind", sorted(_GOLDEN_ONE_STEP_CSV))
+def test_golden_one_step_stream(tmp_path, capsys, command, kind):
+    import hashlib
+
+    flags = [*_GOLDEN_FLAGS, "--tau", "1"]  # the last --tau wins
+    assert run([command, "--kind", kind, *flags, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    csv = tmp_path / ("evolved.csv" if command == "evolve" else "pvalues.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == _GOLDEN_ONE_STEP_CSV[(command, kind)]
+
+
 _SEED_CASES = [(seed, stream) for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
                for stream in (0, 1, 2, 10)]
 # across the first block edge of _SEED_BLOCK = 4096 replicas
