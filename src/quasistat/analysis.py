@@ -133,8 +133,8 @@ def jump_event_bound_check(starts, law: IncrementLaw, tau, ck, beta=1.0, *, rng)
 
     ``starts`` yields matrices of tail-normalized points, one row per start;
     the total jump of a point depends only on its origin and the summed
-    increments, so S_i(tau) is drawn directly from the tau-fold Gaussian law,
-    for a whole matrix at once, in row order.  Returns the frequency, the bound,
+    increments, so S_i(tau) is one draw of ``law.summed(tau)``, for a whole
+    matrix at once, in row order.  Returns the frequency, the bound,
     three binomial SE of the bound, the number of events, and whether the
     frequency is at most bound + 3 SE.
     """
@@ -145,11 +145,12 @@ def jump_event_bound_check(starts, law: IncrementLaw, tau, ck, beta=1.0, *, rng)
                          f"got {ck * beta:.6g} <= {v:.6g}")
     bound = float(np.exp(-exponent)) if tau > 0 else 0.0
     threshold = ck * tau
+    summed = law.summed(tau) if tau > 0 else None
     hits = n = 0
     for points in starts:
         n += len(points)
-        if tau > 0:
-            jumps = law.sample_sum(tau, points.shape, rng)
+        if summed is not None:
+            jumps = summed.sample(points.shape, rng)
             jumps += points
             hits += int(np.count_nonzero(jumps.max(axis=1) >= threshold))
     frequency = hits / n

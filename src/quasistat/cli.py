@@ -280,34 +280,33 @@ def _check_depth(cfg, need):
                           f"a replica tracks {cfg['trunc_n']} values; {need} are needed")
 
 
-def _top_masses(cfg, rngs, sampler, steps):
-    """``experiments.top_masses`` at the configured law, with a float64 range
-    error turned into one that names the flags."""
-    law, beta = _increment_law(cfg), cfg["beta"]
+def _top_masses(cfg, rngs, sampler, law):
+    """``experiments.top_masses``, with a float64 range error turned into one
+    that names the flags."""
     try:
-        return experiments.top_masses(rngs, sampler, cfg["topk"], law=law, beta=beta, steps=steps)
+        return experiments.top_masses(rngs, sampler, cfg["topk"], law=law, beta=cfg["beta"])
     except OverflowError as exc:  # raised by a PD start, before any reshuffle
         key = "alphas" if cfg["kind"] == "mixture-of-pd" else "alpha"
         raise ConfigError(f"{_flag(key)} {cfg[key]} takes the PD(alpha, 0) start beyond "
                           f"float64: {exc}") from None
     except FloatingPointError as exc:
-        raise ConfigError(f"--sigma {cfg['sigma']} and --beta {beta} take the reshuffle "
-                          f"beyond float64: {exc}") from None
+        raise ConfigError(f"--sigma {cfg['sigma']}, --beta {cfg['beta']} and --tau {cfg['tau']} "
+                          f"take the reshuffle beyond float64: {exc}") from None
 
 
 def _ensemble(cfg, stream, steps):
-    """Replica x topk matrix after ``steps`` evolution steps, and its column prefix:
-    gaps of the point process for kind=pp, top masses otherwise."""
-    k = cfg["topk"]
+    """Replica x topk matrix after ``steps`` evolution steps, taken as one step of
+    their summed law, and its column prefix: gaps of the point process for
+    kind=pp, top masses otherwise."""
+    k, law = cfg["topk"], _increment_law(cfg).summed(steps) if steps else None
     if cfg["kind"] == "pp":
         _check_depth(cfg, k + 1)
         # unevolved, only the top k + 1 points are read, and they are a prefix of any deeper draw
         n = cfg["trunc_n"] if steps else k + 1
-        return experiments.top_gaps(_rngs(cfg, stream), cfg["rho"], n, k,
-                                    law=_increment_law(cfg), steps=steps), "gap"
+        return experiments.top_gaps(_rngs(cfg, stream), cfg["rho"], n, k, law=law), "gap"
     sampler = _partition_sampler(cfg)
     _check_depth(cfg, k)
-    return _top_masses(cfg, _rngs(cfg, stream), sampler, steps), "xi"
+    return _top_masses(cfg, _rngs(cfg, stream), sampler, law), "xi"
 
 
 def _input_partition(row, i, k):
@@ -344,7 +343,8 @@ def _custom_ensembles(cfg):
     before = np.array([masses[:k] for masses, _ in partitions[:half]])
     evolved = iter(partitions[half:])
     sampler = experiments.Partitions(lambda rng: next(evolved), data.shape[1])
-    return before, _top_masses(cfg, _rngs(cfg, 1, len(partitions) - half), sampler, steps=1)
+    return before, _top_masses(cfg, _rngs(cfg, 1, len(partitions) - half), sampler,
+                               _increment_law(cfg))
 
 
 def _header(prefix, k):

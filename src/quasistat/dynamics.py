@@ -35,9 +35,11 @@ class IncrementLaw:
     def sample(self, size, rng):
         return rng.normal(self.mu, self.sigma, size=size)
 
-    def sample_sum(self, tau, size, rng):
-        """``size`` independent draws of h_1 + ... + h_tau ~ N(tau mu, tau sigma^2)."""
-        return rng.normal(tau * self.mu, self.sigma * np.sqrt(tau), size=size)
+    def summed(self, tau):
+        """The law N(tau mu, tau sigma^2) of h_1 + ... + h_tau, tau >= 1: as the
+        increments are iid, tau steps are one step of this law (``summed(1)`` is
+        this law, float for float)."""
+        return IncrementLaw(tau * self.mu, self.sigma * np.sqrt(tau))
 
     def log_mgf(self, lam):
         """log E[e^{lam * h}], finite for every real lam."""

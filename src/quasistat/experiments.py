@@ -3,8 +3,9 @@
 Every sampling function takes ``rngs``, an iterable with one numpy Generator
 per replica; replica i draws everything it needs from the i-th generator, in a
 fixed order.  The command line passes independent per-replica generators, the
-acceptance suite one pinned generator repeated (at most one reshuffle deep),
-and both get the same loop.
+acceptance suite one pinned generator repeated, and both get the same loop.
+An ensemble evolves by at most one step: tau steps of iid increments are one
+step of ``IncrementLaw.summed(tau)`` in law.
 Results are arrays and plain numbers; writing files and judging verdicts is
 left to the caller.
 """
@@ -103,8 +104,8 @@ class PPExponential(NamedTuple):
 
 def _draw_rows(rngs, sampler, law=None):
     """One chunk's draws in loop order, each replica's start by ``sampler.draw``
-    and, given ``law``, its first step's increments right after: the chunk x n
-    draws, each row's parameter and count of values, and the increments."""
+    and, given ``law``, its increments right after: the chunk x n draws, each
+    row's parameter and count of values, and the increments."""
     draws = np.empty((len(rngs), sampler.n))
     h = None if law is None else np.zeros_like(draws)
     params = np.empty(len(rngs))
@@ -131,51 +132,42 @@ def _chunk_starts(rngs, sampler, k, law=None):
     return masses, tails, counts, h
 
 
-def top_masses(rngs, sampler, k, law=None, beta=1.0, steps=0):
-    """Top k masses per replica after ``steps`` multiplicative reshuffles,
-    from the starts ``sampler`` (a ``PoissonKingman`` or ``Partitions``) draws.
+def top_masses(rngs, sampler, k, law=None, beta=1.0):
+    """Top k masses per replica, from the starts ``sampler`` (a
+    ``PoissonKingman`` or ``Partitions``) draws, after one multiplicative
+    reshuffle by ``law`` if given.
 
-    Replicas run in chunks of rows.  Each draws its start and its first step's
-    increments, back to back, from its generator, as a loop over replicas
-    would; the arithmetic runs once per chunk.  Later steps draw after the
-    whole chunk's first step, so past one step the rows of a chunk need a
-    generator each.  Raises OverflowError where a start leaves float64 range,
-    and FloatingPointError where a reshuffle does.
+    Replicas run in chunks of rows.  Each draws its start and its increments,
+    back to back, from its generator, as a loop over replicas would; the
+    arithmetic runs once per chunk.  Raises OverflowError where a start leaves
+    float64 range, and FloatingPointError where the reshuffle does.
     """
     tops = [np.empty((0, k))]
     for chunk in _chunks(rngs, sampler.n, _CHUNK_ELEMS):
-        if steps > 1 and len(set(map(id, chunk))) < len(chunk):
-            raise ValueError(f"{steps} reshuffles need one generator per replica: "
-                             f"a shared one would be drawn out of loop order")
-        tops.append(_chunk_top_masses(chunk, sampler, k, law, beta, steps))
+        tops.append(_chunk_top_masses(chunk, sampler, k, law, beta))
     return np.concatenate(tops)
 
 
-def _chunk_top_masses(rngs, sampler, k, law, beta, steps):
-    """``top_masses`` of one chunk of replicas, one generator per row; its
-    increments and tails go when it returns."""
-    masses, tails, counts, h = _chunk_starts(rngs, sampler, k, law if steps else None)
-    for step in range(steps):
-        if step:
-            h[:] = 0.0
-            for i, rng in enumerate(rngs):
-                h[i, :counts[i]] = law.sample(counts[i], rng)
+def _chunk_top_masses(rngs, sampler, k, law, beta):
+    """``top_masses`` of one chunk of replicas; its chunk-sized arrays go when it returns."""
+    masses, tails, counts, h = _chunk_starts(rngs, sampler, k, law)
+    if law is not None:
         masses, tails = dynamics.reshuffle_rows(masses, tails, h, law, beta)
         counts = np.count_nonzero(masses, axis=1)
         pointproc.check_partition_rows(masses, tails, counts)
-    _check_counts(counts, k, FloatingPointError, f"a replica keeps {{}} positive masses after "
-                  f"{steps} reshuffles, {{}} are needed: the rest underflowed")
-    return masses[:, :k]
+        _check_counts(counts, k, FloatingPointError, "a replica keeps {} positive masses after "
+                      "the reshuffle, {} are needed: the rest underflowed")
+    return masses[:, :k].copy()  # a view would keep the whole chunk alive
 
 
-def top_points(rngs, rho, n, k, law=None, steps=0):
+def top_points(rngs, rho, n, k, law=None):
     """Top k of the n largest points of PP(rho e^{-rho y} dy) per replica,
-    after ``steps`` additive steps.  Positions only, which track no tail.
+    after one additive step by ``law`` if given.  Positions only, which track
+    no tail.
 
-    Each replica draws its n arrival times and then n increments per step, and
-    its points are those of a full sort after each step, bit for bit; but only
-    the points that can still reach the top k are formed in the last step
-    (``dynamics.rerank_top``).
+    Each replica draws its n arrival times and then its n increments, and its
+    points are those of a full sort, bit for bit; but only the points that can
+    still reach the top k are formed (``dynamics.rerank_top``).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -195,22 +187,15 @@ def top_points(rngs, rho, n, k, law=None, steps=0):
             with np.errstate(over="ignore"):
                 return np.searchsorted(g, np.exp(-rho * c), side="right")
 
-        if not steps:
-            return head(k)
-        for step in range(steps):
-            x = dynamics.rerank_top(head, law.sample(n, rng), k if step == steps - 1 else n, count)
-            # ranked points: those >= c are a prefix, found by bisection
-            head = lambda m, x=x: x[:m]
-            count = lambda c, x=x: x.size - np.searchsorted(x[::-1], c)
-        return x
+        return head(k) if law is None else dynamics.rerank_top(head, law.sample(n, rng), k, count)
 
     return np.fromiter(map(row, rngs), dtype=np.dtype((float, k)),
                        count=operator.length_hint(rngs, -1))
 
 
-def top_gaps(rngs, rho, n, k, law=None, steps=0):
+def top_gaps(rngs, rho, n, k, law=None):
     """First k gaps X_i - X_{i+1} of the points ``top_points`` draws."""
-    return -np.diff(top_points(rngs, rho, n, k + 1, law=law, steps=steps), axis=1)
+    return -np.diff(top_points(rngs, rho, n, k + 1, law=law), axis=1)
 
 
 def oracle_masses(streams, alpha, n, k):
@@ -234,7 +219,7 @@ def oracle_masses(streams, alpha, n, k):
         rows, sums = [np.empty((0, k))], []
         for chunk in _chunks(rngs, sampler.n, _CHUNK_ELEMS):
             masses, tails, _, _ = _chunk_starts(chunk, sampler, k)
-            rows.append(masses[:, :k])
+            rows.append(masses[:, :k].copy())
             sums.append(analysis.sum_squares_rows(masses, tails))
         tops[name] = np.concatenate(rows)
         ss = np.concatenate(sums)

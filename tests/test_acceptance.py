@@ -52,7 +52,7 @@ def _pd_consistency_count(alpha, trunc_n, n_seeds=10, n_rep=2000, k=5):
     for seed in range(n_seeds):
         before = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 0), n_rep), sample, k)
         after = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 1), n_rep), sample, k,
-                                       law=GAUSS, beta=1.0, steps=1)
+                                       law=GAUSS, beta=1.0)
         report = invariance_verdict(before, after, level=0.01, n_perm=199,
                                     rng=_rng(1, trunc_n, seed, 2))
         consistent += report["verdict"] == "consistent"
@@ -69,16 +69,16 @@ def test_criterion_1_pd_invariance():
 
 @_criterion(2, "PP(1) gap law invariant; gap_i ~ Exp(i)")
 def test_criterion_2_pp_gap_quasi_stationarity():
-    # tau gaussian unit steps collapse to one N(0, tau) displacement (same law);
-    # truncation depth grows with tau so promotions from below the cut are negligible
+    # tau gaussian unit steps are one step of GAUSS.summed(tau) = N(0, tau), as the
+    # ensembles evolve them; truncation depth grows with tau so promotions from
+    # below the cut are negligible
     k, n_rep = 10, 2000
     details = []
     ok = True
     for tau, n_pts in ((1, 20_000), (5, 100_000)):
-        law_tau = IncrementLaw(0.0, np.sqrt(tau))
         before = experiments.top_gaps(repeat(_rng(2, tau, 0), n_rep), 1.0, k + 2, k)
         after = experiments.top_gaps(repeat(_rng(2, tau, 1), n_rep), 1.0, n_pts, k,
-                                     law=law_tau, steps=1)
+                                     law=GAUSS.summed(tau))
         report = invariance_verdict(before, after, level=0.01, n_perm=199, rng=_rng(2, tau, 2))
         marg_ps = [
             marginal_law_test(after[:, i - 1], lambda x, i=i: -np.expm1(-i * x))[1]
@@ -99,7 +99,7 @@ def test_criterion_3_geometric_counterexample_power():
     for seed in range(20):
         after = experiments.top_masses(repeat(_rng(3, seed), n_rep),
                                        experiments.Partitions(lambda rng: base, n_pts), k,
-                                       law=GAUSS, beta=1.0, steps=1)
+                                       law=GAUSS, beta=1.0)
         report = invariance_verdict(before, after, level=0.001, n_perm=199, rng=_rng(3, seed, 1))
         rejected += report["verdict"] == "rejected"
     return rejected >= 19, f"rejected in {rejected}/20 seeds"

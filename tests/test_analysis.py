@@ -93,7 +93,7 @@ def _start_loop(rng, rho, n, beta):
 
 
 def _jump_events_loop(starts, law, tau, ck, rng):
-    return sum(int(np.max(points + law.sample_sum(tau, len(points), rng)) >= ck * tau)
+    return sum(int(np.max(points + law.summed(tau).sample(len(points), rng)) >= ck * tau)
                for points, _ in starts)
 
 

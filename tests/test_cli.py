@@ -287,10 +287,10 @@ _GOLDEN_CSV = {
     ("sample", "pp"): "44643849ac2bc3fc914c26b5e244d806f71df0373f70bf6e3855da690c45f4ed",
     ("sample", "geometric"): "8d9f0364e59e7f9c870af56365c71bdb9141827a7294c745ad92c395d92b5891",
     ("sample", "mixture-of-pd"): "a4a20a4669214598fe38db357bf0b85de7dff3deb4afb59138fbfa8d95f93754",
-    ("evolve", "pd"): "3dfb2cca0ba5c248658581cfd30563b3a0921fb20b60367c6767c55ef856fbd8",
-    ("evolve", "pp"): "55194df4b59054fce2dfa39ad9e43ea49ded4fd44c2e3cce80c93695039d2a1b",
-    ("evolve", "geometric"): "38b4a64f60b2672fa9cd299b8bd2c7d627899ce4fae98fb2aba526f7c5deced0",
-    ("evolve", "mixture-of-pd"): "0265a2a15f25e5a6bcc1ec87f706f78c3093084672cb6a7ef3a35abb7828faa2",
+    ("evolve", "pd"): "6bfc2b84102d2912ac3b9a62c3cf42f4de78a0d8498bfbe76e66793ff824a6b7",
+    ("evolve", "pp"): "ec8226e8db3ac716dc0eae7d302265a6e01634d30f49df431ef2d69a63d51aeb",
+    ("evolve", "geometric"): "d352f9e7a792fca1bfd338367d5da5d286eeabbb0f0a776ba0c18d28eea4edea",
+    ("evolve", "mixture-of-pd"): "f1b37e3125da8e4da6e2f16335aa2666579019ef314f2b631de44a13175fd4f1",
 }
 
 
@@ -522,12 +522,13 @@ def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
 
 @pytest.mark.parametrize("kind,trunc_n", [("pd", "500"), ("geometric", "50")])
 def test_reshuffle_overflow_names_the_flags(tmp_path, capsys, kind, trunc_n):
-    # E[e^{beta h}] = e^{80000} overflows the tail mass; exit 1 would read as a rejection
-    assert run(["evolve", "--kind", kind, "--sigma", "400", "--tau", "1", "--trunc-n", trunc_n,
-                "--topk", "1", "--replicas", "20", "--seed", "1", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --sigma 400.0 and --beta 1.0 ")
-    assert "E[e^{beta h}] = e^{80000} overflows" in err
+    # E[e^{beta h}] of the tau-step sum h overflows the tail mass; exit 1 would read as a rejection
+    for sigma, tau, exponent in [("400", "1", "80000"), ("13", "10", "845")]:
+        assert run(["evolve", "--kind", kind, "--sigma", sigma, "--tau", tau, "--trunc-n", trunc_n,
+                    "--topk", "1", "--replicas", "20", "--seed", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --sigma {float(sigma)}, --beta 1.0 and --tau {tau} ")
+        assert f"E[e^{{beta h}}] = e^{{{exponent}}} overflows" in err
 
 
 @pytest.mark.parametrize("command,kind,need", [

@@ -14,6 +14,7 @@ from quasistat.pointproc import (
     sample_gamma_arrivals,
     shift_tail_rows,
 )
+from quasistat.stattest import invariance_verdict
 
 
 class _FixedDraws:
@@ -43,10 +44,14 @@ def test_log_mgf_values():
     assert IncrementLaw(0.5, 2.0).log_mgf(-1.5) == pytest.approx(-0.75 + 4.5)
 
 
-def test_sample_sum_draws():
-    law = IncrementLaw(0.5, 2.0)
+def test_summed_law_bits():
+    law = IncrementLaw(0.3, 0.7)
+    assert law.summed(1) == law  # float for float, so one step keeps its streams
+    summed = law.summed(3)
+    assert (summed.mu, summed.sigma) == (3 * 0.3, 0.7 * np.sqrt(3))
+    assert summed.log_mgf(1.5) == pytest.approx(3 * law.log_mgf(1.5))
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    assert np.array_equal(law.sample_sum(3, 7, rng), ref_rng.normal(1.5, 2.0 * np.sqrt(3), size=7))
+    assert np.array_equal(summed.sample(7, rng), ref_rng.normal(3 * 0.3, 0.7 * np.sqrt(3), size=7))
     # both generators end in the same state: nothing extra was drawn
     assert rng.random() == ref_rng.random()
 
@@ -217,9 +222,9 @@ def test_reshuffled_rows_are_contiguous():
 def test_top_masses_refuses_rows_that_underflow_below_k():
     # e^{-800} underflows: one mass is left where two are needed
     sampler = experiments.Partitions(lambda rng: (np.array([0.6, 0.4]), 0.0), 2)
-    with pytest.raises(FloatingPointError, match="keeps 1 positive masses after 1 reshuffles, "
+    with pytest.raises(FloatingPointError, match="keeps 1 positive masses after the reshuffle, "
                                                  "2 are needed"):
-        experiments.top_masses([None], sampler, 2, law=_FixedDraws([0.0, -800.0]), steps=1)
+        experiments.top_masses([None], sampler, 2, law=_FixedDraws([0.0, -800.0]))
     with pytest.raises(ValueError, match="a replica tracks 2 values; 3 are needed"):
         experiments.top_masses([None], sampler, 3)
 
@@ -296,17 +301,13 @@ def test_top_masses_matches_replica_loop(monkeypatch, case, chunk_rows):
     def shared():  # as the acceptance suite passes its pinned generator
         return repeat(np.random.default_rng(7), replicas)
 
-    for rngs, steps in [(independent, 0), (independent, 1), (independent, 2),
-                        (shared, 0), (shared, 1)]:
+    for rngs, steps in [(independent, 0), (independent, 1), (shared, 0), (shared, 1)]:
         reference, fewest = _top_masses_loop(rngs(), sample, k, law, beta, steps)
-        rows = experiments.top_masses(rngs(), sampler, k, law=law, beta=beta, steps=steps)
+        rows = experiments.top_masses(rngs(), sampler, k, law=law if steps else None, beta=beta)
         assert rows.shape == reference.shape
         assert rows.tobytes() == reference.tobytes(), (rngs, steps)
         if case == "geometric-underflow" and steps:
             assert fewest < n
-    # later steps draw after a whole chunk's first step, out of a shared generator's loop order
-    with pytest.raises(ValueError, match="2 reshuffles need one generator per replica"):
-        experiments.top_masses(shared(), sampler, k, law=law, beta=beta, steps=2)
 
 
 # The per-replica loop that ``experiments.top_points`` replaces, kept as the
@@ -327,28 +328,60 @@ def _top_points_loop(rngs, rho, n, k, law, steps):
 def test_top_points_matches_evolve_loop(rho, sigma):
     law, k = IncrementLaw(-0.4, sigma), 6
     for n, replicas in [(k, 5), (k + 1, 5), (300, 5), (100_000, 2)]:
-        for steps in (0, 1, 2, 3):
+        for steps in (0, 1):
+            evolve = law if steps else None
             independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
             reference = _top_points_loop(independent, rho, n, k, law, steps)
             independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
-            rows = experiments.top_points(independent, rho, n, k, law=law, steps=steps)
+            rows = experiments.top_points(independent, rho, n, k, law=evolve)
             assert rows.tobytes() == reference.tobytes(), (n, steps)
             # one generator for every replica, as the acceptance suite passes it
             ref_rng, rng = np.random.default_rng([n, steps]), np.random.default_rng([n, steps])
             reference = _top_points_loop(repeat(ref_rng, replicas), rho, n, k, law, steps)
-            rows = experiments.top_points(repeat(rng, replicas), rho, n, k, law=law, steps=steps)
+            rows = experiments.top_points(repeat(rng, replicas), rho, n, k, law=evolve)
             assert rows.tobytes() == reference.tobytes(), (n, steps)
             assert rng.random() == ref_rng.random()  # nothing more or less was drawn
 
 
-@pytest.mark.parametrize("steps", [1, 2])
-def test_top_points_cut_reaches_a_lifted_last_point(steps):
+def test_top_points_cut_reaches_a_lifted_last_point():
     # the last point's increment lifts it to first place, so no point may be cut
     n, k = 500, 3
     law = _FixedDraws(np.r_[np.zeros(n - 1), 1e3])
-    reference = _top_points_loop([np.random.default_rng(3)], 1.0, n, k, law, steps)
-    rows = experiments.top_points([np.random.default_rng(3)], 1.0, n, k, law=law, steps=steps)
+    reference = _top_points_loop([np.random.default_rng(3)], 1.0, n, k, law, 1)
+    rows = experiments.top_points([np.random.default_rng(3)], 1.0, n, k, law=law)
     assert rows.tobytes() == reference.tobytes()
+    assert rows[0, 0] > 900.0
+
+
+# tau steps of iid increments are one step of their summed law: the ensembles
+# take that one step, and the reference loops above step tau times.
+
+@pytest.mark.parametrize("case", ["pd-0.5", "geometric", "pp"])
+def test_summed_law_evolves_as_tau_steps(case):
+    law, beta, k, tau, replicas = IncrementLaw(0.1, 1.0), 0.8, 5, 3, 2000
+
+    def rngs(seed):
+        return [np.random.default_rng([seed, i]) for i in range(replicas)]
+
+    if case == "pp":
+        reference = _top_points_loop(rngs(1), 1.0, 300, k, law, tau)
+
+        def ensemble(law):
+            return experiments.top_points(rngs(2), 1.0, 300, k, law=law)
+    else:
+        sampler, sample, _, _ = _LOOP_CASES[case]
+        reference, _ = _top_masses_loop(rngs(1), sample, k, law, beta, tau)
+
+        def ensemble(law):
+            return experiments.top_masses(rngs(2), sampler, k, law=law, beta=beta)
+
+    def verdict(rows):
+        return invariance_verdict(reference, rows, level=0.01, n_perm=199,
+                                  rng=np.random.default_rng(3))["verdict"]
+
+    assert verdict(ensemble(law.summed(tau))) == "consistent"
+    if case != "pd-0.5":  # PD(alpha, 0) is invariant; these laws move with each step
+        assert verdict(ensemble(law)) == "rejected"
 
 
 def test_rerank_top_forms_only_the_points_that_can_reach_the_top():
