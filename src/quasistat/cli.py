@@ -289,8 +289,10 @@ def _top_masses(cfg, rngs, sampler, law):
         key = "alphas" if cfg["kind"] == "mixture-of-pd" else "alpha"
         raise ConfigError(f"{_flag(key)} {cfg[key]} takes the PD(alpha, 0) start beyond "
                           f"float64: {exc}") from None
-    except FloatingPointError as exc:
-        raise ConfigError(f"--sigma {cfg['sigma']}, --beta {cfg['beta']} and --tau {cfg['tau']} "
+    except FloatingPointError as exc:  # --input rows take one step, whatever --tau reads
+        steps = ("the one step of --kind custom-from-file" if cfg["kind"] == "custom-from-file"
+                 else f"--tau {cfg['tau']}")
+        raise ConfigError(f"--sigma {cfg['sigma']}, --beta {cfg['beta']} and {steps} "
                           f"take the reshuffle beyond float64: {exc}") from None
 
 
@@ -389,8 +391,11 @@ def cmd_test_invariance(cfg):
         before, after = _custom_ensembles(cfg)
         prefix = "xi"
     else:
+        if cfg["tau"] < 1:
+            raise ConfigError(f"--tau must be >= 1 for test-invariance, got {cfg['tau']}: "
+                              f"the evolved half takes --tau steps")
         before, prefix = _ensemble(cfg, 0, steps=0)
-        after, _ = _ensemble(cfg, 1, steps=max(1, cfg["tau"]))
+        after, _ = _ensemble(cfg, 1, steps=cfg["tau"])
     names = _header(prefix, cfg["topk"])
     report = stattest.invariance_verdict(before, after, level=cfg["level"],
                                          n_perm=cfg["n_perm"], rng=replica_rng(cfg["seed"], 2))

@@ -1,7 +1,9 @@
 """Evolution maps for ranked configurations and mass-partitions.
 
 Additive picture: every point gets an independent Gaussian increment h_i and
-the configuration is re-ranked (``rerank_top``, positions only).
+the configuration is re-ranked; ``experiments.top_points`` draws h_i only where
+x_i + h_i can reach the top k, through ``IncrementLaw.survival`` and
+``IncrementLaw.sample_above``.
 Multiplicative picture: every mass is reweighted by the lognormal
 W_i = e^{beta*h_i} and renormalized (``reshuffle_rows``), and the untracked
 tail advances by its mean factor E[e^{beta*h}].
@@ -10,11 +12,10 @@ tail advances by its mean factor E[e^{beta*h}].
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 __all__ = [
     "IncrementLaw",
-    "rerank_top",
     "reshuffle_rows",
 ]
 
@@ -34,6 +35,17 @@ class IncrementLaw:
 
     def sample(self, size, rng):
         return rng.normal(self.mu, self.sigma, size=size)
+
+    def survival(self, c):
+        """P(h >= c), elementwise."""
+        return ndtr((self.mu - c) / self.sigma)
+
+    def sample_above(self, c, rng):
+        """One draw of h given h >= c per element of c, by inversion: (mu - h) / sigma
+        is ndtri(U P(h >= c)), with U in (0, 1] so that no draw is infinite while
+        U P(h >= c) > 0 (c below ~mu + 37 sigma); a draw rounded below c is c."""
+        u = 1.0 - rng.random(np.shape(c))
+        return np.maximum(self.mu - self.sigma * ndtri(u * self.survival(c)), c)
 
     def summed(self, tau):
         """The law N(tau mu, tau sigma^2) of h_1 + ... + h_tau, tau >= 1: as the
@@ -60,38 +72,6 @@ class IncrementLaw:
             buf /= self.sigma * np.sqrt(tau)
             ndtr(buf, out=buf)
         return buf.sum(axis=-1)
-
-
-# relative widening of the cut in ``rerank_top``: far above the rounding of the
-# cut and of a count taken through another function (exp against log)
-_CUT_MARGIN = 1e-9
-
-
-def rerank_top(head, h, k, count_at_least=None):
-    """The k largest of x_i + h_i, ranked: bit for bit ``np.sort(x + h)[::-1][:k]``
-    for ranked points x_1 >= ... >= x_n and one increment h_i per point.
-
-    ``head(m)`` returns x_1, ..., x_m.  Where k < n, only the points that can
-    still reach the top k are formed and sorted, and ``count_at_least(c)``
-    returns #{i : x_i >= c}, give or take points within rounding of c.
-
-    Exact: t, the smallest of x_i + h_i over i <= k, is at most the k-th
-    largest of all, and as rounding is monotone, fl(x_i + h_i) <= fl(x_i + max h).
-    So no point with x_i < t - max h reaches the top k, and these points are a
-    suffix.  The cut is widened by ``_CUT_MARGIN`` relative to its terms, which
-    only adds candidates and absorbs the rounding of the cut and of the count.
-    """
-    if not np.all(np.isfinite(h)):
-        raise ValueError("increment law produced non-finite draws")
-    m = h.size
-    if k < m:
-        t = (head(k) + h[:k]).min()
-        hmax = h.max()
-        m = max(k, count_at_least(t - hmax - _CUT_MARGIN * (1.0 + abs(t) + abs(hmax))))
-    top = np.sort(head(m) + h[:m])[::-1][:k]
-    if not np.all(np.isfinite(top[[0, -1]])):
-        raise ValueError("points must be finite")
-    return top
 
 
 def reshuffle_rows(masses, tails, h, law, beta=1.0):

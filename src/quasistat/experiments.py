@@ -5,7 +5,9 @@ per replica; replica i draws everything it needs from the i-th generator, in a
 fixed order.  The command line passes independent per-replica generators, the
 acceptance suite one pinned generator repeated, and both get the same loop.
 An ensemble evolves by at most one step: tau steps of iid increments are one
-step of ``IncrementLaw.summed(tau)`` in law.
+step of ``IncrementLaw.summed(tau)`` in law.  An evolved ``top_points`` replica
+draws its first ``_HEAD`` points in full, and past them only the points that
+can reach its top k.
 Results are arrays and plain numbers; writing files and judging verdicts is
 left to the caller.
 """
@@ -28,6 +30,9 @@ _CHUNK_ELEMS = 2 ** 16
 # verify-lemma's peak RSS at 1000 x 500 is that of one array per start; chunks of
 # 2**16 left it ~1 MB higher, and 2**18 ~4 MB, with no faster run.
 _START_CHUNK_ELEMS = 2 ** 14
+# points of an evolved ``top_points`` replica drawn in full before its walk: at
+# n <= _HEAD (the default --trunc-n 500, every golden pin) the rows keep their bits
+_HEAD = 1024
 
 
 def _chunks(rngs, n, elems):
@@ -165,29 +170,53 @@ def top_points(rngs, rho, n, k, law=None):
     after one additive step by ``law`` if given.  Positions only, which track
     no tail.
 
-    Each replica draws its n arrival times and then its n increments, and its
-    points are those of a full sort, bit for bit; but only the points that can
-    still reach the top k are formed (``dynamics.rerank_top``).
+    Unevolved, each replica draws its n arrival times.  Evolved, it draws its
+    first m = min(n, max(k, _HEAD)) arrival times, then their m increments,
+    and ranks x_i + h_i: where n <= m, these are the rows of a full sort, bit
+    for bit.  Deeper points are walked in doubling blocks (a, b] of indices,
+    exact in law by thinning (Lewis & Shedler, 1979), with t the k-th largest
+    value so far: Gamma_b = Gamma_a + Gamma(b - a), point b takes an increment,
+    and each interior point is proposed with probability
+    pbar = P(h >= t - x_a) >= P(h >= t - x_i), kept with probability
+    P(h >= t - x_i) / pbar, and then drawn h given h >= t - x_i.  Given Gamma_a
+    and Gamma_b, the interior arrival times are uniform order statistics, so a
+    uniform subset of them, the proposals, is iid uniform on (Gamma_a, Gamma_b).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     _check_counts(np.array([n]), k, ValueError, "a replica tracks {} values; {} are needed")
 
     def row(rng):
-        g = pointproc.sample_gamma_arrivals(n, rng)
+        g = pointproc.sample_gamma_arrivals(n if law is None else min(n, max(k, _HEAD)), rng)
         if not np.isfinite(g[-1]):  # a cumsum of nonnegative draws: its last is its largest
             raise ValueError("arrival times must be finite")
-
-        def head(m):  # X_i = -log(Gamma_i)/rho, as pointproc.pp_exponential_rows forms them
-            x = -np.log(g[:m]) / rho
-            pointproc.check_point_rows(x[None])
+        # X_i = -log(Gamma_i)/rho, as pointproc.pp_exponential_rows forms them
+        x = -np.log(g[:k] if law is None else g) / rho
+        pointproc.check_point_rows(x[None])
+        if law is None:
             return x
-
-        def count(c):  # X_i >= c iff Gamma_i <= e^{-rho c}; an overflow to inf keeps every point
-            with np.errstate(over="ignore"):
-                return np.searchsorted(g, np.exp(-rho * c), side="right")
-
-        return head(k) if law is None else dynamics.rerank_top(head, law.sample(n, rng), k, count)
+        h = law.sample(g.size, rng)
+        if not np.all(np.isfinite(h)):
+            raise ValueError("increment law produced non-finite draws")
+        top = np.sort(x + h)[::-1][:k]
+        a, g_a, x_a = g.size, g[-1], x[-1]
+        while a < n:
+            b, t = min(n, 2 * a), top[-1]
+            g_b = g_a + rng.standard_gamma(b - a)
+            pbar = law.survival(t - x_a)
+            proposed = rng.binomial(b - a - 1, pbar)
+            x_a = -np.log(g_b) / rho
+            values = [top, x_a + law.sample(1, rng)]
+            if proposed:  # as a rule none: calls on empty arrays draw nothing, at ~15 us a block
+                u = rng.random((2, proposed))
+                x = -np.log(g_a + (g_b - g_a) * u[0]) / rho
+                keep = u[1] * pbar < law.survival(t - x)
+                values.append(x[keep] + law.sample_above(t - x[keep], rng))
+            top = np.sort(np.concatenate(values))[::-1][:k]
+            a, g_a = b, g_b
+        if not np.all(np.isfinite(top[[0, -1]])):
+            raise ValueError("points must be finite")
+        return top
 
     return np.fromiter(map(row, rngs), dtype=np.dtype((float, k)),
                        count=operator.length_hint(rngs, -1))

@@ -327,6 +327,21 @@ def test_golden_one_step_stream(tmp_path, capsys, command, kind):
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == _GOLDEN_ONE_STEP_CSV[(command, kind)]
 
 
+# Past its first 1024 points an evolved pp replica is drawn by the lazy walk of
+# experiments.top_points; --trunc-n 3000 pins that stream.
+_GOLDEN_DEEP_PP_CSV = "0a40a56acc21b4f4b5c0ca0a600f37bda3fbc30956dc356cc136155fd51c32a2"
+
+
+def test_golden_deep_pp_stream(tmp_path, capsys):
+    import hashlib
+
+    flags = [*_GOLDEN_FLAGS, "--trunc-n", "3000"]  # the last --trunc-n wins
+    assert run(["evolve", "--kind", "pp", *flags, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "evolved.csv").read_bytes()).hexdigest()
+    assert digest == _GOLDEN_DEEP_PP_CSV
+
+
 _SEED_CASES = [(seed, stream) for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
                for stream in (0, 1, 2, 10)]
 # across the first block edge of _SEED_BLOCK = 4096 replicas
@@ -479,8 +494,13 @@ def test_unevolved_pp_draws_only_the_points_read(tmp_path, capsys, monkeypatch):
     drawn.clear()
     assert run(["test-invariance", *flags]) in (0, 1)
     capsys.readouterr()
-    # the unevolved half reads the top k + 1 points; the evolved half needs all of them
+    # the unevolved half reads the top k + 1 points; the evolved half draws the first
+    # min(n, 1024) in full, and past them only the points that can reach the top k + 1
     assert drawn == [5] * 3 + [40] * 3
+    drawn.clear()
+    assert run(["test-invariance", *flags, "--trunc-n", "100000"]) in (0, 1)
+    capsys.readouterr()
+    assert drawn == [5] * 3 + [1024] * 3
 
 
 def test_invariance_pp_needs_trunc_n_above_topk(tmp_path, capsys):
@@ -507,6 +527,7 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
     (["evolve", "--kind", "custom-from-file"], ["--kind", "test-invariance"]),
     (["sample", "--seed", "-1"], ["--seed", ">= 0"]),
     (["QUASISTAT_SEED=-4", "sample"], ["--seed", ">= 0"]),
+    (["test-invariance", "--tau", "0"], ["--tau", "test-invariance"]),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
     env_seed = None
@@ -529,6 +550,15 @@ def test_reshuffle_overflow_names_the_flags(tmp_path, capsys, kind, trunc_n):
         err = capsys.readouterr().err
         assert err.startswith(f"error: --sigma {float(sigma)}, --beta 1.0 and --tau {tau} ")
         assert f"E[e^{{beta h}}] = e^{{{exponent}}} overflows" in err
+
+
+def test_custom_overflow_names_its_one_step(tmp_path, capsys):
+    # the --input rows take one reshuffle whatever --tau reads, so the message names no --tau
+    assert run([*_pd_rows_file(tmp_path), "--sigma", "400", "--tau", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sigma 400.0, --beta 1.0 and the one step of "
+                          "--kind custom-from-file take the reshuffle beyond float64")
+    assert "--tau" not in err and "E[e^{beta h}] = e^{80000} overflows" in err
 
 
 @pytest.mark.parametrize("command,kind,need", [

@@ -2,11 +2,12 @@ from itertools import repeat
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasistat import experiments
-from quasistat.dynamics import IncrementLaw, rerank_top, reshuffle_rows
+from quasistat.dynamics import IncrementLaw, reshuffle_rows
 from quasistat.pointproc import (
     check_partition_rows,
     mass_partition_rows,
@@ -56,10 +57,17 @@ def test_summed_law_bits():
     assert rng.random() == ref_rng.random()
 
 
-def _rerank(x, h):
-    """One additive step of the ranked points x, re-ranked in full."""
-    x, h = np.asarray(x, dtype=float), np.asarray(h, dtype=float)
-    return rerank_top(lambda m: x[:m], h, x.size)
+def _points(n, seed=0):
+    """The top n points of PP(1) that ``top_points`` draws from generator ``seed``."""
+    return experiments.top_points([np.random.default_rng(seed)], 1.0, n, n)[0]
+
+
+def _rerank(h, seed=0):
+    """Those points after one additive step by the scripted increments h, ranked
+    in full by ``top_points``."""
+    h = np.asarray(h, dtype=float)
+    return experiments.top_points([np.random.default_rng(seed)], 1.0, h.size, h.size,
+                                  law=_FixedDraws(h))[0]
 
 
 def _reshuffle(masses, tail, h, law, beta=1.0):
@@ -70,29 +78,32 @@ def _reshuffle(masses, tail, h, law, beta=1.0):
 
 
 def test_additive_common_shift_preserves_gaps():
-    out = _rerank([1.0, 0.0], [2.5, 2.5])
-    np.testing.assert_allclose(out, [3.5, 2.5])
-    np.testing.assert_allclose(np.diff(out), [-1.0])
+    x = _points(2)
+    out = _rerank([2.5, 2.5])
+    np.testing.assert_allclose(out, x + 2.5)
+    np.testing.assert_allclose(np.diff(out), np.diff(x))
 
 
 def test_additive_resorts_after_order_swap():
-    np.testing.assert_allclose(_rerank([0.0, -3.0], [-2.0, 0.0]), [-2.0, -3.0])
+    x = _points(2)
+    lift = x[0] - x[1] + 1.0
+    np.testing.assert_allclose(_rerank([-lift, 0.0]), [x[1], x[0] - lift])
 
 
-# points and draws on a coarse grid collide exactly after the step
+# targets on a coarse grid collide exactly after the step
 _GRID_VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.one_of(_GRID_VALUES, st.floats(-1e6, 1e6)),
-                          st.one_of(_GRID_VALUES, st.floats(-1e6, 1e6))),
-                min_size=1, max_size=40))
-def test_additive_rerank_matches_stable_argsort(pairs):
-    # "+ 0.0" turns -0.0 into +0.0; the relative order of the two zeros is the
-    # one thing a value sort may change, and it has probability zero
-    x = np.sort(np.array([p for p, _ in pairs]) + 0.0)[::-1]
-    h = np.array([q for _, q in pairs]) + 0.0
-    out = _rerank(x, h)
+@given(st.lists(st.one_of(_GRID_VALUES, st.floats(-1e6, 1e6)), min_size=1, max_size=40),
+       st.integers(0, 2**32 - 1))
+def test_additive_rerank_matches_stable_argsort(targets, seed):
+    # each increment takes its point to about its target; "+ 0.0" turns -0.0 into
+    # +0.0, as the relative order of the two zeros is the one thing a value sort
+    # may change, and it has probability zero
+    x = _points(len(targets), seed)
+    h = np.array(targets) - x + 0.0
+    out = _rerank(h, seed)
     v = x + h
     reference = v[np.argsort(-v, kind="stable")]
     assert out.tobytes() == reference.tobytes()
@@ -100,7 +111,7 @@ def test_additive_rerank_matches_stable_argsort(pairs):
 
 def test_additive_rejects_non_finite_draws():
     with pytest.raises(ValueError):
-        _rerank([0.0, -1.0], [np.nan, 0.0])
+        _rerank([np.nan, 0.0])
 
 
 def test_multiplicative_constant_weight_is_identity():
@@ -139,8 +150,8 @@ def test_additive_multiplicative_commutation():
     law = IncrementLaw(0.1, 0.9)
     h = law.sample(60, np.random.default_rng(21))
     # the additive step advances the tail estimate by E[e^{beta h}], as the reshuffle does
-    via_points, via_points_tail = mass_partition_rows(_rerank(points[0], h)[None],
-                                                      tails * np.exp(law.log_mgf(1.0)))
+    stepped = experiments.top_points([np.random.default_rng(8)], 0.5, 60, 60, law=_FixedDraws(h))
+    via_points, via_points_tail = mass_partition_rows(stepped, tails * np.exp(law.log_mgf(1.0)))
     via_masses, via_masses_tail = reshuffle_rows(*mass_partition_rows(points, tails), h[None], law)
     np.testing.assert_allclose(via_points, via_masses, atol=1e-10)
     np.testing.assert_allclose(via_points_tail, via_masses_tail, atol=1e-10)
@@ -182,7 +193,7 @@ def test_pp_gap_law_invariant_under_evolution():
     for r in range(n_rep):
         before[r] = -np.diff(-np.log(sample_gamma_arrivals(k + 1, rng)))
         x = -np.log(sample_gamma_arrivals(3000, rng))
-        after[r] = -np.diff(_rerank(x, law.sample(x.size, rng))[: k + 1])
+        after[r] = -np.diff(np.sort(x + law.sample(x.size, rng))[::-1][: k + 1])
     report = invariance_verdict(before, after, level=0.01, n_perm=199,
                                 rng=np.random.default_rng(56))
     assert report["verdict"] == "consistent"
@@ -327,13 +338,23 @@ def _top_points_loop(rngs, rho, n, k, law, steps):
 @pytest.mark.parametrize("rho", [1e-3, 0.3, 1.0, 10.0])
 def test_top_points_matches_evolve_loop(rho, sigma):
     law, k = IncrementLaw(-0.4, sigma), 6
-    for n, replicas in [(k, 5), (k + 1, 5), (300, 5), (100_000, 2)]:
+    for n, replicas in [(k, 5), (k + 1, 5), (300, 5), (1024, 5), (1025, 5), (100_000, 2)]:
         for steps in (0, 1):
             evolve = law if steps else None
             independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
-            reference = _top_points_loop(independent, rho, n, k, law, steps)
-            independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
             rows = experiments.top_points(independent, rho, n, k, law=evolve)
+            if steps and n > experiments._HEAD:
+                if n == experiments._HEAD + 1:
+                    # the head is the full draw of its first _HEAD points, and the one
+                    # point past it enters the top k or not
+                    independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
+                    head = _top_points_loop(independent, rho, n - 1, k, law, steps)
+                    for row, ref in zip(rows, head):
+                        kept = row[np.isin(row, ref)]
+                        assert kept.size >= k - 1 and kept.tobytes() == ref[:kept.size].tobytes()
+                continue  # deeper, the walk keeps the law (test_top_points_walk_keeps_the_law)
+            independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
+            reference = _top_points_loop(independent, rho, n, k, law, steps)
             assert rows.tobytes() == reference.tobytes(), (n, steps)
             # one generator for every replica, as the acceptance suite passes it
             ref_rng, rng = np.random.default_rng([n, steps]), np.random.default_rng([n, steps])
@@ -341,6 +362,36 @@ def test_top_points_matches_evolve_loop(rho, sigma):
             rows = experiments.top_points(repeat(rng, replicas), rho, n, k, law=evolve)
             assert rows.tobytes() == reference.tobytes(), (n, steps)
             assert rng.random() == ref_rng.random()  # nothing more or less was drawn
+
+
+@pytest.mark.parametrize("tau,sigma,n", [(1, 1.0, 100_000), (10, 1.0, 100_000), (1, 50.0, 5000)])
+def test_top_points_walk_keeps_the_law(tau, sigma, n):
+    # past _HEAD points the walk draws only the points that can reach the top k;
+    # its top points and gaps must keep the law of the full draw.  A walk that
+    # stops at the head reads "rejected" at tau = 10 and at sigma = 50.
+    law, k, replicas = IncrementLaw(0.0, sigma).summed(tau), 6, 400
+    reference = _top_points_loop([np.random.default_rng([1, 1, i]) for i in range(replicas)],
+                                 1.0, n, k, law, 1)
+    rows = experiments.top_points([np.random.default_rng([1, 2, i]) for i in range(replicas)],
+                                  1.0, n, k, law=law)
+    for key, (a, b) in enumerate([(reference, rows), (-np.diff(reference), -np.diff(rows))]):
+        report = invariance_verdict(a, b, level=0.01, n_perm=199,
+                                    rng=np.random.default_rng([1, 3 + key]))
+        assert report["verdict"] == "consistent", ("positions", "gaps")[key]
+
+
+def test_sample_above_is_the_conditional_law():
+    law, rng = IncrementLaw(0.3, 2.0), np.random.default_rng(14)
+    for z in (-30.0, -2.0, 0.0, 2.0, 10.0, 30.0):
+        c = np.full(10_000, law.mu + z * law.sigma)
+        h = law.sample_above(c, rng)
+        assert np.all(np.isfinite(h)) and np.all(h >= c), z
+    # the mean of N(mu, sigma^2) truncated to [mu + 2 sigma, inf)
+    h = law.sample_above(np.full(100_000, law.mu + 2.0 * law.sigma), rng)
+    expected = law.mu + law.sigma * np.exp(-2.0) / np.sqrt(2 * np.pi) / ndtr(-2.0)
+    assert abs(h.mean() - expected) <= 4 * h.std() / np.sqrt(h.size)
+    for z in (-30.0, 30.0):
+        assert law.survival(law.mu + z * law.sigma) == pytest.approx(ndtr(-z), rel=1e-12)
 
 
 def test_top_points_cut_reaches_a_lifted_last_point():
@@ -382,24 +433,3 @@ def test_summed_law_evolves_as_tau_steps(case):
     assert verdict(ensemble(law.summed(tau))) == "consistent"
     if case != "pd-0.5":  # PD(alpha, 0) is invariant; these laws move with each step
         assert verdict(ensemble(law)) == "rejected"
-
-
-def test_rerank_top_forms_only_the_points_that_can_reach_the_top():
-    rng = np.random.default_rng(12)
-    x = np.sort(rng.exponential(size=100_000))[::-1]
-    h = rng.normal(size=x.size)
-    formed = []
-
-    def head(m):
-        formed.append(m)
-        return x[:m]
-
-    def count(c):
-        return x.size - np.searchsorted(x[::-1], c)
-
-    top = rerank_top(head, h, 11, count)
-    assert top.tobytes() == np.sort(x + h)[::-1][:11].tobytes()
-    assert formed[-1] < x.size // 10
-    h[-1] = x[0] - x[-1] + 1.0  # lifts the last point to first place
-    top = rerank_top(head, h, 11, count)
-    assert formed[-1] == x.size and top[0] == x[-1] + h[-1]
