@@ -2,9 +2,9 @@ from itertools import repeat
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from quasistat import experiments
 from quasistat.dynamics import IncrementLaw, reshuffle_rows
