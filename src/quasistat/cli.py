@@ -397,6 +397,9 @@ def cmd_test_invariance(cfg):
         before, prefix = _ensemble(cfg, 0, steps=0)
         after, _ = _ensemble(cfg, 1, steps=cfg["tau"])
     names = _header(prefix, cfg["topk"])
+    if 1.0 / (cfg["n_perm"] + 1.0) >= cfg["level"]:  # its p is at least 1 / (n_perm + 1)
+        print(f"warning: --level {cfg['level']} with --n-perm {cfg['n_perm']}: the energy "
+              f"test cannot reject, so the verdict rests on the KS tests alone", file=sys.stderr)
     report = stattest.invariance_verdict(before, after, level=cfg["level"],
                                          n_perm=cfg["n_perm"], rng=replica_rng(cfg["seed"], 2))
     pcsv = _write(cfg, "pvalues.csv", ["coordinate", "ks_statistic", "ks_p"],

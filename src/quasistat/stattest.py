@@ -13,7 +13,6 @@ from scipy.special import kolmogorov
 
 __all__ = [
     "ks_two_sample",
-    "marginal_law_test",
     "energy_distance_perm_test",
     "invariance_verdict",
 ]
@@ -38,19 +37,6 @@ def ks_two_sample(xs, ys):
     return d, float(kolmogorov(np.sqrt(en) * d))
 
 
-def marginal_law_test(samples, cdf):
-    """One-sample KS of ``samples`` against a given CDF, asymptotic p-value."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    if n == 0:
-        raise ValueError("samples must be nonempty")
-    f = np.asarray(cdf(x), dtype=float)
-    d_plus = np.max(np.arange(1, n + 1) / n - f)
-    d_minus = np.max(f - np.arange(0, n) / n)
-    d = float(max(d_plus, d_minus))
-    return d, float(kolmogorov(np.sqrt(n) * d))
-
-
 def _observations(sample):
     """A sample as rows of observations: a 1-d sample of m values is m rows of
     one coordinate."""
@@ -63,12 +49,79 @@ def _observations(sample):
 _TILE_ELEMS = 2 ** 21
 
 
-def energy_distance_perm_test(X, Y, n_perm=199, *, rng, return_stat=False):
+# the first pass of a sequential energy test evaluates 16 (G* + 1)
+# permutations, G* the exceedances that settle "consistent"
+_PERMS_PER_EXCEEDANCE = 16
+
+
+def _indicators(z, count, rng):
+    """The group indicator z, then count permutations of it drawn in order from
+    rng, as columns: one GEMM per tile serves them all."""
+    block = np.empty((z.size, count + 1))
+    block[:, 0] = z
+    for j in range(1, count + 1):
+        block[:, j] = rng.permutation(z)
+    return block
+
+
+def _energy_stats(pooled, indicators, nx, row_sums=None):
+    """The energy statistic of each indicator column (1 on the x rows), and the
+    row sums of the pooled distance matrix D.
+
+    One walk over the upper triangle of the symmetric D in row tiles
+    [a, b) x [a, rows).  Row sums take each tile's rows and, by symmetry, the
+    columns beyond b, unless an earlier walk passes them in; s_xx = z'Dz counts
+    the diagonal block once and the block beyond it twice.
+    """
+    rows = len(pooled)
+    ny = rows - nx
+    walk_sums = row_sums is None
+    if walk_sums:
+        row_sums = np.zeros(rows)
+    s_xx = np.zeros(indicators.shape[1])
+    tile_rows = max(1, _TILE_ELEMS // rows)
+    for a in range(0, rows, tile_rows):
+        b = min(a + tile_rows, rows)
+        tile = cdist(pooled[a:b], pooled[a:])
+        if walk_sums:
+            row_sums[a:b] += tile.sum(axis=1)
+            row_sums[b:] += tile[:, b - a:].sum(axis=0)
+        tile[:, :b - a] *= 0.5  # exact: the doubling below restores the diagonal block
+        s_xx += 2.0 * np.einsum("ij,ij->j", indicators[a:b], tile @ indicators[a:])
+        del tile  # so the next tile does not coexist with this one
+    s_xy = row_sums @ indicators - s_xx
+    s_yy = row_sums.sum() - s_xx - 2.0 * s_xy
+    return 2.0 * s_xy / (nx * ny) - s_xx / (nx * nx) - s_yy / (ny * ny), row_sums
+
+
+def energy_distance_perm_test(X, Y, n_perm=199, *, rng, level=None, full_output=False):
     """Permutation p-value of the two-sample energy distance.
 
     E = 2 mean||x - y|| - mean||x - x'|| - mean||y - y'|| over the k tracked
     coordinates, one row of X or Y per observation (a 1-d sample is one
-    coordinate); p = (1 + #{permuted E* >= E}) / (n_perm + 1).
+    coordinate).  Without ``level`` every permutation is evaluated and
+    p = (1 + G) / (n_perm + 1), G = #{permuted E* >= E}.
+
+    With ``level`` the test stops once "p >= level" is settled (Besag &
+    Clifford, "Sequential Monte Carlo p-values", Biometrika 78, 1991; Gandy,
+    JASA 104, 2009).  G* is the fewest exceedances with
+    (1 + G*) / (n_perm + 1) >= level.  A first pass evaluates the first
+    m1 = min(n_perm, 16 (G* + 1)) permutations of the stream (m1 = 0 when
+    G* = 0, that is level (n_perm + 1) <= 1); if at least G* of them reach E,
+    the full test cannot reject and the test stops.  Otherwise the rest of the
+    stream is drawn and evaluated on the same row sums.
+
+    The reported p = (1 + G) / (1 + L) counts G over the L permutations
+    evaluated.  With L = n_perm it is the full test's p; after a stop it is at
+    least level, so p < level exactly when the full test rejects (up to the
+    last bit of a column's sums, which BLAS may round differently for a
+    narrower block).  It is a valid p-value, P(p <= u) <= u under the null:
+    for u < (1 + G*) / (1 + m1) a stop cannot give p <= u, so
+    P(p <= u) <= P(p_full <= u); for u >= G* / (1 + m1), p = p_m1 after a
+    stop and no stop implies p_m1 <= u, so P(p <= u) <= P(p_m1 <= u), where
+    p_m1 is the permutation p-value of the first m1 permutations.
+
+    Returns p, or (p, E, L) with ``full_output``.
     """
     X, Y = _observations(X), _observations(Y)
     if X.shape[1] != Y.shape[1]:
@@ -77,49 +130,43 @@ def energy_distance_perm_test(X, Y, n_perm=199, *, rng, return_stat=False):
         raise ValueError("n_perm must be at least 199")
     nx, ny = X.shape[0], Y.shape[0]
     pooled = np.vstack([X, Y])
-    rows = nx + ny
-    # all permuted group indicators at once: one GEMM per tile replaces n_perm matvecs
-    z = np.zeros(rows)
+    z = np.zeros(nx + ny)
     z[:nx] = 1.0
-    indicators = np.empty((rows, n_perm + 1))
-    indicators[:, 0] = z
-    for j in range(1, n_perm + 1):
-        indicators[:, j] = rng.permutation(z)
-    # Walk the upper triangle of the symmetric distance matrix D in row tiles
-    # [a, b) x [a, rows).  Row sums take each tile's rows and, by symmetry,
-    # the columns beyond b; s_xx = z'Dz counts the diagonal block once and the
-    # block beyond it twice.
-    row_sums = np.zeros(rows)
-    s_xx = np.zeros(n_perm + 1)
-    tile_rows = max(1, _TILE_ELEMS // rows)
-    for a in range(0, rows, tile_rows):
-        b = min(a + tile_rows, rows)
-        tile = cdist(pooled[a:b], pooled[a:])
-        row_sums[a:b] += tile.sum(axis=1)
-        row_sums[b:] += tile[:, b - a:].sum(axis=0)
-        tile[:, :b - a] *= 0.5  # exact: the doubling below restores the diagonal block
-        s_xx += 2.0 * np.einsum("ij,ij->j", indicators[a:b], tile @ indicators[a:])
-        del tile  # so the next tile does not coexist with this one
-    s_xy = row_sums @ indicators - s_xx
-    s_yy = row_sums.sum() - s_xx - 2.0 * s_xy
-    stats = 2.0 * s_xy / (nx * ny) - s_xx / (nx * nx) - s_yy / (ny * ny)
+    # the exceedances that settle p >= level, by the full test's p formula
+    settle = n_perm + 1 if level is None else next(
+        (g for g in range(n_perm + 1) if (1.0 + g) / (n_perm + 1.0) >= level), n_perm + 1)
+    evaluated = min(n_perm, _PERMS_PER_EXCEEDANCE * (settle + 1)) if settle else 0
+    stats, row_sums = _energy_stats(pooled, _indicators(z, evaluated, rng), nx)
     observed = float(stats[0])
-    p = (1.0 + np.count_nonzero(stats[1:] >= observed)) / (n_perm + 1.0)
-    return (p, observed) if return_stat else p
+    exceed = np.count_nonzero(stats[1:] >= observed)
+    if exceed < settle and evaluated < n_perm:
+        # the verdict is open: the rest of the stream; its column 0 repeats E
+        more, _ = _energy_stats(pooled, _indicators(z, n_perm - evaluated, rng), nx, row_sums)
+        exceed += np.count_nonzero(more[1:] >= observed)
+        evaluated = n_perm
+    p = (1.0 + exceed) / (evaluated + 1.0)
+    return (p, observed, evaluated) if full_output else p
 
 
 def invariance_verdict(before, after, level=0.01, n_perm=199, *, rng):
     """Bonferroni per-coordinate KS plus joint energy test.
 
-    Returns {"ks": [(statistic, p) per coordinate], "energy_p": p, "verdict": v},
-    where v is "rejected" iff some KS p-value falls below level/k or the energy
-    permutation p-value falls below level, else "consistent".
+    Returns {"ks": [(statistic, p) per coordinate], "energy_p": p,
+    "energy_perms": L, "verdict": v}, where v is "rejected" iff some KS p-value
+    falls below level/k or the energy permutation p-value falls below level,
+    else "consistent".  The energy test runs sequentially at ``level``: it
+    stops once no further permutation can bring its p below level, and
+    p = (1 + G) / (1 + L) counts the exceedances G among the L permutations it
+    evaluated (see energy_distance_perm_test).  At level (n_perm + 1) <= 1 the
+    energy half cannot reject, L = 0, and the verdict rests on KS alone.
     """
     before, after = _observations(before), _observations(after)
     if before.shape[1] != after.shape[1]:
         raise ValueError("ensembles must share the coordinate count")
     k = before.shape[1]
     ks = [ks_two_sample(before[:, j], after[:, j]) for j in range(k)]
-    energy_p = energy_distance_perm_test(before, after, n_perm=n_perm, rng=rng)
+    energy_p, _, energy_perms = energy_distance_perm_test(before, after, n_perm=n_perm, rng=rng,
+                                                          level=level, full_output=True)
     rejected = min(p for _, p in ks) < level / k or energy_p < level
-    return {"ks": ks, "energy_p": energy_p, "verdict": "rejected" if rejected else "consistent"}
+    return {"ks": ks, "energy_p": energy_p, "energy_perms": energy_perms,
+            "verdict": "rejected" if rejected else "consistent"}

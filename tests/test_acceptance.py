@@ -18,8 +18,9 @@ from quasistat.stattest import (
     energy_distance_perm_test,
     invariance_verdict,
     ks_two_sample,
-    marginal_law_test,
 )
+
+from helpers import marginal_law_test
 
 GAUSS = IncrementLaw(0.0, 1.0)
 

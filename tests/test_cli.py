@@ -104,6 +104,7 @@ def test_invariance_pd_consistent(tmp_path, capsys):
     assert record["verdict"] == "consistent"
     assert code == 0
     assert (tmp_path / "pvalues.csv").exists()
+    assert 0 <= record["energy_perms"] <= 199
 
 
 def test_invariance_geometric_rejected(tmp_path, capsys):
@@ -112,6 +113,19 @@ def test_invariance_geometric_rejected(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["verdict"] == "rejected"
     assert code == 1
+
+
+def test_energy_test_that_cannot_reject_is_named(tmp_path, capsys):
+    args = ["test-invariance", "--kind", "geometric", "--replicas", "200", "--trunc-n", "60",
+            "--topk", "3", "--seed", "5", "--out", str(tmp_path)]
+    assert run(args) == 1
+    assert capsys.readouterr().err == ""
+    # 0.001 * (199 + 1) <= 1: the energy p is at least 1/200, so only KS can reject
+    assert run(args + ["--level", "0.001"]) == 1
+    out, err = capsys.readouterr()
+    record = json.loads(out)
+    assert (record["energy_perms"], record["energy_p"]) == (0, 1.0)
+    assert err.count("\n") == 1 and err.startswith("warning: --level 0.001 with --n-perm 199")
 
 
 def test_invariance_mixture_consistent(tmp_path, capsys):

@@ -16,7 +16,9 @@ from quasistat.pointproc import (
     sample_gamma_arrivals,
     sample_pd_stickbreaking,
 )
-from quasistat.stattest import energy_distance_perm_test, marginal_law_test
+from quasistat.stattest import energy_distance_perm_test
+
+from helpers import marginal_law_test
 
 
 class _FixedExponentials:

@@ -13,8 +13,9 @@ from quasistat.stattest import (
     energy_distance_perm_test,
     invariance_verdict,
     ks_two_sample,
-    marginal_law_test,
 )
+
+from helpers import marginal_law_test
 
 
 def test_ks_identical_samples():
@@ -97,8 +98,8 @@ def test_energy_p_value_property(data, k, scale, seed):
     rows = st.lists(st.lists(_VALUES, min_size=k, max_size=k), min_size=1, max_size=30)
     X, Y = (np.array(data.draw(rows)) * scale for _ in range(2))
     n_perm = 199
-    p, observed = energy_distance_perm_test(X, Y, n_perm=n_perm, rng=np.random.default_rng(seed),
-                                            return_stat=True)
+    p, observed, _ = energy_distance_perm_test(X, Y, n_perm=n_perm,
+                                               rng=np.random.default_rng(seed), full_output=True)
     rank = p * (n_perm + 1)  # 1 + the permuted statistics at least the observed one
     assert rank == pytest.approx(round(rank), abs=1e-9) and 1 <= round(rank) <= n_perm + 1
     pooled = np.vstack([X, Y])
@@ -124,8 +125,8 @@ def test_marginal_law_null_calibration():
 
 def test_energy_identical_matrices():
     x = np.arange(20.0).reshape(10, 2)
-    p, stat = energy_distance_perm_test(x, x.copy(), n_perm=199,
-                                        rng=np.random.default_rng(4), return_stat=True)
+    p, stat, _ = energy_distance_perm_test(x, x.copy(), n_perm=199,
+                                           rng=np.random.default_rng(4), full_output=True)
     assert stat == pytest.approx(0.0, abs=1e-12)
     assert p > 0.5
 
@@ -162,8 +163,8 @@ def test_energy_statistic_exact_above_2048_rows():
         return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)).mean()
 
     reference = 2.0 * mean_dist(x, y) - mean_dist(x, x) - mean_dist(y, y)
-    _, stat = energy_distance_perm_test(x, y, n_perm=199, rng=np.random.default_rng(18),
-                                        return_stat=True)
+    _, stat, _ = energy_distance_perm_test(x, y, n_perm=199, rng=np.random.default_rng(18),
+                                           full_output=True)
     assert stat == pytest.approx(reference, rel=1e-10)
 
 
@@ -199,11 +200,53 @@ def test_energy_tiles_match_full_matrix(monkeypatch, tile_elems, nx, ny, k, n_pe
         monkeypatch.setattr(stattest, "_TILE_ELEMS", tile_elems)
     data = np.random.default_rng(19)
     x, y = data.normal(size=(nx, k)), data.normal(shift, 1.0, size=(ny, k))
-    p, stat = energy_distance_perm_test(x, y, n_perm=n_perm, rng=np.random.default_rng(20),
-                                        return_stat=True)
+    p, stat, evaluated = energy_distance_perm_test(x, y, n_perm=n_perm,
+                                                   rng=np.random.default_rng(20), full_output=True)
     p_ref, stat_ref = _energy_full_matrix(x, y, n_perm, np.random.default_rng(20))
-    assert p == p_ref
+    assert p == p_ref and evaluated == n_perm
     assert stat == pytest.approx(stat_ref, rel=1e-10)
+
+
+# first: the permutations of the first pass, 16 (G* + 1) with G* the exceedances
+# that settle p >= level, or none where level (n_perm + 1) <= 1
+@pytest.mark.parametrize("level,n_perm,first,outcomes", [
+    (0.05, 199, 160, {"stopped", "rejected"}),
+    (0.05, 499, 400, {"stopped", "rejected"}),
+    (0.01, 199, 32, {"stopped", "all ran", "rejected"}),
+    (0.01, 499, 80, {"stopped", "all ran", "rejected"}),
+    (0.001, 199, 0, {"stopped"}),
+    (0.001, 499, 0, {"stopped"}),
+])
+def test_sequential_energy_verdict_matches_full_test(level, n_perm, first, outcomes):
+    data = np.random.default_rng(23)
+    seen = set()
+    for shift in (0.0, 0.3, 0.6):
+        for seed in range(6):
+            x, y = data.normal(size=(60, 3)), data.normal(shift, 1.0, size=(50, 3))
+            p, stat, evaluated = energy_distance_perm_test(
+                x, y, n_perm=n_perm, rng=np.random.default_rng(seed), level=level,
+                full_output=True)
+            p_ref, stat_ref = _energy_full_matrix(x, y, n_perm, np.random.default_rng(seed))
+            assert (p < level) == (p_ref < level)
+            assert stat == pytest.approx(stat_ref, rel=1e-12, abs=0)
+            if evaluated == n_perm:
+                assert p == p_ref
+                seen.add("rejected" if p < level else "all ran")
+            else:
+                assert p >= level and evaluated == first
+                seen.add("stopped")
+    assert seen == outcomes
+
+
+def test_sequential_energy_p_is_valid_under_the_null():
+    # 50 + 50 rows, k = 3: P(p <= u) <= u for the stopped p as for the full one
+    data = np.random.default_rng(24)
+    trials = 400
+    ps = np.array([energy_distance_perm_test(data.normal(size=(50, 3)), data.normal(size=(50, 3)),
+                                             n_perm=199, rng=data, level=0.01)
+                   for _ in range(trials)])
+    for u in (0.01, 0.05, 0.1, 0.25, 0.5):
+        assert np.mean(ps <= u) <= u + 3.0 * np.sqrt(u * (1.0 - u) / trials), u
 
 
 def test_energy_memory_linear_in_rows():
@@ -255,6 +298,7 @@ def test_verdict_identical_ensembles_consistent():
     assert report["verdict"] == "consistent"
     assert all(0.0 <= p <= 1.0 for _, p in report["ks"])
     assert len(report["ks"]) == 4
+    assert 0 <= report["energy_perms"] <= 199 and report["energy_p"] >= 0.01
 
 
 def test_verdict_shifted_ensembles_rejected():
@@ -265,6 +309,8 @@ def test_verdict_shifted_ensembles_rejected():
     assert report["verdict"] == "rejected"
     min_ks_p = min(p for _, p in report["ks"])
     assert min_ks_p < 0.01 / 3 or report["energy_p"] < 0.01
+    # an energy rejection has run every permutation
+    assert report["energy_p"] < 0.01 and report["energy_perms"] == 199
 
 
 def test_verdict_rule_matches_definition():
