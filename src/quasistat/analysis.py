@@ -1,10 +1,12 @@
-"""Front profiles, generating functionals and bound checks.
+"""Generating functionals, sums of squares and the big-jump bound check.
 
 The front profile of a configuration X over a horizon tau is
-F(y) = sum_i P(S_i(tau) + X_i >= y) with S_i(tau) the tau-step increment sum;
-its unit level set Z (where F(Z) = 1) is the expected leading-edge position.
-For tail-normalized configurations both obey explicit exponential bounds
-driven by v_beta = log E[e^{beta h}].
+F(y) = sum_i P(X_i + S_i(tau) >= y) with S_i(tau) the tau-step increment sum,
+one draw of ``IncrementLaw.summed(tau)``; its unit level set Z (where F(Z) = 1)
+is the expected leading-edge position.  For tail-normalized configurations
+both obey explicit exponential bounds driven by v_beta = log E[e^{beta h}]:
+``experiments.front_bound_counts`` checks them pathwise, and
+``jump_event_bound_check`` the big-jump event behind them.
 """
 
 import numpy as np
@@ -12,9 +14,7 @@ import numpy as np
 from .dynamics import IncrementLaw
 
 __all__ = [
-    "FrontRootError",
     "ShallowTruncationError",
-    "front_position",
     "gen_functional_mc",
     "gen_functional_pp_exponential",
     "sum_squares_rows",
@@ -22,49 +22,8 @@ __all__ = [
 ]
 
 
-class FrontRootError(RuntimeError):
-    """The front profile stays below 1 everywhere; no leading-edge position."""
-
-
 class ShallowTruncationError(ValueError):
     """The configuration is too shallow for the test function's support."""
-
-
-def front_position(points, law: IncrementLaw, tau) -> float:
-    """Root z of F(z) = 1, i.e. inf{y : F(y) < 1}, for the front profile
-    F(y) = sum_i P(S_i(tau) >= y - X_i) of one row of ranked points.
-
-    Profiles with F < 1 everywhere (a single tracked point) raise
-    FrontRootError.
-    """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if tau == 0:
-        # step profile: F(y) = #{i : X_i >= y} crosses below 1 at the leader
-        return float(points[0])
-    if len(points) < 2:
-        raise FrontRootError("fewer than one expected survivor at every level")
-
-    def profile(y):
-        return law._tail_sums(y, points, tau)
-
-    lo = points[0] - 10.0
-    hi = points[0] + law.log_mgf(1.0) * tau + 10.0
-    hi = max(hi, lo + 1.0)
-    width = hi - lo
-    while profile(lo) < 1.0:
-        lo -= width
-        width *= 2.0
-    while profile(hi) >= 1.0:
-        hi += width
-        width *= 2.0
-    # imported here: only this root finder needs scipy.optimize, and the CLI never calls it
-    from scipy.optimize import brentq
-
-    z = brentq(lambda y: profile(y) - 1.0, lo, hi, xtol=1e-13, rtol=1e-15)
-    if abs(profile(z) - 1.0) > 1e-9:
-        raise FrontRootError("bisection failed to pin F(z) = 1")
-    return float(z)
 
 
 def _check_step(a, d):

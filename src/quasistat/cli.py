@@ -280,20 +280,24 @@ def _check_depth(cfg, need):
                           f"a replica tracks {cfg['trunc_n']} values; {need} are needed")
 
 
-def _top_masses(cfg, rngs, sampler, law):
-    """``experiments.top_masses``, with a float64 range error turned into one
-    that names the flags."""
+def _in_range(cfg, ensemble, *args, **kwargs):
+    """``ensemble(*args, **kwargs)``, the rows of an ``experiments`` ensemble,
+    with a float64 range error turned into one that names the flags."""
+    # --input rows take one step, whatever --tau reads
+    steps = ("the one step of --kind custom-from-file" if cfg["kind"] == "custom-from-file"
+             else f"--tau {cfg['tau']}")
     try:
-        return experiments.top_masses(rngs, sampler, cfg["topk"], law=law, beta=cfg["beta"])
+        return ensemble(*args, **kwargs)
     except OverflowError as exc:  # raised by a PD start, before any reshuffle
         key = "alphas" if cfg["kind"] == "mixture-of-pd" else "alpha"
         raise ConfigError(f"{_flag(key)} {cfg[key]} takes the PD(alpha, 0) start beyond "
                           f"float64: {exc}") from None
-    except FloatingPointError as exc:  # --input rows take one step, whatever --tau reads
-        steps = ("the one step of --kind custom-from-file" if cfg["kind"] == "custom-from-file"
-                 else f"--tau {cfg['tau']}")
+    except FloatingPointError as exc:
         raise ConfigError(f"--sigma {cfg['sigma']}, --beta {cfg['beta']} and {steps} "
                           f"take the reshuffle beyond float64: {exc}") from None
+    except dynamics.NonFiniteIncrementError as exc:
+        raise ConfigError(f"--mu {cfg['mu']}, --sigma {cfg['sigma']} and {steps} "
+                          f"take the increments beyond float64: {exc}") from None
 
 
 def _ensemble(cfg, stream, steps):
@@ -305,10 +309,12 @@ def _ensemble(cfg, stream, steps):
         _check_depth(cfg, k + 1)
         # unevolved, only the top k + 1 points are read, and they are a prefix of any deeper draw
         n = cfg["trunc_n"] if steps else k + 1
-        return experiments.top_gaps(_rngs(cfg, stream), cfg["rho"], n, k, law=law), "gap"
+        return _in_range(cfg, experiments.top_gaps, _rngs(cfg, stream), cfg["rho"], n, k,
+                         law=law), "gap"
     sampler = _partition_sampler(cfg)
     _check_depth(cfg, k)
-    return _top_masses(cfg, _rngs(cfg, stream), sampler, law), "xi"
+    return _in_range(cfg, experiments.top_masses, _rngs(cfg, stream), sampler, k, law=law,
+                     beta=cfg["beta"]), "xi"
 
 
 def _input_partition(row, i, k):
@@ -345,8 +351,9 @@ def _custom_ensembles(cfg):
     before = np.array([masses[:k] for masses, _ in partitions[:half]])
     evolved = iter(partitions[half:])
     sampler = experiments.Partitions(lambda rng: next(evolved), data.shape[1])
-    return before, _top_masses(cfg, _rngs(cfg, 1, len(partitions) - half), sampler,
-                               _increment_law(cfg))
+    rngs = _rngs(cfg, 1, len(partitions) - half)
+    return before, _in_range(cfg, experiments.top_masses, rngs, sampler, k,
+                             law=_increment_law(cfg), beta=cfg["beta"])
 
 
 def _header(prefix, k):
@@ -400,8 +407,13 @@ def cmd_test_invariance(cfg):
     if 1.0 / (cfg["n_perm"] + 1.0) >= cfg["level"]:  # its p is at least 1 / (n_perm + 1)
         print(f"warning: --level {cfg['level']} with --n-perm {cfg['n_perm']}: the energy "
               f"test cannot reject, so the verdict rests on the KS tests alone", file=sys.stderr)
-    report = stattest.invariance_verdict(before, after, level=cfg["level"],
-                                         n_perm=cfg["n_perm"], rng=replica_rng(cfg["seed"], 2))
+    try:
+        report = stattest.invariance_verdict(before, after, level=cfg["level"],
+                                             n_perm=cfg["n_perm"], rng=replica_rng(cfg["seed"], 2))
+    except ValueError as exc:  # the energy test's distances would leave float64
+        raise ConfigError(f"--rho {cfg['rho']}, --mu {cfg['mu']}, --sigma {cfg['sigma']} and "
+                          f"--tau {cfg['tau']} spread the ensembles beyond float64: "
+                          f"{exc}") from None
     pcsv = _write(cfg, "pvalues.csv", ["coordinate", "ks_statistic", "ks_p"],
                   [[j + 1, d, p] for j, (d, p) in enumerate(report["ks"])])
     fields = {

@@ -16,8 +16,13 @@ from scipy.special import ndtr, ndtri
 
 __all__ = [
     "IncrementLaw",
+    "NonFiniteIncrementError",
     "reshuffle_rows",
 ]
+
+
+class NonFiniteIncrementError(ValueError):
+    """The increment law drew a value beyond float64."""
 
 
 @dataclass(frozen=True)
@@ -57,21 +62,24 @@ class IncrementLaw:
         """log E[e^{lam * h}], finite for every real lam."""
         return lam * self.mu + 0.5 * lam * lam * self.sigma * self.sigma
 
-    def _tail_sums(self, levels, points, tau):
-        """sum_i P(h_1 + ... + h_tau >= y - x_i) for each level y: the one kernel
-        behind the front profile F, for tau >= 0.
 
-        Works in place on one levels x points buffer, summed along each row.
-        Private and free of numpy error state, so worker threads may call it.
-        """
-        buf = np.subtract.outer(levels, points)
-        if tau == 0:
-            np.less_equal(buf, 0.0, out=buf)
-        else:
-            np.subtract(tau * self.mu, buf, out=buf)
-            buf /= self.sigma * np.sqrt(tau)
-            ndtr(buf, out=buf)
-        return buf.sum(axis=-1)
+def _tail_sums(levels, points, law):
+    """sum_i P(x_i + h >= y) for each level y, h one draw of ``law``, or the count
+    #{i : x_i >= y} for ``law`` None: the one kernel behind the front profile
+    F(y) = sum_i P(X_i + S_i(tau) >= y), with ``law`` the summed law
+    ``IncrementLaw.summed(tau)`` of S_i(tau), or None at tau = 0.
+
+    Works in place on one levels x points buffer, summed along each row.
+    Private and free of numpy error state, so worker threads may call it.
+    """
+    buf = np.subtract.outer(levels, points)
+    if law is None:
+        np.less_equal(buf, 0.0, out=buf)
+    else:
+        np.subtract(law.mu, buf, out=buf)
+        buf /= law.sigma
+        ndtr(buf, out=buf)
+    return buf.sum(axis=-1)
 
 
 def reshuffle_rows(masses, tails, h, law, beta=1.0):
@@ -81,10 +89,11 @@ def reshuffle_rows(masses, tails, h, law, beta=1.0):
     wherever a mass underflowed, and the tail masses.
 
     Computed in log space; the untracked tail advances by E[W] = E[e^{beta h}],
-    and a zero tail stays zero.  Raises FloatingPointError when that overflows.
+    and a zero tail stays zero.  Raises FloatingPointError when that overflows,
+    and NonFiniteIncrementError where an increment is not finite.
     """
     if not np.all(np.isfinite(h)):
-        raise ValueError("increment law produced non-finite draws")
+        raise NonFiniteIncrementError("increment law produced non-finite draws")
     with np.errstate(divide="ignore"):  # log(0) = -inf: the zeros stay zero
         w = np.log(masses)
     w += beta * h

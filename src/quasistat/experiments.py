@@ -12,7 +12,6 @@ Results are arrays and plain numbers; writing files and judging verdicts is
 left to the caller.
 """
 
-import collections
 import itertools
 import operator
 import os
@@ -181,6 +180,8 @@ def top_points(rngs, rho, n, k, law=None):
     P(h >= t - x_i) / pbar, and then drawn h given h >= t - x_i.  Given Gamma_a
     and Gamma_b, the interior arrival times are uniform order statistics, so a
     uniform subset of them, the proposals, is iid uniform on (Gamma_a, Gamma_b).
+    Raises NonFiniteIncrementError where one of the first m increments is not
+    finite.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -197,7 +198,7 @@ def top_points(rngs, rho, n, k, law=None):
             return x
         h = law.sample(g.size, rng)
         if not np.all(np.isfinite(h)):
-            raise ValueError("increment law produced non-finite draws")
+            raise dynamics.NonFiniteIncrementError("increment law produced non-finite draws")
         top = np.sort(x + h)[::-1][:k]
         a, g_a, x_a = g.size, g[-1], x[-1]
         while a < n:
@@ -293,18 +294,6 @@ def tail_normalized_starts(rngs, rho, n, beta=1.0):
         yield pointproc.shift_tail_rows(*sampler.points(_draw_rows(chunk, sampler)[0], beta), beta)
 
 
-def _in_order(pool, fn, items, ahead):
-    """``map(fn, items)`` on ``pool`` with at most ``ahead`` tasks in flight, so a
-    lazy ``items`` is drawn on the calling thread as the results are taken."""
-    pending = collections.deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) > ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     """Pathwise checks of F(y) <= (1 + tail) e^{v tau - beta y} on a grid and of
     Z <= (v/beta) tau, with v = log E[e^{beta h}].
@@ -313,13 +302,14 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     ``tail_normalized_starts`` does: a points matrix with one row per start,
     and its tail column.  Returns the number of starts violating each bound
     and the largest ratio F / bound seen on the grid where the bound is
-    positive.  Each start's F, on the grid and at the level (v/beta) tau, is
-    one call of the front-profile kernel on a thread pool as wide as the CPUs
-    this process may use (ndtr releases the GIL).  Results are taken in start
-    order, so the counts are those of a serial loop over the starts, bit for
-    bit.
+    positive.  ``starts`` is drained at once, on the calling thread: each chunk
+    of starts is one task on a thread pool as wide as the CPUs this process may
+    use, which makes one call of the front-profile kernel per start, for its F
+    on the grid and at the level (v/beta) tau (ndtr releases the GIL).  Results
+    are taken in start order, so the counts are those of a serial loop over the
+    starts, bit for bit.
     """
-    # imported here, as front_position imports brentq: only this check needs a pool
+    # imported here: only this check needs a pool
     from concurrent.futures import ThreadPoolExecutor
 
     if tau < 0:
@@ -330,12 +320,11 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     levels = np.append(grid, speed)
     with np.errstate(over="ignore"):  # an inf bound holds (F <= #points), and F / inf = 0
         decay = np.exp(v * tau - beta * grid)
+    summed = law.summed(tau) if tau > 0 else None
 
-    def profile(start):  # on a worker thread: perfbench's one-stack tracer patches public names
-        tail, points = start
-        return tail, law._tail_sums(levels, points, tau)
-
-    rows = (start for points, tails in starts for start in zip(tails, points))
+    def profiles(start):  # on a worker thread: perfbench's one-stack tracer patches public names
+        points, tails = start
+        return tails, [dynamics._tail_sums(levels, row, summed) for row in points]
 
     markov_violations = z_violations = 0
     max_ratio = 0.0
@@ -343,15 +332,16 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     width = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     with ThreadPoolExecutor(width) as pool:
-        for tail, fvals in _in_order(pool, profile, rows, ahead=2 * width):
-            rhs = (1.0 + tail) * decay
-            f_speed, fvals = fvals[-1], fvals[:-1]
-            # F > 0 where the bound underflows to 0 is a violation, but has no ratio
-            markov_violations += int(np.any(fvals > rhs))
-            ratio = np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
-            max_ratio = max(max_ratio, float(np.max(ratio)))
-            # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
-            if tau > 0 and f_speed > 1.0:
-                z_violations += 1
+        for tails, chunk in pool.map(profiles, starts):
+            for tail, fvals in zip(tails, chunk):
+                rhs = (1.0 + tail) * decay
+                f_speed, fvals = fvals[-1], fvals[:-1]
+                # F > 0 where the bound underflows to 0 is a violation, but has no ratio
+                markov_violations += int(np.any(fvals > rhs))
+                ratio = np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
+                max_ratio = max(max_ratio, float(np.max(ratio)))
+                # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
+                if tau > 0 and f_speed > 1.0:
+                    z_violations += 1
     return {"markov_violations": markov_violations, "z_violations": z_violations,
             "max_bound_ratio": max_ratio}

@@ -69,25 +69,19 @@ def sample_gamma_arrivals(n, rng) -> np.ndarray:
 def pp_exponential_rows(rho, arrivals, beta=1.0):
     """Row i holds one replica's arrival times Gamma_1 < ... < Gamma_n; returns
     its top n points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy), and the
-    tail estimate E[sum_{j>n} e^{beta X_j} | Gamma_n] of each row.
-
-    The tail estimate is finite only when beta > rho.  For beta <= rho the sum
-    diverges and the tail is recorded as 0, so ``shift_tail_rows`` and
-    ``mass_partition_rows`` would normalize the tracked points alone: only the
-    positions and gaps are meaningful there, and ``verify-lemma`` refuses that
-    range.  Raises OverflowError where a tail estimate overflows.
+    tail estimate E[sum_{j>n} e^{beta X_j} | Gamma_n] of each row.  The sum
+    diverges unless beta > rho, so beta <= rho raises ValueError; a tail
+    estimate that overflows raises OverflowError.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
     r = beta / rho
-    if r > 1:
-        with np.errstate(over="ignore"):  # checked below
-            # a float64-scalar power per row, as in poisson_kingman_rows
-            tails = np.array([g ** (1.0 - r) for g in arrivals[:, -1]]) / (r - 1.0)
-    else:
-        tails = np.zeros(len(arrivals))
+    if not r > 1:
+        raise ValueError(f"the tail sum of e^{{beta X_i}} diverges unless beta > rho, "
+                         f"got beta {beta} and rho {rho}")
+    with np.errstate(over="ignore"):  # checked below
+        # a float64-scalar power per row, as in poisson_kingman_rows
+        tails = np.array([g ** (1.0 - r) for g in arrivals[:, -1]]) / (r - 1.0)
     off = np.flatnonzero(~np.isfinite(tails))
     if off.size:
         raise OverflowError(f"the tail estimate Gamma_n^(1 - beta/rho) / (beta/rho - 1) "

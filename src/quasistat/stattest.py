@@ -121,7 +121,8 @@ def energy_distance_perm_test(X, Y, n_perm=199, *, rng, level=None, full_output=
     stop and no stop implies p_m1 <= u, so P(p <= u) <= P(p_m1 <= u), where
     p_m1 is the permutation p-value of the first m1 permutations.
 
-    Returns p, or (p, E, L) with ``full_output``.
+    Returns p, or (p, E, L) with ``full_output``.  Raises ValueError where a
+    pairwise distance could overflow, as the statistics would then be NaN.
     """
     X, Y = _observations(X), _observations(Y)
     if X.shape[1] != Y.shape[1]:
@@ -130,6 +131,12 @@ def energy_distance_perm_test(X, Y, n_perm=199, *, rng, level=None, full_output=
         raise ValueError("n_perm must be at least 199")
     nx, ny = X.shape[0], Y.shape[0]
     pooled = np.vstack([X, Y])
+    # a squared distance is at most sum_j ptp_j^2; past float64, cdist gives inf and the GEMM NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.sum(np.ptp(pooled, axis=0) ** 2)
+    if not np.isfinite(spread):
+        raise ValueError(f"the squared distances of the pooled rows can leave float64 range: "
+                         f"their squared column ranges sum to {spread}")
     z = np.zeros(nx + ny)
     z[:nx] = 1.0
     # the exceedances that settle p >= level, by the full test's p formula

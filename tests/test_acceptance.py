@@ -12,7 +12,7 @@ from itertools import combinations, islice, repeat
 import numpy as np
 
 from quasistat import experiments
-from quasistat.analysis import front_position, jump_event_bound_check
+from quasistat.analysis import jump_event_bound_check
 from quasistat.dynamics import IncrementLaw
 from quasistat.stattest import (
     energy_distance_perm_test,
@@ -20,7 +20,7 @@ from quasistat.stattest import (
     ks_two_sample,
 )
 
-from helpers import marginal_law_test
+from helpers import front_position, marginal_law_test
 
 GAUSS = IncrementLaw(0.0, 1.0)
 

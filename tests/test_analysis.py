@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from quasistat import cli, experiments
+from quasistat import cli, dynamics, experiments
 from quasistat.analysis import (
-    FrontRootError,
     ShallowTruncationError,
-    front_position,
     gen_functional_mc,
     gen_functional_pp_exponential,
     jump_event_bound_check,
@@ -20,6 +18,8 @@ from quasistat.analysis import (
 )
 from quasistat.dynamics import IncrementLaw
 from quasistat.pointproc import pp_exponential_rows
+
+from helpers import FrontRootError, front_position
 
 GAUSS = IncrementLaw(0.0, 1.0)
 
@@ -32,7 +32,8 @@ def _tail_normalized(alpha, n, rng):
 
 def _profile(points, tau, y, law=GAUSS):
     """The front profile F(y) of one row of points."""
-    return law._tail_sums(np.asarray(y, dtype=float), np.asarray(points, dtype=float), tau)
+    return dynamics._tail_sums(np.asarray(y, dtype=float), np.asarray(points, dtype=float),
+                               law.summed(tau) if tau > 0 else None)
 
 
 def test_profile_at_tau_zero_counts_points():
@@ -216,7 +217,8 @@ def test_normalized_profile_mean_shape_is_exponential():
     grid = np.linspace(0.0, 1.5, 20)
     acc = np.zeros_like(grid)
     n_rep = 250
-    starts, _ = pp_exponential_rows(1.0, rng.exponential(size=(n_rep, 1500)).cumsum(axis=1))
+    starts, _ = pp_exponential_rows(1.0, rng.exponential(size=(n_rep, 1500)).cumsum(axis=1),
+                                    beta=2.0)
     for points in starts:
         acc += _profile(points, 2, grid + front_position(points, GAUSS, 2))
     logmean = np.log(acc / n_rep)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasistat
-from quasistat import analysis, pointproc
+from quasistat import pointproc
 from quasistat.cli import main
 
 
@@ -239,8 +240,8 @@ def test_front_checks_call_public_names_on_the_main_thread_only(tmp_path, capsys
             return original(*args, **kwargs)
         return guarded
 
-    for owner, name in [(analysis, "front_position"), (pointproc, "pp_exponential_rows"),
-                        (pointproc, "check_point_rows"), (pointproc, "shift_tail_rows")]:
+    for owner, name in [(pointproc, "pp_exponential_rows"), (pointproc, "check_point_rows"),
+                        (pointproc, "shift_tail_rows")]:
         monkeypatch.setattr(owner, name, main_thread_only(getattr(owner, name)))
     code = run(["verify-lemma", "--rho", "0.5", "--replicas", "40", "--trunc-n", "60",
                 "--tau", "3", "--ck", "1.5", "--seed", "2", "--out", str(tmp_path)])
@@ -575,6 +576,42 @@ def test_custom_overflow_names_its_one_step(tmp_path, capsys):
     assert "--tau" not in err and "E[e^{beta h}] = e^{80000} overflows" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["test-invariance", "--kind", "pp"], ["test-invariance", "--kind", "pd"],
+    ["evolve", "--kind", "pp"], ["evolve", "--kind", "pd"],
+])
+def test_nonfinite_increments_name_the_flags(tmp_path, capsys, args):
+    # --sigma 1e308 draws increments beyond float64
+    assert run([*args, "--sigma", "1e308", "--replicas", "20", "--seed", "1",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --mu 0.0, --sigma 1e+308 and --tau 1 take the increments "
+                          "beyond float64: increment law produced non-finite draws"), err
+
+
+def test_custom_nonfinite_increments_name_its_one_step(tmp_path, capsys):
+    assert run([*_pd_rows_file(tmp_path), "--sigma", "1e308", "--tau", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --mu 0.0, --sigma 1e+308 and the one step of "
+                          "--kind custom-from-file take the increments beyond float64"), err
+
+
+def test_invariance_distances_beyond_float64_name_the_flags(tmp_path, capsys):
+    # at --sigma 1e160 the squared distances between gap rows overflow; the energy
+    # statistics were NaN, and the verdict a rejection at p = 1 / (n_perm + 1)
+    args = ["test-invariance", "--kind", "pp", "--replicas", "20", "--seed", "1",
+            "--out", str(tmp_path)]
+    assert run([*args, "--sigma", "1e160"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rho 1.0, --mu 0.0, --sigma 1e+160 and --tau 1 spread the "
+                          "ensembles beyond float64"), err
+    # at 1e150 they fit: the energy test runs, and rejects the evolved gaps
+    assert run([*args, "--sigma", "1e150"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert (record["energy_p"], record["energy_perms"], record["verdict"]) == (
+        0.005, 199, "rejected")
+
+
 @pytest.mark.parametrize("command,kind,need", [
     ("sample", "pd", 5), ("evolve", "geometric", 5), ("sample", "pp", 5), ("evolve", "pp", 6),
     ("compare-oracles", "pd", 5),
@@ -678,6 +715,20 @@ def test_partition_rows_valid_or_flag_error(command, kind, alphas, sigma, beta, 
     assert np.all(rows.sum(axis=1) <= 1 + 1e-12)
 
 
+def _reads(trees, name, skip):
+    """Reads of ``name``, as a name or as an attribute, in ``trees`` outside the
+    definitions of the names in ``skip``."""
+    reads, stack = 0, list(trees)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in skip:
+            continue
+        reads += (isinstance(node, ast.Name) and node.id == name
+                  or isinstance(node, ast.Attribute) and node.attr == name)
+        stack.extend(ast.iter_child_nodes(node))
+    return reads
+
+
 def test_every_name_in_all_resolves():
     modules = [importlib.import_module(f"quasistat.{info.name}")
                for info in pkgutil.iter_modules(quasistat.__path__)]
@@ -687,10 +738,18 @@ def test_every_name_in_all_resolves():
     for module in listed:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+    # and the library reads every public name outside its own definition and those of
+    # names it does not read: a public name only tests call is dead code here
+    trees = [ast.parse(Path(module.__file__).read_text()) for module in modules]
+    public = {name for module in listed for name in module.__all__}
+    unused = set()
+    while (dead := {name for name in public if not _reads(trees, name, unused | {name})}) != unused:
+        unused = dead
+    assert not unused, sorted(unused)
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only analysis.front_position needs scipy.optimize, and the CLI never calls it;
+    # nothing in the library needs scipy.optimize (the tests' root finder alone does);
     # the KS p-values are built on scipy.special, as scipy.stats adds ~1 s to an import
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

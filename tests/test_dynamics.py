@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from quasistat import experiments
-from quasistat.dynamics import IncrementLaw, reshuffle_rows
+from quasistat.dynamics import IncrementLaw, _tail_sums, reshuffle_rows
 from quasistat.pointproc import (
     check_partition_rows,
     mass_partition_rows,
@@ -55,6 +55,20 @@ def test_summed_law_bits():
     assert np.array_equal(summed.sample(7, rng), ref_rng.normal(3 * 0.3, 0.7 * np.sqrt(3), size=7))
     # both generators end in the same state: nothing extra was drawn
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.3, 0.2])
+@pytest.mark.parametrize("sigma", [0.1, 0.8, 3.0])
+def test_tail_sums_on_the_summed_law_keep_their_bits(mu, sigma):
+    # the front kernel's expression for tau steps before it took the summed law
+    rng = np.random.default_rng(5)
+    points, levels = np.sort(rng.normal(size=60))[::-1], np.linspace(-4.0, 12.0, 41)
+    law, buf = IncrementLaw(mu, sigma), np.subtract.outer(levels, points)
+    for tau in (1, 2, 3, 5, 7, 10):
+        reference = ndtr((tau * mu - buf) / (sigma * np.sqrt(tau))).sum(axis=-1)
+        assert _tail_sums(levels, points, law.summed(tau)).tobytes() == reference.tobytes()
+    count = np.count_nonzero(points >= levels[:, None], axis=-1).astype(float)
+    assert _tail_sums(levels, points, None).tobytes() == count.tobytes()
 
 
 def _points(n, seed=0):

@@ -61,9 +61,11 @@ def _pd_rows(alpha, n, replicas, rng):
 
 def test_pp_exponential_transform():
     # Gamma = [1, 2, 3]
-    points, tails = pp_exponential_rows(1.0, np.array([[1.0, 2.0, 3.0]]))
+    points, _ = pp_exponential_rows(1.0, np.array([[1.0, 2.0, 3.0]]), beta=2.0)
     np.testing.assert_allclose(points, [[0.0, -np.log(2), -np.log(3)]])
-    assert tails.tolist() == [0.0]
+    # beta <= rho: sum e^{beta X_i} diverges, so there is no tail to record
+    with pytest.raises(ValueError, match="diverges unless beta > rho"):
+        pp_exponential_rows(1.0, np.array([[1.0, 2.0, 3.0]]))
     # beta = 2 rho: E[sum_{i>3} e^{2 X_i} | Gamma_3] = 1 / Gamma_3
     _, tails = pp_exponential_rows(1.0, np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]]), beta=2.0)
     np.testing.assert_allclose(tails, [1.0 / 3.0, 1.0 / 4.0])
@@ -76,7 +78,8 @@ def test_pp_exponential_count_is_poisson():
     rng = np.random.default_rng(5)
     n_rep = 3000
     levels = np.array([0.0, 0.5, 1.0])
-    points, _ = pp_exponential_rows(1.0, rng.exponential(size=(n_rep, 40)).cumsum(axis=1))
+    points, _ = pp_exponential_rows(1.0, rng.exponential(size=(n_rep, 40)).cumsum(axis=1),
+                                    beta=2.0)
     counts = (points[:, None, :] >= levels[:, None]).sum(axis=2)
     for j, y in enumerate(levels):
         lam = np.exp(-y)
@@ -243,8 +246,10 @@ def test_mass_partition_round_trip(raw):
 
 def test_exact_top_n_prefix_property():
     # budget m and budget n < m agree pathwise under a shared stream
-    big, _ = pp_exponential_rows(1.0, sample_gamma_arrivals(50, np.random.default_rng(99))[None])
-    small, _ = pp_exponential_rows(1.0, sample_gamma_arrivals(10, np.random.default_rng(99))[None])
+    big, _ = pp_exponential_rows(1.0, sample_gamma_arrivals(50, np.random.default_rng(99))[None],
+                                 beta=2.0)
+    small, _ = pp_exponential_rows(1.0, sample_gamma_arrivals(10, np.random.default_rng(99))[None],
+                                   beta=2.0)
     np.testing.assert_array_equal(big[:, :10], small)
 
 

@@ -146,6 +146,19 @@ def test_energy_input_validation():
         energy_distance_perm_test(np.zeros((5, 2)), np.zeros((5, 2)), n_perm=99, rng=rng)
 
 
+def test_energy_refuses_distances_beyond_float64():
+    # scaled by 2**500 every distance scales exactly, and so does every statistic: same p
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(30, 2)), rng.normal(0.5, 1.0, size=(25, 2))
+    p = energy_distance_perm_test(x, y, rng=np.random.default_rng(12))
+    assert energy_distance_perm_test(x * 2.0**500, y * 2.0**500,
+                                     rng=np.random.default_rng(12)) == p
+    # at 2**540 the squared distances overflow: cdist gives inf, the GEMM NaN, and as
+    # NaN >= E is false the test would reject at p = 1 / (n_perm + 1)
+    with pytest.raises(ValueError, match="leave float64 range"):
+        energy_distance_perm_test(x * 2.0**540, y * 2.0**540, rng=np.random.default_rng(12))
+
+
 def test_energy_deterministic_given_seed():
     rng = np.random.default_rng(7)
     x, y = rng.normal(size=(50, 3)), rng.normal(size=(60, 3))
