@@ -526,12 +526,12 @@ def main(argv=None):
         print(json.dumps(cfg, indent=2, sort_keys=True))
         return 0
     experiment = args.command.replace("-", "_")
-    started = time.time()
+    started = time.perf_counter()
     try:
         os.makedirs(cfg["out"], exist_ok=True)
         fields, passed = _COMMANDS[args.command](cfg)
         record = {"experiment": experiment, "config": {k: cfg[k] for k in sorted(cfg)},
-                  "runtime_seconds": round(time.time() - started, 3), **fields}
+                  "runtime_seconds": round(time.perf_counter() - started, 3), **fields}
         _emit(cfg, experiment, record)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

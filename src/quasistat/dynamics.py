@@ -63,25 +63,6 @@ class IncrementLaw:
         return lam * self.mu + 0.5 * lam * lam * self.sigma * self.sigma
 
 
-def _tail_sums(levels, points, law):
-    """sum_i P(x_i + h >= y) for each level y, h one draw of ``law``, or the count
-    #{i : x_i >= y} for ``law`` None: the one kernel behind the front profile
-    F(y) = sum_i P(X_i + S_i(tau) >= y), with ``law`` the summed law
-    ``IncrementLaw.summed(tau)`` of S_i(tau), or None at tau = 0.
-
-    Works in place on one levels x points buffer, summed along each row.
-    Private and free of numpy error state, so worker threads may call it.
-    """
-    buf = np.subtract.outer(levels, points)
-    if law is None:
-        np.less_equal(buf, 0.0, out=buf)
-    else:
-        np.subtract(law.mu, buf, out=buf)
-        buf /= law.sigma
-        ndtr(buf, out=buf)
-    return buf.sum(axis=-1)
-
-
 def reshuffle_rows(masses, tails, h, law, beta=1.0):
     """One reshuffle of each row: row i holds one replica's ranked masses, zeros
     beyond the ones it tracks, its tail mass ``tails[i]``, and one increment
@@ -114,5 +95,4 @@ def reshuffle_rows(masses, tails, h, law, beta=1.0):
                                  f"the reshuffled tail")
     w /= total[:, None]
     w.sort(axis=1)
-    # contiguous, as the next log must be: on a reversed view it can differ in the last bit
-    return np.ascontiguousarray(w[:, ::-1]), scaled_tail / total
+    return w[:, ::-1], scaled_tail / total

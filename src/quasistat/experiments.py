@@ -21,14 +21,10 @@ import numpy as np
 
 from . import analysis, dynamics, pointproc, stattest
 
-# float64 elements per chunk of replica rows in ``top_masses`` and ``oracle_masses``:
-# bounds the chunk x N arrays their row kernels hold at once.  Chunks of 2**18 ran
-# no faster and left the peak RSS of a 2000 x 500 ensemble 1-5 MB higher.
+# float64 elements per chunk of replica rows: bounds the chunk x N arrays the row
+# kernels hold at once.  Chunks of 2**18 ran no faster and left the peak RSS of a
+# 2000 x 500 ensemble 1-5 MB higher.
 _CHUNK_ELEMS = 2 ** 16
-# and in ``tail_normalized_starts``, whose chunks verify-lemma keeps: at 2**14 (128 KB)
-# verify-lemma's peak RSS at 1000 x 500 is that of one array per start; chunks of
-# 2**16 left it ~1 MB higher, and 2**18 ~4 MB, with no faster run.
-_START_CHUNK_ELEMS = 2 ** 14
 # points of an evolved ``top_points`` replica drawn in full before its walk: at
 # n <= _HEAD (the default --trunc-n 500, every golden pin) the rows keep their bits
 _HEAD = 1024
@@ -289,7 +285,7 @@ def tail_normalized_starts(rngs, rho, n, beta=1.0):
     is 1, and its tail column.  Each replica draws its arrival times from its
     generator in loop order; the arithmetic runs once per chunk."""
     sampler = PPExponential(rho, n)
-    for chunk in _chunks(rngs, n, _START_CHUNK_ELEMS):
+    for chunk in _chunks(rngs, n, _CHUNK_ELEMS):
         # nothing holds a chunk's draws or points across the yield
         yield pointproc.shift_tail_rows(*sampler.points(_draw_rows(chunk, sampler)[0], beta), beta)
 
@@ -304,10 +300,11 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     and the largest ratio F / bound seen on the grid where the bound is
     positive.  ``starts`` is drained at once, on the calling thread: each chunk
     of starts is one task on a thread pool as wide as the CPUs this process may
-    use, which makes one call of the front-profile kernel per start, for its F
-    on the grid and at the level (v/beta) tau (ndtr releases the GIL).  Results
-    are taken in start order, so the counts are those of a serial loop over the
-    starts, bit for bit.
+    use, which sums ``IncrementLaw.survival`` of the summed law per start, for
+    its F on the grid and at the level (v/beta) tau (ndtr releases the GIL),
+    and returns the chunk's F and bound rows.  The bounds are checked a chunk
+    at a time, in start order, so the counts are those of a serial loop over
+    the starts, bit for bit.
     """
     # imported here: only this check needs a pool
     from concurrent.futures import ThreadPoolExecutor
@@ -322,9 +319,13 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
         decay = np.exp(v * tau - beta * grid)
     summed = law.summed(tau) if tau > 0 else None
 
-    def profiles(start):  # on a worker thread: perfbench's one-stack tracer patches public names
+    def profiles(start):  # on a worker thread: it calls nothing perfbench's tracer patches
         points, tails = start
-        return tails, [dynamics._tail_sums(levels, row, summed) for row in points]
+        gaps = (np.subtract.outer(levels, row) for row in points)
+        # F at ``levels`` per start; at tau = 0, the count #{x_i >= y}
+        fvals = [summed.survival(g).sum(axis=-1) if tau > 0 else (g <= 0).sum(axis=-1, dtype=float)
+                 for g in gaps]
+        return np.array(fvals), (1.0 + tails)[:, None] * decay
 
     markov_violations = z_violations = 0
     max_ratio = 0.0
@@ -332,16 +333,14 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     width = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     with ThreadPoolExecutor(width) as pool:
-        for tails, chunk in pool.map(profiles, starts):
-            for tail, fvals in zip(tails, chunk):
-                rhs = (1.0 + tail) * decay
-                f_speed, fvals = fvals[-1], fvals[:-1]
-                # F > 0 where the bound underflows to 0 is a violation, but has no ratio
-                markov_violations += int(np.any(fvals > rhs))
-                ratio = np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
-                max_ratio = max(max_ratio, float(np.max(ratio)))
-                # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
-                if tau > 0 and f_speed > 1.0:
-                    z_violations += 1
+        for fvals, rhs in pool.map(profiles, starts):
+            f_speed, fvals = fvals[:, -1], fvals[:, :-1]
+            # F > 0 where the bound underflows to 0 is a violation, but has no ratio
+            markov_violations += int(np.count_nonzero((fvals > rhs).any(axis=1)))
+            ratio = np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
+            max_ratio = max(max_ratio, float(ratio.max()))
+            # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
+            if tau > 0:
+                z_violations += int(np.count_nonzero(f_speed > 1.0))
     return {"markov_violations": markov_violations, "z_violations": z_violations,
             "max_bound_ratio": max_ratio}

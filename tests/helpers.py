@@ -2,9 +2,7 @@
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import kolmogorov
-
-from quasistat import dynamics
+from scipy.special import kolmogorov, ndtr
 
 
 def marginal_law_test(samples, cdf):
@@ -18,6 +16,47 @@ def marginal_law_test(samples, cdf):
     d_minus = np.max(f - np.arange(0, n) / n)
     d = float(max(d_plus, d_minus))
     return d, float(kolmogorov(np.sqrt(n) * d))
+
+
+def tail_sums(levels, points, law):
+    """sum_i P(x_i + h >= y) for each level y, h one draw of ``law``, or the count
+    #{i : x_i >= y} for ``law`` None: the front profile
+    F(y) = sum_i P(X_i + S_i(tau) >= y), with ``law`` the summed law
+    ``IncrementLaw.summed(tau)`` of S_i(tau), or None at tau = 0.
+
+    Works in place on one levels x points buffer, summed along each row: the
+    reference that ``experiments.front_bound_counts``, which sums
+    ``IncrementLaw.survival`` per start, must match bit for bit.
+    """
+    buf = np.subtract.outer(levels, points)
+    if law is None:
+        np.less_equal(buf, 0.0, out=buf)
+    else:
+        np.subtract(law.mu, buf, out=buf)
+        buf /= law.sigma
+        ndtr(buf, out=buf)
+    return buf.sum(axis=-1)
+
+
+def front_counts_loop(starts, law, tau, beta, grid_points):
+    """``experiments.front_bound_counts`` of (points, tail) ``starts`` as a serial
+    loop over them, on ``tail_sums``."""
+    v = law.log_mgf(beta)
+    speed = v / beta * tau
+    grid = np.linspace(-5.0, speed + 5.0, grid_points)
+    with np.errstate(over="ignore"):
+        decay = np.exp(v * tau - beta * grid)
+    summed = law.summed(tau) if tau > 0 else None
+    markov = z = 0
+    max_ratio = 0.0
+    for points, tail in starts:
+        fvals = tail_sums(grid, points, summed)
+        rhs = (1.0 + tail) * decay
+        markov += int(np.any(fvals > rhs))
+        ratio = np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
+        max_ratio = max(max_ratio, float(np.max(ratio)))
+        z += int(tau > 0 and tail_sums(speed, points, summed) > 1.0)
+    return {"markov_violations": markov, "z_violations": z, "max_bound_ratio": max_ratio}
 
 
 class FrontRootError(RuntimeError):
@@ -42,7 +81,7 @@ def front_position(points, law, tau) -> float:
     summed = law.summed(tau)
 
     def profile(y):
-        return dynamics._tail_sums(y, points, summed)
+        return tail_sums(y, points, summed)
 
     lo = points[0] - 10.0
     hi = points[0] + law.log_mgf(1.0) * tau + 10.0

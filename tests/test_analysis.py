@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from quasistat import cli, dynamics, experiments
+from quasistat import cli, experiments
 from quasistat.analysis import (
     ShallowTruncationError,
     gen_functional_mc,
@@ -19,7 +19,7 @@ from quasistat.analysis import (
 from quasistat.dynamics import IncrementLaw
 from quasistat.pointproc import pp_exponential_rows
 
-from helpers import FrontRootError, front_position
+from helpers import FrontRootError, front_counts_loop, front_position, tail_sums
 
 GAUSS = IncrementLaw(0.0, 1.0)
 
@@ -32,8 +32,8 @@ def _tail_normalized(alpha, n, rng):
 
 def _profile(points, tau, y, law=GAUSS):
     """The front profile F(y) of one row of points."""
-    return dynamics._tail_sums(np.asarray(y, dtype=float), np.asarray(points, dtype=float),
-                               law.summed(tau) if tau > 0 else None)
+    return tail_sums(np.asarray(y, dtype=float), np.asarray(points, dtype=float),
+                     law.summed(tau) if tau > 0 else None)
 
 
 def test_profile_at_tau_zero_counts_points():
@@ -78,9 +78,9 @@ def test_markov_bound_holds_pathwise():
         assert counts["markov_violations"] == 0
 
 
-# The per-replica loops that ``tail_normalized_starts``, ``jump_event_bound_check``
-# and ``front_bound_counts`` replace, kept as the reference: one start at a
-# time, with the same float expressions.
+# The per-replica loops that ``tail_normalized_starts`` and ``jump_event_bound_check``
+# replace (``helpers.front_counts_loop`` is that of ``front_bound_counts``), kept as
+# the reference: one start at a time, with the same float expressions.
 
 def _start_loop(rng, rho, n, beta):
     g = np.cumsum(rng.exponential(size=n))
@@ -98,24 +98,6 @@ def _jump_events_loop(starts, law, tau, ck, rng):
                for points, _ in starts)
 
 
-def _front_counts_loop(starts, law, tau, beta, grid_points):
-    v = law.log_mgf(beta)
-    speed = v / beta * tau
-    grid = np.linspace(-5.0, speed + 5.0, grid_points)
-    with np.errstate(over="ignore"):
-        decay = np.exp(v * tau - beta * grid)
-    markov = z = 0
-    max_ratio = 0.0
-    for points, tail in starts:
-        fvals = _profile(points, tau, grid, law)
-        rhs = (1.0 + tail) * decay
-        markov += int(np.any(fvals > rhs))
-        ratio = np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
-        max_ratio = max(max_ratio, float(np.max(ratio)))
-        z += int(tau > 0 and _profile(points, tau, speed, law) > 1.0)
-    return {"markov_violations": markov, "z_violations": z, "max_bound_ratio": max_ratio}
-
-
 @pytest.mark.parametrize("tau", [0, 1, 10])
 @pytest.mark.parametrize("lazy", [False, True])
 def test_front_bound_counts_match_a_serial_loop(tau, lazy):
@@ -126,7 +108,7 @@ def test_front_bound_counts_match_a_serial_loop(tau, lazy):
         return experiments.tail_normalized_starts(rngs, 0.6, 120, beta=beta)
 
     rows = [start for points, tails in starts() for start in zip(points, tails)]
-    reference = _front_counts_loop(rows, law, tau, beta, grid_points)
+    reference = front_counts_loop(rows, law, tau, beta, grid_points)
     assert reference["max_bound_ratio"] > 0
     given = starts() if lazy else list(starts())
     assert experiments.front_bound_counts(given, law, tau, beta=beta,
@@ -142,7 +124,7 @@ _START_CASES = [(0.6, 1.5, 120, IncrementLaw(0.2, 0.8), 0.8),
 @pytest.mark.parametrize("rho,beta,n,law,ck", _START_CASES)
 def test_starts_and_their_checks_match_a_replica_loop(monkeypatch, rho, beta, n, law, ck):
     # chunks of 5, 5, 5, 5, 3
-    monkeypatch.setattr(experiments, "_START_CHUNK_ELEMS", 5 * n + n // 2)
+    monkeypatch.setattr(experiments, "_CHUNK_ELEMS", 5 * n + n // 2)
     tau, replicas = 3, 23
 
     def independent():
@@ -167,7 +149,7 @@ def test_starts_and_their_checks_match_a_replica_loop(monkeypatch, rho, beta, n,
         assert rng.random() == ref_rng.random()  # nothing more or less was drawn
 
         counts = experiments.front_bound_counts(starts, law, tau, beta=beta, grid_points=30)
-        assert counts == _front_counts_loop(reference, law, tau, beta, 30)
+        assert counts == front_counts_loop(reference, law, tau, beta, 30)
 
 
 def test_starts_are_built_a_chunk_at_a_time():

@@ -1,6 +1,6 @@
 import ast
 import contextlib
-import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasistat
-from quasistat import pointproc
 from quasistat.cli import main
 
 
@@ -232,7 +231,8 @@ def test_verify_lemma_underflowed_markov_bound(tmp_path, capsys, sigma, positive
 
 
 def test_front_checks_call_public_names_on_the_main_thread_only(tmp_path, capsys, monkeypatch):
-    # perfbench's span tracer patches these names and keeps one span stack for the process
+    # perfbench's span tracer patches the targets of its SPANS and keeps one span stack
+    # for the process, so the front checks' worker threads may call none of them
     def main_thread_only(original):
         def guarded(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
@@ -240,9 +240,15 @@ def test_front_checks_call_public_names_on_the_main_thread_only(tmp_path, capsys
             return original(*args, **kwargs)
         return guarded
 
-    for owner, name in [(pointproc, "pp_exponential_rows"), (pointproc, "check_point_rows"),
-                        (pointproc, "shift_tail_rows")]:
-        monkeypatch.setattr(owner, name, main_thread_only(getattr(owner, name)))
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    found = [spans._resolve(target) for targets in spans.SPANS.values() for target in targets]
+    found = [target for target in found if target is not None]
+    assert found
+    for owner, name, original in found:
+        monkeypatch.setattr(owner, name, main_thread_only(original))
     code = run(["verify-lemma", "--rho", "0.5", "--replicas", "40", "--trunc-n", "60",
                 "--tau", "3", "--ck", "1.5", "--seed", "2", "--out", str(tmp_path)])
     capsys.readouterr()
@@ -723,10 +729,23 @@ def _reads(trees, name, skip):
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in skip:
             continue
-        reads += (isinstance(node, ast.Name) and node.id == name
-                  or isinstance(node, ast.Attribute) and node.attr == name)
+        reads += isinstance(getattr(node, "ctx", None), ast.Load) and (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
         stack.extend(ast.iter_child_nodes(node))
     return reads
+
+
+def _private_names(tree):
+    """The ``_name`` functions, classes and constants a module binds at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            # assigned alone or in a tuple, as in ``_A, _B = 1, 2``
+            names = [name.id for target in getattr(node, "targets", ())
+                     for name in getattr(target, "elts", [target]) if isinstance(name, ast.Name)]
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
 
 
 def test_every_name_in_all_resolves():
@@ -738,12 +757,14 @@ def test_every_name_in_all_resolves():
     for module in listed:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
-    # and the library reads every public name outside its own definition and those of
-    # names it does not read: a public name only tests call is dead code here
+    # and the library reads every public name, and every module-level private one, outside
+    # its own definition and those of names it does not read: a name only tests read is
+    # dead code here
     trees = [ast.parse(Path(module.__file__).read_text()) for module in modules]
-    public = {name for module in listed for name in module.__all__}
+    names = {name for module in listed for name in module.__all__}
+    names |= {name for tree in trees for name in _private_names(tree)}
     unused = set()
-    while (dead := {name for name in public if not _reads(trees, name, unused | {name})}) != unused:
+    while (dead := {name for name in names if not _reads(trees, name, unused | {name})}) != unused:
         unused = dead
     assert not unused, sorted(unused)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from quasistat import experiments
-from quasistat.dynamics import IncrementLaw, _tail_sums, reshuffle_rows
+from quasistat.dynamics import IncrementLaw, reshuffle_rows
 from quasistat.pointproc import (
     check_partition_rows,
     mass_partition_rows,
@@ -16,6 +16,8 @@ from quasistat.pointproc import (
     shift_tail_rows,
 )
 from quasistat.stattest import invariance_verdict
+
+from helpers import front_counts_loop
 
 
 class _FixedDraws:
@@ -58,17 +60,19 @@ def test_summed_law_bits():
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.3, 0.2])
-@pytest.mark.parametrize("sigma", [0.1, 0.8, 3.0])
+@pytest.mark.parametrize("sigma", [0.1, 0.8, 3.0, 30.0])
 def test_tail_sums_on_the_summed_law_keep_their_bits(mu, sigma):
-    # the front kernel's expression for tau steps before it took the summed law
-    rng = np.random.default_rng(5)
-    points, levels = np.sort(rng.normal(size=60))[::-1], np.linspace(-4.0, 12.0, 41)
-    law, buf = IncrementLaw(mu, sigma), np.subtract.outer(levels, points)
-    for tau in (1, 2, 3, 5, 7, 10):
-        reference = ndtr((tau * mu - buf) / (sigma * np.sqrt(tau))).sum(axis=-1)
-        assert _tail_sums(levels, points, law.summed(tau)).tobytes() == reference.tobytes()
-    count = np.count_nonzero(points >= levels[:, None], axis=-1).astype(float)
-    assert _tail_sums(levels, points, None).tobytes() == count.tobytes()
+    # the front checks sum IncrementLaw.survival per start; the reference works in place
+    # on one buffer.  At beta = 150 the bound underflows at the top of the grid, and at
+    # sigma = 30 (or tau = 0) it overflows at the bottom.
+    law = IncrementLaw(mu, sigma)
+    for beta in (1.5, 150.0):
+        rng = np.random.default_rng(5)
+        starts = list(experiments.tail_normalized_starts(repeat(rng, 12), 0.5, 60, beta=beta))
+        rows = [start for points, tails in starts for start in zip(points, tails)]
+        for tau in (0, 1, 10):
+            counts = experiments.front_bound_counts(starts, law, tau, beta=beta, grid_points=30)
+            assert repr(counts) == repr(front_counts_loop(rows, law, tau, beta, 30))
 
 
 def _points(n, seed=0):
@@ -235,13 +239,6 @@ def test_multiplicative_zero_tail_stays_zero():
     assert out.tolist() == [0.6, 0.4]
     with pytest.raises(FloatingPointError, match="overflows"):
         _reshuffle([0.6, 0.3], 0.1, [0.0, 0.0], law)
-
-
-def test_reshuffled_rows_are_contiguous():
-    # the next reshuffle takes their log, which on a reversed view can differ in the last bit
-    masses, _ = reshuffle_rows(np.array([[0.5, 0.3, 0.2]]), np.array([0.0]), np.zeros((1, 3)),
-                               IncrementLaw(0.0, 1.0))
-    assert masses.flags.c_contiguous
 
 
 def test_top_masses_refuses_rows_that_underflow_below_k():
