@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, dynamics, experiments, pointproc, stattest
+from . import dynamics, experiments, pointproc, stattest
 
 
 def _at_least(low):
@@ -438,8 +438,8 @@ def cmd_verify_lemma(cfg):
         raise ConfigError(f"--rho {cfg['rho']}, --beta {beta} and --trunc-n {cfg['trunc_n']} "
                           f"take the tail of the starts beyond float64: {exc}") from None
     try:  # before the front profiles, so a bound that says nothing stops the run early
-        jump = analysis.jump_event_bound_check((points for points, _ in starts), law, tau, ck,
-                                               beta=beta, rng=replica_rng(cfg["seed"], 1))
+        jump = experiments.jump_event_bound_check((points for points, _ in starts), law, tau, ck,
+                                                  beta=beta, rng=replica_rng(cfg["seed"], 1))
     except ValueError as exc:
         raise ConfigError(f"--ck {ck} gives no jump bound at --beta {beta}, --mu {law.mu} "
                           f"and --sigma {law.sigma}: {exc}") from None
@@ -461,7 +461,7 @@ def cmd_gen_functional(cfg):
     points = experiments.top_points(_rngs(cfg, 0), rho, n, n)
     try:
         check = experiments.gen_functional_check(points, rho, cfg["f_a"], d)
-    except analysis.ShallowTruncationError as exc:
+    except experiments.ShallowTruncationError as exc:
         raise ConfigError(f"--trunc-n {n} is too shallow for --f-d {d} at --rho {rho}: "
                           f"{exc}") from None
     return check, check["passed"]

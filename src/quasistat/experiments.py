@@ -10,6 +10,14 @@ draws its first ``_HEAD`` points in full, and past them only the points that
 can reach its top k.
 Results are arrays and plain numbers; writing files and judging verdicts is
 left to the caller.
+
+The front profile of a configuration X over a horizon tau is
+F(y) = sum_i P(X_i + S_i(tau) >= y) with S_i(tau) the tau-step increment sum,
+one draw of ``IncrementLaw.summed(tau)``; its unit level set Z (where F(Z) = 1)
+is the expected leading-edge position.  For tail-normalized configurations
+both obey explicit exponential bounds driven by v_beta = log E[e^{beta h}]:
+``front_bound_counts`` checks them pathwise, and ``jump_event_bound_check``
+the big-jump event behind them.
 """
 
 import itertools
@@ -19,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, dynamics, pointproc, stattest
+from . import dynamics, pointproc, stattest
 
 # float64 elements per chunk of replica rows: bounds the chunk x N arrays the row
 # kernels hold at once.  Chunks of 2**18 ran no faster and left the peak RSS of a
@@ -30,11 +38,11 @@ _CHUNK_ELEMS = 2 ** 16
 _HEAD = 1024
 
 
-def _chunks(rngs, n, elems):
+def _chunks(rngs, n):
     """The generators of ``rngs`` in lists, one per chunk of rows of n values:
-    at most ``elems`` values, and at least one row."""
+    at most ``_CHUNK_ELEMS`` values, and at least one row."""
     rngs = iter(rngs)
-    size = max(1, elems // n)
+    size = max(1, _CHUNK_ELEMS // n)
     while chunk := list(itertools.islice(rngs, size)):
         yield chunk
 
@@ -143,7 +151,7 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0):
     float64 range, and FloatingPointError where the reshuffle does.
     """
     tops = [np.empty((0, k))]
-    for chunk in _chunks(rngs, sampler.n, _CHUNK_ELEMS):
+    for chunk in _chunks(rngs, sampler.n):
         tops.append(_chunk_top_masses(chunk, sampler, k, law, beta))
     return np.concatenate(tops)
 
@@ -224,6 +232,20 @@ def top_gaps(rngs, rho, n, k, law=None):
     return -np.diff(top_points(rngs, rho, n, k + 1, law=law), axis=1)
 
 
+def sum_squares_rows(masses, tails):
+    """Sum of squared masses of each row, with bracketed tail adjustment
+    (midpoint used).
+
+    Row i holds one partition's ranked masses, zeros beyond the ones it tracks,
+    and its tail mass ``tails[i]``.  The untracked squares lie in
+    [0, tails[i] * smallest tracked mass].
+    """
+    counts = np.count_nonzero(masses, axis=1)
+    # over the tracked masses alone: trailing zeros change the dot product's rounding
+    return np.array([np.dot(row[:c], row[:c]) + 0.5 * tail * row[c - 1]
+                     for row, tail, c in zip(masses, tails, counts)])
+
+
 def oracle_masses(streams, alpha, n, k):
     """Top k masses of three independent PD(alpha, 0) samplers.
 
@@ -243,10 +265,10 @@ def oracle_masses(streams, alpha, n, k):
     tops, sumsq = {}, {}
     for (name, sampler), rngs in zip(samplers.items(), streams):
         rows, sums = [np.empty((0, k))], []
-        for chunk in _chunks(rngs, sampler.n, _CHUNK_ELEMS):
+        for chunk in _chunks(rngs, sampler.n):
             masses, tails, _, _ = _chunk_starts(chunk, sampler, k)
             rows.append(masses[:, :k].copy())
-            sums.append(analysis.sum_squares_rows(masses, tails))
+            sums.append(sum_squares_rows(masses, tails))
         tops[name] = np.concatenate(rows)
         ss = np.concatenate(sums)
         sumsq[name] = {"mean": float(ss.mean()), "se": float(ss.std(ddof=1) / np.sqrt(len(ss)))}
@@ -261,11 +283,40 @@ def pairwise_energy(tops, rngs, n_perm):
             for (a, b), rng in zip(itertools.combinations(tops, 2), rngs)}
 
 
+class ShallowTruncationError(ValueError):
+    """The configuration is too shallow for the test function's support."""
+
+
 def gen_functional_check(points, rho, a, d):
-    """Monte Carlo generating functional of one step a * 1_[0, d] against the
-    PP(rho) closed form; passes within 3 SE and 2% relative."""
-    mc, se = analysis.gen_functional_mc(points, a, d)
-    no_leader = analysis.gen_functional_pp_exponential(rho, a, d)
+    """Monte Carlo generating functional E[exp(-sum_i f(X_1 - X_i))] of the step
+    f = a * 1_[0, d] against the PP(rho e^{-rho y} dy) closed form; passes
+    within 3 SE and 2% relative.
+
+    ``points`` holds one decreasing row of points per replica (a replica x n
+    matrix); rows no deeper than d are rejected.  Conditioning on the (Gumbel)
+    maximum, the points below it form the same Poisson process, giving the
+    closed form G = 1/(1 + c) with
+    c = int_0^d (1 - e^{-a}) rho e^{rho u} du = (1 - e^{-a}) (e^{rho d} - 1).
+    The Monte Carlo estimate counts the maximum itself, whose own step is
+    e^{-f(0)} = e^{-a}, so it is compared with G e^{-a}.
+    """
+    if not (0 <= a < np.inf and 0 < d < np.inf):
+        raise ValueError("the step a * 1_[0, d] needs finite a >= 0 and finite d > 0")
+    spacings = points[:, :1] - points
+    depth = spacings[:, -1]
+    shallow = np.flatnonzero(depth <= d)
+    if shallow.size:
+        raise ShallowTruncationError(f"config depth {depth[shallow[0]]:.3g} does not exceed "
+                                     f"step width {d:.3g}")
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    # f(spacing) per point, written over the spacings to spare one matrix
+    f_vals = np.multiply(spacings <= d, a, out=spacings)
+    vals = np.exp(-f_vals.sum(axis=1))
+    mc = vals.mean()
+    se = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else np.inf
+    c = -np.expm1(-a) * (np.exp(rho * d) - 1)
+    no_leader = 1.0 / (1.0 + c)
     closed = no_leader * np.exp(-a)  # the Monte Carlo estimate counts the leader's e^{-a}
     deviation = abs(mc - closed)
     rel = deviation / closed if closed else 0.0
@@ -285,7 +336,7 @@ def tail_normalized_starts(rngs, rho, n, beta=1.0):
     is 1, and its tail column.  Each replica draws its arrival times from its
     generator in loop order; the arithmetic runs once per chunk."""
     sampler = PPExponential(rho, n)
-    for chunk in _chunks(rngs, n, _CHUNK_ELEMS):
+    for chunk in _chunks(rngs, n):
         # nothing holds a chunk's draws or points across the yield
         yield pointproc.shift_tail_rows(*sampler.points(_draw_rows(chunk, sampler)[0], beta), beta)
 
@@ -344,3 +395,35 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
                 z_violations += int(np.count_nonzero(f_speed > 1.0))
     return {"markov_violations": markov_violations, "z_violations": z_violations,
             "max_bound_ratio": max_ratio}
+
+
+def jump_event_bound_check(starts, law, tau, ck, beta=1.0, *, rng):
+    """Frequency of {some i : S_i(tau) >= -X_i + ck tau} vs e^{-tau(ck beta - v_beta)},
+    where ck = C + K.
+
+    ``starts`` yields matrices of tail-normalized points, one row per start;
+    the total jump of a point depends only on its origin and the summed
+    increments, so S_i(tau) is one draw of ``law.summed(tau)``, for a whole
+    matrix at once, in row order.  Returns the frequency, the bound,
+    three binomial SE of the bound, the number of events, and whether the
+    frequency is at most bound + 3 SE.
+    """
+    v = law.log_mgf(beta)
+    exponent = tau * (ck * beta - v)
+    if tau > 0 and not exponent > 0:
+        raise ValueError(f"the bound needs (C + K) * beta > v_beta = log E[e^{{beta h}}], "
+                         f"got {ck * beta:.6g} <= {v:.6g}")
+    bound = float(np.exp(-exponent)) if tau > 0 else 0.0
+    threshold = ck * tau
+    summed = law.summed(tau) if tau > 0 else None
+    hits = n = 0
+    for points in starts:
+        n += len(points)
+        if summed is not None:
+            jumps = summed.sample(points.shape, rng)
+            jumps += points
+            hits += int(np.count_nonzero(jumps.max(axis=1) >= threshold))
+    frequency = hits / n
+    three_se = 3.0 * np.sqrt(max(bound * (1.0 - bound), 1.0 / n) / n)
+    return {"frequency": frequency, "bound": bound, "three_se": float(three_se),
+            "events": hits, "passed": bool(frequency <= bound + three_se)}

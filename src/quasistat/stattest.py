@@ -59,39 +59,34 @@ def _indicators(z, count, rng):
     rng, as columns: one GEMM per tile serves them all."""
     block = np.empty((z.size, count + 1))
     block[:, 0] = z
-    for j in range(1, count + 1):
-        block[:, j] = rng.permutation(z)
+    block[:, 1:] = rng.permuted(np.broadcast_to(z, (count, z.size)), axis=1).T
     return block
 
 
-def _energy_stats(pooled, indicators, nx, row_sums=None):
-    """The energy statistic of each indicator column (1 on the x rows), and the
-    row sums of the pooled distance matrix D.
+def _energy_stats(pooled, indicators, nx):
+    """The energy statistic of each indicator column (1 on the x rows).
 
-    One walk over the upper triangle of the symmetric D in row tiles
-    [a, b) x [a, rows).  Row sums take each tile's rows and, by symmetry, the
-    columns beyond b, unless an earlier walk passes them in; s_xx = z'Dz counts
-    the diagonal block once and the block beyond it twice.
+    One walk over the upper triangle of the symmetric pooled distance matrix D
+    in row tiles [a, b) x [a, rows).  Its row sums take each tile's rows and,
+    by symmetry, the columns beyond b; s_xx = z'Dz counts the diagonal block
+    once and the block beyond it twice.
     """
     rows = len(pooled)
     ny = rows - nx
-    walk_sums = row_sums is None
-    if walk_sums:
-        row_sums = np.zeros(rows)
+    row_sums = np.zeros(rows)
     s_xx = np.zeros(indicators.shape[1])
     tile_rows = max(1, _TILE_ELEMS // rows)
     for a in range(0, rows, tile_rows):
         b = min(a + tile_rows, rows)
         tile = cdist(pooled[a:b], pooled[a:])
-        if walk_sums:
-            row_sums[a:b] += tile.sum(axis=1)
-            row_sums[b:] += tile[:, b - a:].sum(axis=0)
+        row_sums[a:b] += tile.sum(axis=1)
+        row_sums[b:] += tile[:, b - a:].sum(axis=0)
         tile[:, :b - a] *= 0.5  # exact: the doubling below restores the diagonal block
         s_xx += 2.0 * np.einsum("ij,ij->j", indicators[a:b], tile @ indicators[a:])
         del tile  # so the next tile does not coexist with this one
     s_xy = row_sums @ indicators - s_xx
     s_yy = row_sums.sum() - s_xx - 2.0 * s_xy
-    return 2.0 * s_xy / (nx * ny) - s_xx / (nx * nx) - s_yy / (ny * ny), row_sums
+    return 2.0 * s_xy / (nx * ny) - s_xx / (nx * nx) - s_yy / (ny * ny)
 
 
 def energy_distance_perm_test(X, Y, n_perm=199, *, rng, level=None, full_output=False):
@@ -109,7 +104,8 @@ def energy_distance_perm_test(X, Y, n_perm=199, *, rng, level=None, full_output=
     m1 = min(n_perm, 16 (G* + 1)) permutations of the stream (m1 = 0 when
     G* = 0, that is level (n_perm + 1) <= 1); if at least G* of them reach E,
     the full test cannot reject and the test stops.  Otherwise the rest of the
-    stream is drawn and evaluated on the same row sums.
+    stream is drawn and evaluated on the same tiles, which give the same row
+    sums.
 
     The reported p = (1 + G) / (1 + L) counts G over the L permutations
     evaluated.  With L = n_perm it is the full test's p; after a stop it is at
@@ -143,12 +139,12 @@ def energy_distance_perm_test(X, Y, n_perm=199, *, rng, level=None, full_output=
     settle = n_perm + 1 if level is None else next(
         (g for g in range(n_perm + 1) if (1.0 + g) / (n_perm + 1.0) >= level), n_perm + 1)
     evaluated = min(n_perm, _PERMS_PER_EXCEEDANCE * (settle + 1)) if settle else 0
-    stats, row_sums = _energy_stats(pooled, _indicators(z, evaluated, rng), nx)
+    stats = _energy_stats(pooled, _indicators(z, evaluated, rng), nx)
     observed = float(stats[0])
     exceed = np.count_nonzero(stats[1:] >= observed)
     if exceed < settle and evaluated < n_perm:
         # the verdict is open: the rest of the stream; its column 0 repeats E
-        more, _ = _energy_stats(pooled, _indicators(z, n_perm - evaluated, rng), nx, row_sums)
+        more = _energy_stats(pooled, _indicators(z, n_perm - evaluated, rng), nx)
         exceed += np.count_nonzero(more[1:] >= observed)
         evaluated = n_perm
     p = (1.0 + exceed) / (evaluated + 1.0)

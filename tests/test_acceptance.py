@@ -12,7 +12,6 @@ from itertools import combinations, islice, repeat
 import numpy as np
 
 from quasistat import experiments
-from quasistat.analysis import jump_event_bound_check
 from quasistat.dynamics import IncrementLaw
 from quasistat.stattest import (
     energy_distance_perm_test,
@@ -128,8 +127,8 @@ def test_criterion_4_markov_and_front_bounds():
 def test_criterion_5_jump_event_bound():
     tau, ck = 10, 1.5  # (C+K)*beta - v_beta = 1, bound e^{-10}
     starts = experiments.tail_normalized_starts(repeat(_rng(5, 0), 100_000), 0.5, 500)
-    report = jump_event_bound_check((points for points, _ in starts), GAUSS, tau, ck, beta=1.0,
-                                    rng=_rng(5, 1))
+    report = experiments.jump_event_bound_check((points for points, _ in starts), GAUSS, tau, ck,
+                                                beta=1.0, rng=_rng(5, 1))
     return report["passed"], (f"frequency={report['frequency']:.2e} ({report['events']} events), "
                               f"bound={report['bound']:.2e} + 3SE={report['three_se']:.2e}")
 

@@ -9,13 +9,6 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from quasistat import cli, experiments
-from quasistat.analysis import (
-    ShallowTruncationError,
-    gen_functional_mc,
-    gen_functional_pp_exponential,
-    jump_event_bound_check,
-    sum_squares_rows,
-)
 from quasistat.dynamics import IncrementLaw
 from quasistat.pointproc import pp_exponential_rows
 
@@ -144,7 +137,8 @@ def test_starts_and_their_checks_match_a_replica_loop(monkeypatch, rho, beta, n,
 
         ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
         events = _jump_events_loop(reference, law, tau, ck, ref_rng)
-        jump = jump_event_bound_check((p for p, _ in starts), law, tau, ck, beta=beta, rng=rng)
+        jump = experiments.jump_event_bound_check((p for p, _ in starts), law, tau, ck,
+                                                  beta=beta, rng=rng)
         assert (jump["events"], jump["frequency"]) == (events, events / replicas)
         assert rng.random() == ref_rng.random()  # nothing more or less was drawn
 
@@ -210,49 +204,53 @@ def test_normalized_profile_mean_shape_is_exponential():
     assert r2 > 0.99
 
 
+def _gen_functional(points, a, d, rho=1.0):
+    return experiments.gen_functional_check(np.array(points, dtype=float), rho, a, d)
+
+
 def test_step_function_validation_and_eval():
-    points = np.array([[0.0, -0.4, -0.7, -1.5]])
+    points = [[0.0, -0.4, -0.7, -1.5]]
     for a, d in ((-1.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (1.0, np.inf)):
-        with pytest.raises(ValueError):
-            gen_functional_mc(points, a, d)
-        with pytest.raises(ValueError):
-            gen_functional_pp_exponential(1.0, a, d)
+        with pytest.raises(ValueError, match="the step"):
+            _gen_functional(points, a, d)
+    with pytest.raises(ValueError, match="rho"):
+        _gen_functional(points, 1.0, 0.5, rho=0.0)
     # the step counts the leader and the point at spacing 0.4, not those at 0.7 and 1.5
-    mean, _ = gen_functional_mc(points, 1.0, 0.5)
-    assert mean == np.exp(-2.0)
+    assert _gen_functional(points, 1.0, 0.5)["mc_estimate"] == np.exp(-2.0)
 
 
 def test_gen_functional_zero_function_is_one():
-    mean, se = gen_functional_mc(np.array([[0.0, -2.0, -4.0]]), 0.0, 1.0)
-    assert mean == 1.0
-    assert gen_functional_pp_exponential(1.0, 0.0, 1.0) == 1.0
+    check = _gen_functional([[0.0, -2.0, -4.0]], 0.0, 1.0)
+    assert check["mc_estimate"] == 1.0
+    assert check["closed_form_no_leader"] == 1.0
 
 
 def test_gen_functional_large_amplitude_kills_leader():
-    mean, _ = gen_functional_mc(np.array([[0.0, -5.0]]), 60.0, 1.0)
-    assert mean < 1e-20
+    assert _gen_functional([[0.0, -5.0]], 60.0, 1.0)["mc_estimate"] < 1e-20
 
 
 def test_gen_functional_shallow_truncation_rejected():
-    with pytest.raises(ShallowTruncationError):
-        gen_functional_mc(np.array([[0.0, -0.5]]), 1.0, 1.0)
+    with pytest.raises(experiments.ShallowTruncationError):
+        _gen_functional([[0.0, -0.5]], 1.0, 1.0)
     # the message gives the depth of the first shallow row
-    with pytest.raises(ShallowTruncationError, match="depth 0.5 "):
-        gen_functional_mc(np.array([[0.0, -2.0], [0.0, -0.5], [0.0, -0.25]]), 1.0, 1.0)
+    with pytest.raises(experiments.ShallowTruncationError, match="depth 0.5 "):
+        _gen_functional([[0.0, -2.0], [0.0, -0.5], [0.0, -0.25]], 1.0, 1.0)
 
 
 def test_gen_functional_closed_form_single_step():
     a = d = np.log(2.0)
-    assert gen_functional_pp_exponential(1.0, a, d) == pytest.approx(2.0 / 3.0)
+    no_leader = _gen_functional([[0.0, -1.0]], a, d)["closed_form_no_leader"]
+    assert no_leader == pytest.approx(2.0 / 3.0)
     c = (1 - np.exp(-a)) * (np.exp(1.0 * d) - 1.0)
-    assert gen_functional_pp_exponential(1.0, a, d) == pytest.approx(1.0 / (1.0 + c))
+    assert no_leader == pytest.approx(1.0 / (1.0 + c))
 
 
 def test_gen_functional_closed_form_matches_quadrature():
     a, d, rho = 1.1, 0.3, 1.3
     c, _ = quad(lambda u: (1.0 - np.exp(-a * (u <= d))) * rho * np.exp(rho * u), 0.0, 5.0,
                 points=[d], epsabs=1e-12)
-    assert gen_functional_pp_exponential(rho, a, d) == pytest.approx(1.0 / (1.0 + c), abs=1e-10)
+    no_leader = _gen_functional([[0.0, -1.0]], a, d, rho=rho)["closed_form_no_leader"]
+    assert no_leader == pytest.approx(1.0 / (1.0 + c), abs=1e-10)
 
 
 def test_gen_functional_mc_agrees_with_closed_form():
@@ -277,14 +275,14 @@ def test_gen_functional_mc_matches_row_loop():
     points = experiments.top_points(itertools.repeat(rng, 500), 1.0, 60, 60)
     for a, d in ((0.3, 0.25), (np.log(2.0), np.log(2.0)), (1.5, 1.0)):
         vals = np.array([np.exp(-(((pts[0] - pts) <= d) * a).sum()) for pts in points])
-        mean, se = gen_functional_mc(points, a, d)
-        assert mean == vals.mean()
-        assert se == vals.std(ddof=1) / np.sqrt(len(vals))
+        check = experiments.gen_functional_check(points, 1.0, a, d)
+        assert check["mc_estimate"] == vals.mean()
+        assert check["mc_se"] == vals.std(ddof=1) / np.sqrt(len(vals))
 
 
 def test_sum_squares():
     masses = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.6, 0.3, 0.0], [0.5, 0.3, 0.1]])
-    sums = sum_squares_rows(masses, np.array([0.0, 0.0, 0.1, 0.1]))
+    sums = experiments.sum_squares_rows(masses, np.array([0.0, 0.0, 0.1, 0.1]))
     # the tail adds half its largest square sum, tail times the smallest tracked mass
     assert sums.tolist() == pytest.approx([1.0, 0.5, 0.45 + 0.5 * 0.1 * 0.3,
                                            0.35 + 0.5 * 0.1 * 0.1])
@@ -294,11 +292,11 @@ def test_jump_event_trivial_cases():
     rng = np.random.default_rng(8)
     starts = [points for points, _ in
               experiments.tail_normalized_starts(itertools.repeat(rng, 50), 0.5, 50)]
-    report = jump_event_bound_check(starts, GAUSS, tau=5, ck=99.0, beta=1.0,
-                                    rng=np.random.default_rng(9))
+    report = experiments.jump_event_bound_check(starts, GAUSS, tau=5, ck=99.0, beta=1.0,
+                                                rng=np.random.default_rng(9))
     assert report["frequency"] == 0.0 and report["passed"]
-    report = jump_event_bound_check(starts, GAUSS, tau=0, ck=0.0, beta=1.0,
-                                    rng=np.random.default_rng(10))
+    report = experiments.jump_event_bound_check(starts, GAUSS, tau=0, ck=0.0, beta=1.0,
+                                                rng=np.random.default_rng(10))
     assert report["frequency"] == 0.0 and report["events"] == 0
     with pytest.raises(ValueError):
-        jump_event_bound_check(starts, GAUSS, tau=5, ck=0.0, beta=1.0, rng=rng)
+        experiments.jump_event_bound_check(starts, GAUSS, tau=5, ck=0.0, beta=1.0, rng=rng)

@@ -78,7 +78,8 @@ def test_sample_pd_mean_matches_stickbreaking_oracle(tmp_path, capsys):
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("alpha = 0.3  # component\nreplicas = 5\ntrunc_n = 30\n")
+    cfg_file.write_text("# a comment line\nalpha = 0.3  # component\n\n  \nreplicas = 5\n"
+                        "trunc_n = 30\n")
     code = run(["sample", "--config", str(cfg_file), "--seed", "2",
                 "--alpha", "0.7", "--topk", "2", "--out", str(tmp_path)])
     assert code == 0
@@ -89,8 +90,17 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("wibble = 3\n")
-    assert run(["sample", "--config", str(cfg_file), "--seed", "1"]) == 2
+    # each bad file, and what its message says
+    for text, message in [("wibble = 3\n", "bad.cfg:1: unknown key 'wibble'"),
+                          ("alpha 0.3\n", "bad.cfg:1: expected key=value, got 'alpha 0.3'"),
+                          ("seed = abc\n", "--seed expects int, got 'abc'"),
+                          (None, "cannot read config file: ")]:
+        if text is None:
+            cfg_file.unlink()
+        else:
+            cfg_file.write_text(text)
+        assert run(["sample", "--config", str(cfg_file), "--seed", "1"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_invalid_kind_exits_2(tmp_path, capsys):
@@ -534,7 +544,8 @@ _LEMMA_FLAGS = ["--ck", "--beta", "--mu", "--sigma"]
 _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
 
 
-# each case: the flag the message starts with, then what else it must name
+# each case: the word the message starts with, its flag where it leads, then what else it
+# must name
 @pytest.mark.parametrize("args,names", [
     (["verify-lemma", "--rho", "0.5", "--ck", "-3"], _LEMMA_FLAGS),
     (["verify-lemma", "--rho", "0.5", "--mu", "3"], _LEMMA_FLAGS),
@@ -549,6 +560,10 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
     (["sample", "--seed", "-1"], ["--seed", ">= 0"]),
     (["QUASISTAT_SEED=-4", "sample"], ["--seed", ">= 0"]),
     (["test-invariance", "--tau", "0"], ["--tau", "test-invariance"]),
+    (["sample", "--kind", "mixture-of-pd", "--alphas", "0.3,abc"], ["bad", "--alphas list"]),
+    (["test-invariance", "--kind", "custom-from-file"], ["kind=custom-from-file", "--input"]),
+    (["sample", "--kind", "mixture-of-pd", "--alphas", ","],
+     ["--alphas", "components must lie in (0, 1)"]),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
     env_seed = None
@@ -736,8 +751,9 @@ def _reads(trees, name, skip):
     return reads
 
 
-def _private_names(tree):
-    """The ``_name`` functions, classes and constants a module binds at its top level."""
+def _top_level_names(tree):
+    """The functions, classes and constants a module binds at its top level,
+    dunders aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -745,7 +761,7 @@ def _private_names(tree):
             # assigned alone or in a tuple, as in ``_A, _B = 1, 2``
             names = [name.id for target in getattr(node, "targets", ())
                      for name in getattr(target, "elts", [target]) if isinstance(name, ast.Name)]
-        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+        yield from (name for name in names if not name.startswith("__"))
 
 
 def test_every_name_in_all_resolves():
@@ -753,16 +769,16 @@ def test_every_name_in_all_resolves():
                for info in pkgutil.iter_modules(quasistat.__path__)]
     listed = [module for module in modules if hasattr(module, "__all__")]
     assert {module.__name__ for module in listed} >= {
-        "quasistat.pointproc", "quasistat.dynamics", "quasistat.analysis", "quasistat.stattest"}
+        "quasistat.pointproc", "quasistat.dynamics", "quasistat.stattest"}
     for module in listed:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
-    # and the library reads every public name, and every module-level private one, outside
-    # its own definition and those of names it does not read: a name only tests read is
-    # dead code here
+    # and the library reads every name a module binds at its top level, outside its own
+    # definition and those of names it does not read: a name only tests read is dead code
+    # here.  The names of ``__all__`` are among them, as the loop above checks.
     trees = [ast.parse(Path(module.__file__).read_text()) for module in modules]
-    names = {name for module in listed for name in module.__all__}
-    names |= {name for tree in trees for name in _private_names(tree)}
+    names = {name for tree in trees for name in _top_level_names(tree)}
+    assert {"gen_functional_check", "ShallowTruncationError", "_CHUNK_ELEMS", "OPTIONS"} <= names
     unused = set()
     while (dead := {name for name in names if not _reads(trees, name, unused | {name})}) != unused:
         unused = dead

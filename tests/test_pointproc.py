@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasistat import experiments
-from quasistat.analysis import sum_squares_rows
 from quasistat.pointproc import (
     check_partition_rows,
     check_point_rows,
@@ -205,7 +204,7 @@ def test_sum_of_squared_masses_identity():
     rng = np.random.default_rng(31)
     parts = [sample_pd_stickbreaking(0.4, 40, rng) for _ in range(800)]
     for masses, tails in (_pd_rows(0.4, 400, 800, rng), map(np.array, zip(*parts))):
-        vals = sum_squares_rows(masses, tails)
+        vals = experiments.sum_squares_rows(masses, tails)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - 0.6) < 4 * se
 
