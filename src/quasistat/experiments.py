@@ -317,7 +317,7 @@ def gen_functional_check(points, rho, a, d):
     se = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else np.inf
     c = -np.expm1(-a) * (np.exp(rho * d) - 1)
     no_leader = 1.0 / (1.0 + c)
-    closed = no_leader * np.exp(-a)  # the Monte Carlo estimate counts the leader's e^{-a}
+    closed = no_leader * np.exp(-a)
     deviation = abs(mc - closed)
     rel = deviation / closed if closed else 0.0
     return {

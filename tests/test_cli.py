@@ -544,8 +544,7 @@ _LEMMA_FLAGS = ["--ck", "--beta", "--mu", "--sigma"]
 _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
 
 
-# each case: the word the message starts with, its flag where it leads, then what else it
-# must name
+# each case: the first word of the message, as a rule its flag, then what else it must name
 @pytest.mark.parametrize("args,names", [
     (["verify-lemma", "--rho", "0.5", "--ck", "-3"], _LEMMA_FLAGS),
     (["verify-lemma", "--rho", "0.5", "--mu", "3"], _LEMMA_FLAGS),
@@ -775,9 +774,10 @@ def test_every_name_in_all_resolves():
         assert not missing, (module.__name__, missing)
     # and the library reads every name a module binds at its top level, outside its own
     # definition and those of names it does not read: a name only tests read is dead code
-    # here.  The names of ``__all__`` are among them, as the loop above checks.
+    # here
     trees = [ast.parse(Path(module.__file__).read_text()) for module in modules]
     names = {name for tree in trees for name in _top_level_names(tree)}
+    # the walk sees public and private functions, classes and constants
     assert {"gen_functional_check", "ShallowTruncationError", "_CHUNK_ELEMS", "OPTIONS"} <= names
     unused = set()
     while (dead := {name for name in names if not _reads(trees, name, unused | {name})}) != unused:
