@@ -266,7 +266,7 @@ def _partition_sampler(cfg):
         try:
             alphas = [float(s) for s in cfg["alphas"].split(",") if s.strip()]
         except ValueError:
-            raise ConfigError(f"bad --alphas list {cfg['alphas']!r}")
+            raise ConfigError(f"--alphas: bad list {cfg['alphas']!r}")
         if not alphas or any(not 0 < a < 1 for a in alphas):
             raise ConfigError("--alphas components must lie in (0, 1)")
         return experiments.PoissonKingman(tuple(alphas), n)
@@ -338,7 +338,7 @@ def _custom_ensembles(cfg):
     """Top masses of the --input rows: the first half unchanged, the second
     half after one reshuffle."""
     if not cfg["input"]:
-        raise ConfigError("kind=custom-from-file requires --input <csv path>")
+        raise ConfigError("--input <csv path> is required for kind=custom-from-file")
     try:
         data = np.loadtxt(cfg["input"], delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -471,7 +471,7 @@ def cmd_compare_oracles(cfg):
     _check_se_replicas(cfg)
     _check_depth(cfg, cfg["topk"])
     alpha, k = cfg["alpha"], cfg["topk"]
-    streams = (_rngs(cfg, stream) for stream in range(3))
+    streams = (_rngs(cfg, stream) for stream in range(2))
     try:
         tops, sumsq = experiments.oracle_masses(streams, alpha, cfg["trunc_n"], k)
     except OverflowError as exc:

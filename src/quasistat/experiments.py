@@ -55,8 +55,10 @@ def _check_counts(counts, k, error, message):
 
 
 class PoissonKingman(NamedTuple):
-    """PD(alpha, 0) starts of n masses; each replica first draws its alpha
-    uniformly from ``alphas``, which takes no draw for a single alpha."""
+    """PD(alpha, 0) starts of n masses: the top n points X_i = -log(Gamma_i)/alpha
+    of PP(alpha e^{-alpha y} dy), as masses e^{X_i} normalized with their tail.
+    Each replica first draws its alpha uniformly from ``alphas``, which takes no
+    draw for a single alpha."""
 
     alphas: tuple
     n: int
@@ -69,9 +71,14 @@ class PoissonKingman(NamedTuple):
         row[:] = rng.exponential(size=self.n)
         return alpha, self.n
 
+    def points(self, draws, alphas, beta=1.0):
+        """Points and tail estimates of sum e^{beta X_i} of a chunk of drawn rows,
+        one parameter per row."""
+        return pointproc.pp_exponential_rows(alphas, np.cumsum(draws, axis=1, out=draws), beta)
+
     def rows(self, draws, alphas):
         """Masses and tails of a chunk of drawn rows, one parameter per row."""
-        return pointproc.poisson_kingman_rows(alphas, np.cumsum(draws, axis=1, out=draws))
+        return pointproc.mass_partition_rows(*self.points(draws, alphas))
 
 
 class Partitions(NamedTuple):
@@ -89,25 +96,6 @@ class Partitions(NamedTuple):
 
     def rows(self, draws, tails):
         return draws, tails
-
-
-class PPExponential(NamedTuple):
-    """The top n points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy); as
-    masses, e^{X_i} normalized with the tail, a PD(rho, 0) start."""
-
-    rho: float
-    n: int
-
-    def draw(self, rng, row):
-        row[:] = rng.exponential(size=self.n)
-        return self.rho, self.n
-
-    def points(self, draws, beta=1.0):
-        """Points and tail estimates of sum e^{beta X_i} of a chunk of drawn rows."""
-        return pointproc.pp_exponential_rows(self.rho, np.cumsum(draws, axis=1, out=draws), beta)
-
-    def rows(self, draws, _):
-        return pointproc.mass_partition_rows(*self.points(draws))
 
 
 def _draw_rows(rngs, sampler, law=None):
@@ -247,10 +235,10 @@ def sum_squares_rows(masses, tails):
 
 
 def oracle_masses(streams, alpha, n, k):
-    """Top k masses of three independent PD(alpha, 0) samplers.
+    """Top k masses of two independent PD(alpha, 0) samplers.
 
     ``streams`` holds one ``rngs`` iterable per sampler, in the order
-    poisson_kingman, stick_breaking, exp_of_pp.  Returns name -> replica x k
+    poisson_kingman, stick_breaking.  Returns name -> replica x k
     rows, and name -> mean and standard error of sum xi_i^2.  Each replica
     draws its start from its generator in loop order; the arithmetic runs once
     per chunk of rows.
@@ -260,7 +248,6 @@ def oracle_masses(streams, alpha, n, k):
         "poisson_kingman": PoissonKingman((alpha,), n),
         "stick_breaking": Partitions(
             lambda rng: pointproc.sample_pd_stickbreaking(alpha, sticks, rng), sticks),
-        "exp_of_pp": PPExponential(alpha, n),
     }
     tops, sumsq = {}, {}
     for (name, sampler), rngs in zip(samplers.items(), streams):
@@ -335,10 +322,11 @@ def tail_normalized_starts(rngs, rho, n, beta=1.0):
     points of PP(rho), shifted so that sum e^{beta X_i} plus the tail estimate
     is 1, and its tail column.  Each replica draws its arrival times from its
     generator in loop order; the arithmetic runs once per chunk."""
-    sampler = PPExponential(rho, n)
+    sampler = PoissonKingman((rho,), n)
     for chunk in _chunks(rngs, n):
         # nothing holds a chunk's draws or points across the yield
-        yield pointproc.shift_tail_rows(*sampler.points(_draw_rows(chunk, sampler)[0], beta), beta)
+        yield pointproc.shift_tail_rows(*sampler.points(*_draw_rows(chunk, sampler)[:2], beta),
+                                        beta)
 
 
 def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):

@@ -1,12 +1,14 @@
 """Exact top-N samplers for ranked point processes and random mass-partitions.
 
 Infinite processes are sampled through their unit-rate Poisson arrival times
-Gamma_1 < Gamma_2 < ...: the transform eta_i = Gamma_i^{-1/alpha} (power-law
-intensity alpha*s^{-alpha-1} ds) or X_i = -log(Gamma_i)/rho (exponential
+Gamma_1 < Gamma_2 < ...: the transform X_i = -log(Gamma_i)/rho (exponential
 intensity rho*e^{-rho*y} dy) yields exactly the N largest points of the
 infinite configuration, so truncation affects only normalizing sums, never
 point positions.  The untracked part of each normalizing sum is carried as an
-explicit tail estimate.
+explicit tail estimate.  A PD(alpha, 0) start is the e^{X_i} of PP(alpha),
+normalized with their tail (``mass_partition_rows``): by the mapping theorem
+they are the atoms Gamma_i^{-1/alpha} of the power-law intensity
+alpha*s^{-alpha-1} ds.
 """
 
 import numpy as np
@@ -15,7 +17,6 @@ __all__ = [
     "sample_gamma_arrivals",
     "pp_exponential_rows",
     "check_point_rows",
-    "poisson_kingman_rows",
     "check_partition_rows",
     "sample_pd_stickbreaking",
     "mass_partition_rows",
@@ -69,53 +70,28 @@ def sample_gamma_arrivals(n, rng) -> np.ndarray:
 def pp_exponential_rows(rho, arrivals, beta=1.0):
     """Row i holds one replica's arrival times Gamma_1 < ... < Gamma_n; returns
     its top n points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy), and the
-    tail estimate E[sum_{j>n} e^{beta X_j} | Gamma_n] of each row.  The sum
-    diverges unless beta > rho, so beta <= rho raises ValueError; a tail
-    estimate that overflows raises OverflowError.
+    tail estimate E[sum_{j>n} e^{beta X_j} | Gamma_n] of each row, for one rho
+    or one per row.  The sum diverges unless beta > rho, so beta <= rho raises
+    ValueError; a tail estimate that overflows raises OverflowError.
     """
-    if rho <= 0:
+    rho = np.broadcast_to(rho, len(arrivals))
+    if not np.all(rho > 0):
         raise ValueError("rho must be positive")
     r = beta / rho
-    if not r > 1:
+    if not np.all(r > 1):
         raise ValueError(f"the tail sum of e^{{beta X_i}} diverges unless beta > rho, "
-                         f"got beta {beta} and rho {rho}")
+                         f"got beta {beta} and rho {rho.max()}")
     with np.errstate(over="ignore"):  # checked below
-        # a float64-scalar power per row, as in poisson_kingman_rows
-        tails = np.array([g ** (1.0 - r) for g in arrivals[:, -1]]) / (r - 1.0)
+        # a float64-scalar power per row: numpy's vector ** can differ from it in the last bit
+        tails = np.array([g ** (1.0 - e) for g, e in zip(arrivals[:, -1], r)]) / (r - 1.0)
     off = np.flatnonzero(~np.isfinite(tails))
     if off.size:
         raise OverflowError(f"the tail estimate Gamma_n^(1 - beta/rho) / (beta/rho - 1) "
                             f"leaves float64 range at Gamma_n = {arrivals[off[0], -1]:.6g}")
     points = np.log(arrivals)
-    points /= -rho  # the bits of -log(Gamma_i) / rho, with one chunk-sized array
+    points /= -rho[:, None]  # the bits of -log(Gamma_i) / rho, with one chunk-sized array
     check_point_rows(points, tails)
     return points, tails
-
-
-def poisson_kingman_rows(alphas, arrivals):
-    """Row i holds one replica's arrival times Gamma_1 < ... < Gamma_n; returns
-    its PD(alphas[i], 0) masses, the atoms Gamma_i^{-1/alpha} normalized by their
-    sum plus the expected tail E[sum_{j>n} Gamma_j^{-1/alpha} | Gamma_n] (the
-    integral of t^{-1/alpha} beyond Gamma_n), and that tail's share.
-
-    A mass that underflows is 0, and as the masses are ranked, these zeros
-    trail.  Raises OverflowError where an atom or a total overflows.
-    """
-    if not np.all((alphas > 0) & (alphas < 1)):
-        raise ValueError("alpha must be in (0, 1): atoms are summable iff alpha < 1")
-    with np.errstate(over="ignore"):  # an overflow shows in the total below
-        atoms = arrivals ** (-1.0 / alphas)[:, None]
-        # a float64-scalar power per row: numpy's vector ** can differ from it in the last bit
-        powers = [g ** e for g, e in zip(arrivals[:, -1], (alphas - 1.0) / alphas)]
-    tails = alphas * np.array(powers) / (1.0 - alphas)
-    total = atoms.sum(axis=1) + tails
-    off = np.flatnonzero(~np.isfinite(total))
-    if off.size:
-        i = off[0]
-        raise OverflowError(f"the atom Gamma_1^(-1/alpha) at Gamma_1 = {arrivals[i, 0]:.6g} and "
-                            f"alpha = {alphas[i]:.6g} leaves float64 range")
-    atoms /= total[:, None]
-    return atoms, tails / total
 
 
 def sample_pd_stickbreaking(alpha, n, rng):
@@ -158,13 +134,19 @@ def sample_pd_stickbreaking(alpha, n, rng):
 
 def _weights(points, tails, beta):
     """Each row's weights e^{beta X_i - m}, against its leading m = beta X_1, its
-    tail estimate times e^{-m}, and m."""
+    tail estimate times e^{-m}, and m.  Raises OverflowError where that product
+    leaves float64 range (an underflowed tail times an overflowed e^{-m} is NaN)."""
     w = beta * points
     m = w[:, 0].copy()
     w -= m[:, None]
     np.exp(w, out=w)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite tail fails a check later
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         scaled_tails = tails * np.exp(-m)
+    off = np.flatnonzero(~np.isfinite(scaled_tails))
+    if off.size:
+        i = off[0]
+        raise OverflowError(f"the tail estimate {tails[i]:.6g} times "
+                            f"e^{{-beta X_1}} = e^{{{-m[i]:.6g}}} leaves float64 range")
     return w, scaled_tails, m
 
 
@@ -174,6 +156,7 @@ def mass_partition_rows(points, tails, beta=1.0):
     + tail), max-subtracted for stability, and that tail's share.
 
     A mass that underflows is 0, and as the points are ranked, these zeros trail.
+    Raises OverflowError as ``_weights`` does.
     """
     w, scaled_tails, _ = _weights(points, tails, beta)
     total = w.sum(axis=1) + scaled_tails
@@ -184,15 +167,9 @@ def mass_partition_rows(points, tails, beta=1.0):
 def shift_tail_rows(points, tails, beta=1.0):
     """Re-center each row of ranked points, with its tail estimate ``tails[i]``,
     so that sum_i e^{beta X_i} plus the rescaled tail equals 1.  Raises
-    OverflowError where a tail, scaled to its row's leading weight, leaves
-    float64 range (an underflowed tail times an overflowed e^{-beta X_1} is NaN).
+    OverflowError as ``_weights`` does.
     """
     w, scaled_tails, m = _weights(points, tails, beta)
-    off = np.flatnonzero(~np.isfinite(scaled_tails))
-    if off.size:
-        i = off[0]
-        raise OverflowError(f"the tail estimate {tails[i]:.6g} times "
-                            f"e^{{-beta X_1}} = e^{{{-m[i]:.6g}}} leaves float64 range")
     log_totals = m + np.log(w.sum(axis=1) + scaled_tails)
     shifted = np.subtract(points, (log_totals / beta)[:, None], out=w)
     tails = tails * np.exp(-log_totals)

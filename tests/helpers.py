@@ -18,6 +18,35 @@ def marginal_law_test(samples, cdf):
     return d, float(kolmogorov(np.sqrt(n) * d))
 
 
+def poisson_kingman_rows(alphas, arrivals):
+    """Row i holds one replica's arrival times Gamma_1 < ... < Gamma_n; returns
+    its PD(alphas[i], 0) masses, the atoms Gamma_i^{-1/alpha} normalized by their
+    sum plus the expected tail E[sum_{j>n} Gamma_j^{-1/alpha} | Gamma_n] (the
+    integral of t^{-1/alpha} beyond Gamma_n), and that tail's share.
+
+    The law reference on powers that ``experiments.PoissonKingman``, which
+    normalizes the e^{X_i} of PP(alpha) points X_i = -log(Gamma_i)/alpha, must
+    match to rounding.  A mass that underflows is 0, and as the masses are
+    ranked, these zeros trail.  Raises OverflowError where an atom or a total
+    overflows.
+    """
+    if not np.all((alphas > 0) & (alphas < 1)):
+        raise ValueError("alpha must be in (0, 1): atoms are summable iff alpha < 1")
+    with np.errstate(over="ignore"):  # an overflow shows in the total below
+        atoms = arrivals ** (-1.0 / alphas)[:, None]
+        # a float64-scalar power per row: numpy's vector ** can differ from it in the last bit
+        powers = [g ** e for g, e in zip(arrivals[:, -1], (alphas - 1.0) / alphas)]
+    tails = alphas * np.array(powers) / (1.0 - alphas)
+    total = atoms.sum(axis=1) + tails
+    off = np.flatnonzero(~np.isfinite(total))
+    if off.size:
+        i = off[0]
+        raise OverflowError(f"the atom Gamma_1^(-1/alpha) at Gamma_1 = {arrivals[i, 0]:.6g} and "
+                            f"alpha = {alphas[i]:.6g} leaves float64 range")
+    atoms /= total[:, None]
+    return atoms, tails / total
+
+
 def tail_sums(levels, points, law):
     """sum_i P(x_i + h >= y) for each level y, h one draw of ``law``, or the count
     #{i : x_i >= y} for ``law`` None: the front profile

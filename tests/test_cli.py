@@ -314,14 +314,14 @@ def test_report_embeds_full_config(tmp_path, capsys):
 _GOLDEN_FLAGS = ["--alpha", "0.5", "--alphas", "0.3,0.7", "--rho", "1", "--replicas", "6",
                  "--trunc-n", "40", "--topk", "3", "--tau", "2", "--seed", "123"]
 _GOLDEN_CSV = {
-    ("sample", "pd"): "7475b13aea49ba59181289fbdbb5fe39a72ef0977635e072910507bd7ce76514",
+    ("sample", "pd"): "fae88df577c171a6e0c25ede1ff526d5b24375a6e51472993b62007f5889b82f",
     ("sample", "pp"): "44643849ac2bc3fc914c26b5e244d806f71df0373f70bf6e3855da690c45f4ed",
     ("sample", "geometric"): "8d9f0364e59e7f9c870af56365c71bdb9141827a7294c745ad92c395d92b5891",
-    ("sample", "mixture-of-pd"): "a4a20a4669214598fe38db357bf0b85de7dff3deb4afb59138fbfa8d95f93754",
-    ("evolve", "pd"): "6bfc2b84102d2912ac3b9a62c3cf42f4de78a0d8498bfbe76e66793ff824a6b7",
+    ("sample", "mixture-of-pd"): "d9fcae5f274669b6ecc128e0721d17cf2e5a53daf89acc0261e7ae332c9892dd",
+    ("evolve", "pd"): "7ad6bba41c8696d7eb1ee38b5f5fab28481af5e7bc04e3979701d46d874af352",
     ("evolve", "pp"): "ec8226e8db3ac716dc0eae7d302265a6e01634d30f49df431ef2d69a63d51aeb",
     ("evolve", "geometric"): "d352f9e7a792fca1bfd338367d5da5d286eeabbb0f0a776ba0c18d28eea4edea",
-    ("evolve", "mixture-of-pd"): "f1b37e3125da8e4da6e2f16335aa2666579019ef314f2b631de44a13175fd4f1",
+    ("evolve", "mixture-of-pd"): "3108aed9776fbbd55d074ec11c864e8323c109d6c3b82c5e97e97578c5150ebb",
 }
 
 
@@ -338,10 +338,10 @@ def test_golden_csv_stream(tmp_path, capsys, command, kind):
 # One step (--tau 1): the streams every path keeps bit for bit whatever the
 # multi-step arithmetic, including the evolved half of test-invariance.
 _GOLDEN_ONE_STEP_CSV = {
-    ("evolve", "pd"): "5fcbc373dc409938bedd5020e1644590b77d3b7b6e884f5bc9472c9189bbc376",
+    ("evolve", "pd"): "1dc395509b586801473a3baa26b891b5320698a23220c772d85ca0e081b14f38",
     ("evolve", "pp"): "b3a8419b66c5bb256ea0815131c271634587d1544e549266e637ac5efb825d6f",
     ("evolve", "geometric"): "d13d3e99c4a90c0e74d8d989cc6d7b15f806eab475977c2db7bbd14957efd4a2",
-    ("evolve", "mixture-of-pd"): "c670aac80e06b09b68c0d8c59c25852edb45254b0a5143bad88e6cfa53f2b16a",
+    ("evolve", "mixture-of-pd"): "381ec78df4d271ba8d2f40b45c7fc5c678820db52f85e37795e57104ec7ac266",
     ("test-invariance", "pd"): "42b91b7556be14f86547d7f9c8a807094734c8bce6c140638c10e7a70fa4730f",
     ("test-invariance", "pp"): "b9f5a7b5058f8a705e391c092fa56aa16b349960fe003c6b1d8285030fdaf6eb",
 }
@@ -439,8 +439,7 @@ def test_golden_report_numbers(tmp_path, capsys):
     oracles = report(["compare-oracles", "--alpha", "0.5", "--replicas", "40",
                       "--trunc-n", "60", "--topk", "3"])
     assert oracles["sum_squares"] == {
-        "exp_of_pp": {"mean": 0.5341373640603889, "se": 0.04994714464121164},
-        "poisson_kingman": {"mean": 0.48059675650258693, "se": 0.04519119442991835},
+        "poisson_kingman": {"mean": 0.48059675650258704, "se": 0.04519119442991835},
         "stick_breaking": {"mean": 0.49181454241941525, "se": 0.045185526306271456},
     }
     lemma = report(["verify-lemma", "--alpha", "0.5", "--rho", "0.5", "--tau", "3",
@@ -559,10 +558,15 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
     (["sample", "--seed", "-1"], ["--seed", ">= 0"]),
     (["QUASISTAT_SEED=-4", "sample"], ["--seed", ">= 0"]),
     (["test-invariance", "--tau", "0"], ["--tau", "test-invariance"]),
-    (["sample", "--kind", "mixture-of-pd", "--alphas", "0.3,abc"], ["bad", "--alphas list"]),
-    (["test-invariance", "--kind", "custom-from-file"], ["kind=custom-from-file", "--input"]),
+    (["sample", "--kind", "mixture-of-pd", "--alphas", "0.3,abc"], ["--alphas:", "bad list"]),
+    (["test-invariance", "--kind", "custom-from-file"], ["--input", "kind=custom-from-file"]),
     (["sample", "--kind", "mixture-of-pd", "--alphas", ","],
      ["--alphas", "components must lie in (0, 1)"]),
+    # a replica's 5th mass underflows at these seeds
+    (["sample", "--kind", "pd", "--alpha", "0.01", "--replicas", "2000", "--seed", "1"],
+     ["--alpha", "underflowed"]),
+    (["sample", "--kind", "pd", "--alpha", "0.01", "--replicas", "2000", "--seed", "2"],
+     ["--alpha", "underflowed"]),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
     env_seed = None
@@ -680,7 +684,8 @@ def test_pd_small_alpha_drops_underflowed_masses(tmp_path, capsys):
 @pytest.mark.parametrize("kind,flag", [("pd", "--alpha 0.001 "),
                                        ("mixture-of-pd", "--alphas 0.001,0.5 ")])
 def test_pd_atom_overflow_names_alpha(tmp_path, capsys, kind, flag):
-    # Gamma_1^{-1000} overflows for Gamma_1 < 0.49
+    # the tail estimate Gamma_n^{-999} / 999 underflows to 0, and e^{-X_1} = Gamma_1^{1000}
+    # overflows for Gamma_1 > 2.03
     assert run(["evolve", "--kind", kind, "--alpha", "0.001", "--alphas", "0.001,0.5",
                 "--replicas", "20", "--seed", "1", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -255,10 +255,11 @@ def test_top_masses_refuses_rows_that_underflow_below_k():
 
 def _pk_loop(alpha, n, rng):
     g = np.cumsum(rng.exponential(size=n))
-    atoms = g ** (-1.0 / alpha)
-    tail = alpha * g[-1] ** ((alpha - 1.0) / alpha) / (1.0 - alpha)
-    total = atoms.sum() + tail
-    return atoms / total, tail / total
+    x = -np.log(g) / alpha
+    weights = np.exp(x - x[0])
+    tail = g[-1] ** (1.0 - 1.0 / alpha) / (1.0 / alpha - 1.0) * np.exp(-x[0])
+    total = weights.sum() + tail
+    return weights / total, tail / total
 
 
 def _reshuffle_loop(masses, tail, law, beta, rng):

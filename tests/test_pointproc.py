@@ -10,14 +10,13 @@ from quasistat.pointproc import (
     check_partition_rows,
     check_point_rows,
     mass_partition_rows,
-    poisson_kingman_rows,
     pp_exponential_rows,
     sample_gamma_arrivals,
     sample_pd_stickbreaking,
 )
 from quasistat.stattest import energy_distance_perm_test
 
-from helpers import marginal_law_test
+from helpers import marginal_law_test, poisson_kingman_rows
 
 
 class _FixedExponentials:
@@ -54,8 +53,8 @@ def _pk_rows(alpha, arrivals):
 
 def _pd_rows(alpha, n, replicas, rng):
     """PD(alpha, 0) masses and tails of ``replicas`` rows, as ``experiments`` draws them."""
-    return poisson_kingman_rows(np.full(replicas, alpha),
-                                rng.exponential(size=(replicas, n)).cumsum(axis=1))
+    alphas = np.full(replicas, alpha)
+    return experiments.PoissonKingman((alpha,), n).rows(rng.exponential(size=(replicas, n)), alphas)
 
 
 def test_pp_exponential_transform():
@@ -149,20 +148,23 @@ def test_pk_atom_count_is_poisson():
 
 
 def test_normalization_arithmetic():
-    # draws [1, 99] give Gamma = [1, 100], atoms Gamma^{-2} = [1, 1e-4] and expected
-    # tail alpha Gamma_2^{(alpha-1)/alpha} / (1 - alpha) = 0.01 at alpha = 1/2
-    masses, tails = _pk_rows(0.5, [1.0, 100.0])
+    # draws [1, 99] give Gamma = [1, 100], weights e^{X_i} = Gamma^{-2} = [1, 1e-4] and
+    # tail estimate Gamma_2^{1 - 1/alpha} / (1/alpha - 1) = 0.01 at alpha = 1/2
+    masses, tails = experiments.PoissonKingman((0.5,), 2).rows(np.array([[1.0, 99.0]]),
+                                                               np.array([0.5]))
     np.testing.assert_allclose(masses, [np.array([1.0, 1e-4]) / 1.0101])
     assert tails[0] == pytest.approx(0.01 / 1.0101)
 
 
-def test_pk_matches_stickbreaking_oracle():
-    rng = np.random.default_rng(23)
-    n = 700
-    pk = _pd_rows(0.5, 500, n, rng)[0][:, :5]
-    sb = np.array([sample_pd_stickbreaking(0.5, 5, rng)[0] for _ in range(n)])
-    p = energy_distance_perm_test(pk, sb, n_perm=199, rng=np.random.default_rng(1))
-    assert p >= 0.01
+@pytest.mark.parametrize("alphas", [(0.05,), (0.5,), (0.95,), (0.3, 0.7)])
+def test_pd_starts_match_the_power_reference(alphas):
+    # e^{X_i} of X_i = -log(Gamma_i)/alpha, normalized, are the atoms Gamma_i^{-1/alpha}
+    # normalized, and the tail estimates agree (the mapping theorem)
+    draws = np.random.default_rng(43).exponential(size=(100, 500))
+    params = np.resize(alphas, 100)  # one chunk; (0.3, 0.7) alternate row by row
+    expected = poisson_kingman_rows(params, draws.cumsum(axis=1))
+    for got, want in zip(experiments.PoissonKingman(alphas, 500).rows(draws, params), expected):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_stickbreaking_degenerate_first_stick():
@@ -221,11 +223,10 @@ def test_mass_partition_from_config_examples():
 
 
 def test_pp_to_masses_matches_pd_oracle():
-    # exp of PP(rho) normalized at beta=1 is PD(rho, 0) for rho < 1
+    # exp of PP(rho) normalized at beta=1 is PD(rho, 0) for rho < 1: the PoissonKingman starts
     rng = np.random.default_rng(37)
     n = 600
-    arrivals = rng.exponential(size=(n, 500)).cumsum(axis=1)
-    via_pp = mass_partition_rows(*pp_exponential_rows(0.5, arrivals))[0][:, :5]
+    via_pp = _pd_rows(0.5, 500, n, rng)[0][:, :5]
     sb = np.array([sample_pd_stickbreaking(0.5, 5, rng)[0] for _ in range(n)])
     p = energy_distance_perm_test(via_pp, sb, n_perm=199, rng=np.random.default_rng(2))
     assert p >= 0.01
