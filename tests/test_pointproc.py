@@ -167,6 +167,16 @@ def test_pd_starts_match_the_power_reference(alphas):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+def test_pk_matches_stickbreaking_oracle():
+    # the PoissonKingman starts, as experiments draws them, against stick-breaking
+    rng = np.random.default_rng(23)
+    n = 700
+    pk = _pd_rows(0.5, 500, n, rng)[0][:, :5]
+    sb = np.array([sample_pd_stickbreaking(0.5, 5, rng)[0] for _ in range(n)])
+    p = energy_distance_perm_test(pk, sb, n_perm=199, rng=np.random.default_rng(1))
+    assert p >= 0.01
+
+
 def test_stickbreaking_degenerate_first_stick():
     class _OneBeta:
         def beta(self, a, b):
@@ -223,10 +233,11 @@ def test_mass_partition_from_config_examples():
 
 
 def test_pp_to_masses_matches_pd_oracle():
-    # exp of PP(rho) normalized at beta=1 is PD(rho, 0) for rho < 1: the PoissonKingman starts
+    # exp of PP(rho) normalized at beta=1 is PD(rho, 0) for rho < 1
     rng = np.random.default_rng(37)
     n = 600
-    via_pp = _pd_rows(0.5, 500, n, rng)[0][:, :5]
+    arrivals = rng.exponential(size=(n, 500)).cumsum(axis=1)
+    via_pp = mass_partition_rows(*pp_exponential_rows(0.5, arrivals))[0][:, :5]
     sb = np.array([sample_pd_stickbreaking(0.5, 5, rng)[0] for _ in range(n)])
     p = energy_distance_perm_test(via_pp, sb, n_perm=199, rng=np.random.default_rng(2))
     assert p >= 0.01
