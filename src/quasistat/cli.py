@@ -504,14 +504,12 @@ def build_parser():
         description="Simulation and statistical verification of ranked-point and "
                     "mass-partition reshuffling dynamics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key=value config file")
-        for key, opt in OPTIONS.items():
-            p.add_argument(_flag(key), dest=key, type=opt.type, help=opt.help)
-        p.add_argument("--show-config", action="store_true",
-                       help="print the resolved config and exit")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="flat key=value config file")
+    for key, opt in OPTIONS.items():
+        parser.add_argument(_flag(key), dest=key, type=opt.type, help=opt.help)
+    parser.add_argument("--show-config", action="store_true",
+                        help="print the resolved config and exit")
     return parser
 
 

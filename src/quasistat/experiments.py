@@ -1,13 +1,12 @@
 """Replica loops shared by the command line and the acceptance suite.
 
 Every sampling function takes ``rngs``, an iterable with one numpy Generator
-per replica; replica i draws everything it needs from the i-th generator, in a
-fixed order.  The command line passes independent per-replica generators, the
-acceptance suite one pinned generator repeated, and both get the same loop.
-An ensemble evolves by at most one step: tau steps of iid increments are one
-step of ``IncrementLaw.summed(tau)`` in law.  An evolved ``top_points`` replica
-draws its first ``_HEAD`` points in full, and past them only the points that
-can reach its top k.
+per replica: the command line passes independent per-replica generators, the
+acceptance suite one pinned generator repeated.  Replicas run in chunks of
+rows, each drawing from its generator in loop order, and the arithmetic runs
+once per chunk.  An ensemble evolves by at most one step: tau steps of iid
+increments are one step of ``IncrementLaw.summed(tau)`` in law.  Past its
+first ``_HEAD`` points, an evolved ``top_points`` replica walks after its chunk.
 Results are arrays and plain numbers; writing files and judging verdicts is
 left to the caller.
 
@@ -21,7 +20,6 @@ the big-jump event behind them.
 """
 
 import itertools
-import operator
 import os
 from typing import NamedTuple
 
@@ -33,8 +31,8 @@ from . import dynamics, pointproc, stattest
 # kernels hold at once.  Chunks of 2**18 ran no faster and left the peak RSS of a
 # 2000 x 500 ensemble 1-5 MB higher.
 _CHUNK_ELEMS = 2 ** 16
-# points of an evolved ``top_points`` replica drawn in full before its walk: at
-# n <= _HEAD (the default --trunc-n 500, every golden pin) the rows keep their bits
+# points of an evolved ``top_points`` replica drawn with its chunk, before its walk:
+# at n <= _HEAD (the default --trunc-n 500, every golden pin) the rows keep their bits
 _HEAD = 1024
 
 
@@ -161,58 +159,71 @@ def top_points(rngs, rho, n, k, law=None):
     after one additive step by ``law`` if given.  Positions only, which track
     no tail.
 
-    Unevolved, each replica draws its n arrival times.  Evolved, it draws its
-    first m = min(n, max(k, _HEAD)) arrival times, then their m increments,
-    and ranks x_i + h_i: where n <= m, these are the rows of a full sort, bit
-    for bit.  Deeper points are walked in doubling blocks (a, b] of indices,
-    exact in law by thinning (Lewis & Shedler, 1979), with t the k-th largest
-    value so far: Gamma_b = Gamma_a + Gamma(b - a), point b takes an increment,
-    and each interior point is proposed with probability
+    Replicas run in chunks of rows, ranked once per chunk.  Unevolved, each
+    replica draws its n arrival times.  Evolved, it draws its first
+    m = min(n, max(k, _HEAD)) arrival times, then their m increments, and
+    ranks x_i + h_i: where n <= m, these are the rows of a full sort, bit for
+    bit.  Deeper points are then walked per replica, after its chunk, in
+    doubling blocks (a, b] of indices, exact in law by thinning (Lewis &
+    Shedler, 1979), with t the k-th largest value so far:
+    Gamma_b = Gamma_a + Gamma(b - a), point b takes an increment, and each
+    interior point is proposed with probability
     pbar = P(h >= t - x_a) >= P(h >= t - x_i), kept with probability
     P(h >= t - x_i) / pbar, and then drawn h given h >= t - x_i.  Given Gamma_a
     and Gamma_b, the interior arrival times are uniform order statistics, so a
     uniform subset of them, the proposals, is iid uniform on (Gamma_a, Gamma_b).
-    Raises NonFiniteIncrementError where one of the first m increments is not
-    finite.
+    So a generator shared by a chunk's rows keeps its stream only at n <= m.
+    Raises NonFiniteIncrementError where one of the first m increments is not finite.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     _check_counts(np.array([n]), k, ValueError, "a replica tracks {} values; {} are needed")
+    m = n if law is None else min(n, max(k, _HEAD))
+    tops = [np.empty((0, k))]
+    for chunk in _chunks(rngs, m):
+        tops.append(_chunk_top_points(chunk, rho, m, n, k, law))
+    return np.concatenate(tops)
 
-    def row(rng):
-        g = pointproc.sample_gamma_arrivals(n if law is None else min(n, max(k, _HEAD)), rng)
-        if not np.isfinite(g[-1]):  # a cumsum of nonnegative draws: its last is its largest
-            raise ValueError("arrival times must be finite")
-        # X_i = -log(Gamma_i)/rho, as pointproc.pp_exponential_rows forms them
-        x = -np.log(g[:k] if law is None else g) / rho
-        pointproc.check_point_rows(x[None])
-        if law is None:
-            return x
-        h = law.sample(g.size, rng)
-        if not np.all(np.isfinite(h)):
-            raise dynamics.NonFiniteIncrementError("increment law produced non-finite draws")
-        top = np.sort(x + h)[::-1][:k]
-        a, g_a, x_a = g.size, g[-1], x[-1]
+
+def _chunk_top_points(rngs, rho, m, n, k, law):
+    """``top_points`` of one chunk of replicas, each drawing its first m points."""
+    draws, _, _, h = _draw_rows(rngs, PoissonKingman((rho,), m), law)
+    g = np.cumsum(draws, axis=1, out=draws)
+    if not np.all(np.isfinite(g[:, -1])):  # a cumsum of nonnegative draws: its last is its largest
+        raise ValueError("arrival times must be finite")
+    # X_i = -log(Gamma_i)/rho, as pointproc.pp_exponential_rows forms them
+    x = np.log(g[:, :k] if law is None else g)
+    x /= -rho
+    pointproc.check_point_rows(x)
+    if law is None:
+        return x
+    if not np.all(np.isfinite(h)):
+        raise dynamics.NonFiniteIncrementError("increment law produced non-finite draws")
+    h += x
+    h.partition(m - k, axis=1)  # each row's top k of x_i + h_i, in its last k columns
+    tops = np.sort(h[:, m - k:], axis=1)[:, ::-1].copy()
+    for top, rng, g_a, x_a in zip(tops, rngs, g[:, -1], x[:, -1]):
+        a = m
         while a < n:
             b, t = min(n, 2 * a), top[-1]
             g_b = g_a + rng.standard_gamma(b - a)
             pbar = law.survival(t - x_a)
             proposed = rng.binomial(b - a - 1, pbar)
             x_a = -np.log(g_b) / rho
-            values = [top, x_a + law.sample(1, rng)]
+            last = x_a + law.sample(None, rng)
+            # a value at or below t cannot enter the top k; a NaN does, and fails the check below
+            entering = [] if last <= t else [last]
             if proposed:  # as a rule none: calls on empty arrays draw nothing, at ~15 us a block
                 u = rng.random((2, proposed))
-                x = -np.log(g_a + (g_b - g_a) * u[0]) / rho
-                keep = u[1] * pbar < law.survival(t - x)
-                values.append(x[keep] + law.sample_above(t - x[keep], rng))
-            top = np.sort(np.concatenate(values))[::-1][:k]
+                xs = -np.log(g_a + (g_b - g_a) * u[0]) / rho
+                keep = u[1] * pbar < law.survival(t - xs)
+                entering.extend(xs[keep] + law.sample_above(t - xs[keep], rng))
+            if entering:
+                top[:] = np.sort(np.concatenate((top, entering)))[::-1][:k]
             a, g_a = b, g_b
-        if not np.all(np.isfinite(top[[0, -1]])):
-            raise ValueError("points must be finite")
-        return top
-
-    return np.fromiter(map(row, rngs), dtype=np.dtype((float, k)),
-                       count=operator.length_hint(rngs, -1))
+    if not np.all(np.isfinite(tops[:, [0, -1]])):
+        raise ValueError("points must be finite")
+    return tops
 
 
 def top_gaps(rngs, rho, n, k, law=None):

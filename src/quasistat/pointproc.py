@@ -14,7 +14,6 @@ alpha*s^{-alpha-1} ds.
 import numpy as np
 
 __all__ = [
-    "sample_gamma_arrivals",
     "pp_exponential_rows",
     "check_point_rows",
     "check_partition_rows",
@@ -58,13 +57,6 @@ def check_point_rows(points, tails=None):
         raise ValueError("points must be finite and non-increasing")
     if tails is not None and not np.all(np.isfinite(tails) & (tails >= 0)):
         raise ValueError("tails must be finite and nonnegative")
-
-
-def sample_gamma_arrivals(n, rng) -> np.ndarray:
-    """First n arrival times Gamma_1 < ... < Gamma_n of a unit-rate Poisson process."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.cumsum(rng.exponential(size=int(n)))
 
 
 def pp_exponential_rows(rho, arrivals, beta=1.0):

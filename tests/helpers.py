@@ -18,6 +18,14 @@ def marginal_law_test(samples, cdf):
     return d, float(kolmogorov(np.sqrt(n) * d))
 
 
+def sample_gamma_arrivals(n, rng) -> np.ndarray:
+    """First n arrival times Gamma_1 < ... < Gamma_n of a unit-rate Poisson process:
+    the reference for the arrival rows that ``experiments`` draws in chunks."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return np.cumsum(rng.exponential(size=int(n)))
+
+
 def poisson_kingman_rows(alphas, arrivals):
     """Row i holds one replica's arrival times Gamma_1 < ... < Gamma_n; returns
     its PD(alphas[i], 0) masses, the atoms Gamma_i^{-1/alpha} normalized by their

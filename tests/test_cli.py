@@ -507,16 +507,16 @@ def test_option_ranges_name_the_flag(tmp_path, capsys, flag, value):
 
 
 def test_unevolved_pp_draws_only_the_points_read(tmp_path, capsys, monkeypatch):
-    from quasistat import pointproc
+    from quasistat import experiments
 
     drawn = []
-    original = pointproc.sample_gamma_arrivals
+    original = experiments.PoissonKingman.draw
 
-    def recording(n, rng):
-        drawn.append(n)
-        return original(n, rng)
+    def recording(sampler, rng, row):
+        drawn.append(sampler.n)
+        return original(sampler, rng, row)
 
-    monkeypatch.setattr(pointproc, "sample_gamma_arrivals", recording)
+    monkeypatch.setattr(experiments.PoissonKingman, "draw", recording)
     flags = ["--kind", "pp", "--replicas", "3", "--trunc-n", "40", "--topk", "4",
              "--seed", "2", "--out", str(tmp_path)]
     assert run(["sample", *flags]) == 0

@@ -12,12 +12,11 @@ from quasistat.pointproc import (
     check_partition_rows,
     mass_partition_rows,
     pp_exponential_rows,
-    sample_gamma_arrivals,
     shift_tail_rows,
 )
 from quasistat.stattest import invariance_verdict
 
-from helpers import front_counts_loop
+from helpers import front_counts_loop, sample_gamma_arrivals
 
 
 class _FixedDraws:
@@ -376,16 +375,27 @@ def test_top_points_matches_evolve_loop(rho, sigma):
             assert rng.random() == ref_rng.random()  # nothing more or less was drawn
 
 
-@pytest.mark.parametrize("tau,sigma,n", [(1, 1.0, 100_000), (10, 1.0, 100_000), (1, 50.0, 5000)])
-def test_top_points_walk_keeps_the_law(tau, sigma, n):
+@pytest.mark.parametrize("tau,sigma,n,shared", [
+    pytest.param(1, 1.0, 100_000, False, id="1-1.0-100000"),
+    pytest.param(10, 1.0, 100_000, False, id="10-1.0-100000"),
+    pytest.param(1, 50.0, 5000, False, id="1-50.0-5000"),
+    pytest.param(1, 1.0, 100_000, True, id="1-1.0-100000-shared"),
+])
+def test_top_points_walk_keeps_the_law(tau, sigma, n, shared):
     # past _HEAD points the walk draws only the points that can reach the top k;
     # its top points and gaps must keep the law of the full draw.  A walk that
-    # stops at the head reads "rejected" at tau = 10 and at sigma = 50.
+    # stops at the head reads "rejected" at tau = 10 and at sigma = 50.  One
+    # generator shared by every replica, as the acceptance suite passes it, draws
+    # a chunk's heads before its walks, so it keeps only the law too.
     law, k, replicas = IncrementLaw(0.0, sigma).summed(tau), 6, 400
-    reference = _top_points_loop([np.random.default_rng([1, 1, i]) for i in range(replicas)],
-                                 1.0, n, k, law, 1)
-    rows = experiments.top_points([np.random.default_rng([1, 2, i]) for i in range(replicas)],
-                                  1.0, n, k, law=law)
+
+    def rngs(seed):
+        if shared:
+            return repeat(np.random.default_rng([1, seed]), replicas)
+        return [np.random.default_rng([1, seed, i]) for i in range(replicas)]
+
+    reference = _top_points_loop(rngs(1), 1.0, n, k, law, 1)
+    rows = experiments.top_points(rngs(2), 1.0, n, k, law=law)
     for key, (a, b) in enumerate([(reference, rows), (-np.diff(reference), -np.diff(rows))]):
         report = invariance_verdict(a, b, level=0.01, n_perm=199,
                                     rng=np.random.default_rng([1, 3 + key]))

@@ -11,12 +11,11 @@ from quasistat.pointproc import (
     check_point_rows,
     mass_partition_rows,
     pp_exponential_rows,
-    sample_gamma_arrivals,
     sample_pd_stickbreaking,
 )
 from quasistat.stattest import energy_distance_perm_test
 
-from helpers import marginal_law_test, poisson_kingman_rows
+from helpers import marginal_law_test, poisson_kingman_rows, sample_gamma_arrivals
 
 
 class _FixedExponentials:
