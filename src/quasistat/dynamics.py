@@ -5,8 +5,9 @@ the configuration is re-ranked; ``experiments.top_points`` draws h_i only where
 x_i + h_i can reach the top k, through ``IncrementLaw.survival`` and
 ``IncrementLaw.sample_above``.
 Multiplicative picture: every mass is reweighted by the lognormal
-W_i = e^{beta*h_i} and renormalized (``reshuffle_rows``), and the untracked
-tail advances by its mean factor E[e^{beta*h}].
+W_i = e^{beta*h_i} and renormalized, and the untracked tail advances by its
+mean factor E[e^{beta*h}] = e^{log_mgf(beta)}.  On log-masses this is the
+additive step x_i + beta*h_i, normalized; ``experiments.top_masses`` takes it so.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from scipy.special import ndtr, ndtri
 __all__ = [
     "IncrementLaw",
     "NonFiniteIncrementError",
-    "reshuffle_rows",
 ]
 
 
@@ -61,38 +61,3 @@ class IncrementLaw:
     def log_mgf(self, lam):
         """log E[e^{lam * h}], finite for every real lam."""
         return lam * self.mu + 0.5 * lam * lam * self.sigma * self.sigma
-
-
-def reshuffle_rows(masses, tails, h, law, beta=1.0):
-    """One reshuffle of each row: row i holds one replica's ranked masses, zeros
-    beyond the ones it tracks, its tail mass ``tails[i]``, and one increment
-    h per tracked mass.  Returns the reshuffled masses, ranked, with zeros
-    wherever a mass underflowed, and the tail masses.
-
-    Computed in log space; the untracked tail advances by E[W] = E[e^{beta h}],
-    and a zero tail stays zero.  Raises FloatingPointError when that overflows,
-    and NonFiniteIncrementError where an increment is not finite.
-    """
-    if not np.all(np.isfinite(h)):
-        raise NonFiniteIncrementError("increment law produced non-finite draws")
-    with np.errstate(divide="ignore"):  # log(0) = -inf: the zeros stay zero
-        w = np.log(masses)
-    w += beta * h
-    m = w.max(axis=1)
-    w -= m[:, None]
-    np.exp(w, out=w)
-    with np.errstate(over="ignore"):  # an overflow shows in the total below
-        growth = np.exp(law.log_mgf(beta) - m)
-    scaled_tail = tails * np.where(tails > 0, growth, 0.0)
-    total = w.sum(axis=1)
-    counts = np.count_nonzero(masses, axis=1)
-    for i in np.flatnonzero(counts < masses.shape[1]):
-        # summed over the tracked masses alone: trailing zeros change the pairwise sum's rounding
-        total[i] = w[i, :counts[i]].sum()
-    total += scaled_tail
-    if not np.all(np.isfinite(total)):
-        raise FloatingPointError(f"E[e^{{beta h}}] = e^{{{law.log_mgf(beta):.6g}}} overflows "
-                                 f"the reshuffled tail")
-    w /= total[:, None]
-    w.sort(axis=1)
-    return w[:, ::-1], scaled_tail / total

@@ -5,7 +5,8 @@ per replica: the command line passes independent per-replica generators, the
 acceptance suite one pinned generator repeated.  Replicas run in chunks of
 rows, each drawing from its generator in loop order, and the arithmetic runs
 once per chunk.  An ensemble evolves by at most one step: tau steps of iid
-increments are one step of ``IncrementLaw.summed(tau)`` in law.  Past its
+increments are one step of ``IncrementLaw.summed(tau)`` in law.  A reshuffle
+of masses is the additive step on their log-points, normalized.  Past its
 first ``_HEAD`` points, an evolved ``top_points`` replica walks after its chunk.
 Results are arrays and plain numbers; writing files and judging verdicts is
 left to the caller.
@@ -71,12 +72,14 @@ class PoissonKingman(NamedTuple):
 
     def points(self, draws, alphas, beta=1.0):
         """Points and tail estimates of sum e^{beta X_i} of a chunk of drawn rows,
-        one parameter per row."""
+        one parameter per row.  Their arrival times are summed in place: once a chunk."""
         return pointproc.pp_exponential_rows(alphas, np.cumsum(draws, axis=1, out=draws), beta)
 
-    def rows(self, draws, alphas):
-        """Masses and tails of a chunk of drawn rows, one parameter per row."""
-        return pointproc.mass_partition_rows(*self.points(draws, alphas))
+    def starts(self, draws, alphas):
+        """A chunk of drawn rows, one parameter per row, as log-points with the tail
+        estimates of their sums of e^{X_i}, and as the masses and tails these normalize to."""
+        points = self.points(draws, alphas)
+        return points, pointproc.mass_partition_rows(*points)
 
 
 class Partitions(NamedTuple):
@@ -92,14 +95,17 @@ class Partitions(NamedTuple):
         row[masses.size:] = 0.0
         return tail, masses.size
 
-    def rows(self, draws, tails):
-        return draws, tails
+    def starts(self, draws, tails):
+        with np.errstate(divide="ignore"):  # log(0) = -inf past each row's count
+            points = np.log(draws)
+        return (points, tails), (draws, tails)
 
 
 def _draw_rows(rngs, sampler, law=None):
     """One chunk's draws in loop order, each replica's start by ``sampler.draw``
     and, given ``law``, its increments right after: the chunk x n draws, each
-    row's parameter and count of values, and the increments."""
+    row's parameter and count of values, and the increments.  Raises
+    NonFiniteIncrementError where an increment is not finite."""
     draws = np.empty((len(rngs), sampler.n))
     h = None if law is None else np.zeros_like(draws)
     params = np.empty(len(rngs))
@@ -108,22 +114,23 @@ def _draw_rows(rngs, sampler, law=None):
         params[i], counts[i] = sampler.draw(rng, draws[i])
         if h is not None:
             h[i, :counts[i]] = law.sample(counts[i], rng)
+    if h is not None and not np.all(np.isfinite(h)):
+        raise dynamics.NonFiniteIncrementError("increment law produced non-finite draws")
     return draws, params, counts, h
 
 
 def _chunk_starts(rngs, sampler, k, law=None):
-    """Masses, tails, counts of positive masses and increments of one checked
-    chunk of ``_draw_rows``; OverflowError where fewer than k masses are > 0."""
+    """Log-points with tail estimates, masses with tails, and increments of one
+    checked chunk of ``_draw_rows``; OverflowError where fewer than k masses are > 0."""
     draws, params, counts, h = _draw_rows(rngs, sampler, law)
-    masses, tails = sampler.rows(draws, params)
+    points, (masses, tails) = sampler.starts(draws, params)
     del draws  # the reshuffles can reuse its memory
     _check_counts(counts, k, ValueError, "a replica tracks {} values; {} are needed")
-    # a start's masses that underflowed are trailing zeros, dropped as a reshuffle drops them
     counts = np.count_nonzero(masses, axis=1)
     _check_counts(counts, k, OverflowError,
                   "a replica starts with {} positive masses, {} are needed: the rest underflowed")
     pointproc.check_partition_rows(masses, tails, counts)
-    return masses, tails, counts, h
+    return points, (masses, tails), h
 
 
 def top_masses(rngs, sampler, k, law=None, beta=1.0):
@@ -133,8 +140,11 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0):
 
     Replicas run in chunks of rows.  Each draws its start and its increments,
     back to back, from its generator, as a loop over replicas would; the
-    arithmetic runs once per chunk.  Raises OverflowError where a start leaves
-    float64 range, and FloatingPointError where the reshuffle does.
+    arithmetic runs once per chunk.  The reshuffle xi_i W_i / sum_j xi_j W_j,
+    W_i = e^{beta h_i}, ranks w = x + beta h on the log-points x of ``sampler.starts``
+    and normalizes it with their tail estimate times E[W]: normalizing does not
+    depend on scale.  Raises OverflowError where a start leaves float64 range, and
+    FloatingPointError where the reshuffle does.
     """
     tops = [np.empty((0, k))]
     for chunk in _chunks(rngs, sampler.n):
@@ -144,9 +154,21 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0):
 
 def _chunk_top_masses(rngs, sampler, k, law, beta):
     """``top_masses`` of one chunk of replicas; its chunk-sized arrays go when it returns."""
-    masses, tails, counts, h = _chunk_starts(rngs, sampler, k, law)
+    (x, tails), (masses, _), h = _chunk_starts(rngs, sampler, k, law)
     if law is not None:
-        masses, tails = dynamics.reshuffle_rows(masses, tails, h, law, beta)
+        w = np.add(x, np.multiply(h, beta, out=h), out=h)
+        del masses, x  # the start's rows go before the reshuffle's exist
+        w.sort(axis=1)
+        w = w[:, ::-1]
+        # E[W] = e^v rides on the points of rows with a tail, which it advances by
+        # e^{v - max w}; the rest lead at 0, so a zero tail stays zero under any E[W]
+        v = law.log_mgf(beta)
+        w -= np.where(tails > 0, v, w[:, 0])[:, None]
+        try:
+            masses, tails = pointproc.mass_partition_rows(w, tails)
+        except OverflowError:
+            raise FloatingPointError(f"E[e^{{beta h}}] = e^{{{v:.6g}}} overflows "
+                                     f"the reshuffled tail") from None
         counts = np.count_nonzero(masses, axis=1)
         pointproc.check_partition_rows(masses, tails, counts)
         _check_counts(counts, k, FloatingPointError, "a replica keeps {} positive masses after "
@@ -197,8 +219,6 @@ def _chunk_top_points(rngs, rho, m, n, k, law):
     pointproc.check_point_rows(x)
     if law is None:
         return x
-    if not np.all(np.isfinite(h)):
-        raise dynamics.NonFiniteIncrementError("increment law produced non-finite draws")
     h += x
     h.partition(m - k, axis=1)  # each row's top k of x_i + h_i, in its last k columns
     tops = np.sort(h[:, m - k:], axis=1)[:, ::-1].copy()
@@ -264,7 +284,7 @@ def oracle_masses(streams, alpha, n, k):
     for (name, sampler), rngs in zip(samplers.items(), streams):
         rows, sums = [np.empty((0, k))], []
         for chunk in _chunks(rngs, sampler.n):
-            masses, tails, _, _ = _chunk_starts(chunk, sampler, k)
+            _, (masses, tails), _ = _chunk_starts(chunk, sampler, k)
             rows.append(masses[:, :k].copy())
             sums.append(sum_squares_rows(masses, tails))
         tops[name] = np.concatenate(rows)

@@ -318,10 +318,10 @@ _GOLDEN_CSV = {
     ("sample", "pp"): "44643849ac2bc3fc914c26b5e244d806f71df0373f70bf6e3855da690c45f4ed",
     ("sample", "geometric"): "8d9f0364e59e7f9c870af56365c71bdb9141827a7294c745ad92c395d92b5891",
     ("sample", "mixture-of-pd"): "d9fcae5f274669b6ecc128e0721d17cf2e5a53daf89acc0261e7ae332c9892dd",
-    ("evolve", "pd"): "7ad6bba41c8696d7eb1ee38b5f5fab28481af5e7bc04e3979701d46d874af352",
+    ("evolve", "pd"): "664d98e4abd66620019add4bb3871dcb95e3c7c3685d1a425c809d93933a50f0",
     ("evolve", "pp"): "ec8226e8db3ac716dc0eae7d302265a6e01634d30f49df431ef2d69a63d51aeb",
-    ("evolve", "geometric"): "d352f9e7a792fca1bfd338367d5da5d286eeabbb0f0a776ba0c18d28eea4edea",
-    ("evolve", "mixture-of-pd"): "3108aed9776fbbd55d074ec11c864e8323c109d6c3b82c5e97e97578c5150ebb",
+    ("evolve", "geometric"): "a3e4a331ba102ce3830ad95f4b9bc19972106ca11757cd8b53a17615b0a1b2f9",
+    ("evolve", "mixture-of-pd"): "66fe4660f0091ed57ff0e1d2f84dad9fe120b3cb92e018c29742a0f61714da00",
 }
 
 
@@ -338,10 +338,10 @@ def test_golden_csv_stream(tmp_path, capsys, command, kind):
 # One step (--tau 1): the streams every path keeps bit for bit whatever the
 # multi-step arithmetic, including the evolved half of test-invariance.
 _GOLDEN_ONE_STEP_CSV = {
-    ("evolve", "pd"): "1dc395509b586801473a3baa26b891b5320698a23220c772d85ca0e081b14f38",
+    ("evolve", "pd"): "63acfd9fd4d7875eba5e0fa5d172537c4551ba7ee140e48547850a556925d275",
     ("evolve", "pp"): "b3a8419b66c5bb256ea0815131c271634587d1544e549266e637ac5efb825d6f",
-    ("evolve", "geometric"): "d13d3e99c4a90c0e74d8d989cc6d7b15f806eab475977c2db7bbd14957efd4a2",
-    ("evolve", "mixture-of-pd"): "381ec78df4d271ba8d2f40b45c7fc5c678820db52f85e37795e57104ec7ac266",
+    ("evolve", "geometric"): "061d8ffdceeef86a9d1256ce83f1b988e5be190d28c2874ae552e42e7ae4cf45",
+    ("evolve", "mixture-of-pd"): "eb91192a3a0a6c1d2759732fe6bb738bec0616a81658e00e7f3e43835b68506b",
     ("test-invariance", "pd"): "42b91b7556be14f86547d7f9c8a807094734c8bce6c140638c10e7a70fa4730f",
     ("test-invariance", "pp"): "b9f5a7b5058f8a705e391c092fa56aa16b349960fe003c6b1d8285030fdaf6eb",
 }

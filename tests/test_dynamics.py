@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from quasistat import experiments
-from quasistat.dynamics import IncrementLaw, reshuffle_rows
+from quasistat.dynamics import IncrementLaw
 from quasistat.pointproc import (
     check_partition_rows,
     mass_partition_rows,
@@ -87,11 +87,29 @@ def _rerank(h, seed=0):
                                   law=_FixedDraws(h))[0]
 
 
-def _reshuffle(masses, tail, h, law, beta=1.0):
+def _reshuffled(sampler, law, beta=1.0, rng=None):
+    """One replica's start drawn by ``sampler`` from ``rng`` and reshuffled by
+    ``law`` through ``experiments.top_masses``: its whole row of masses and its
+    tail mass, as the partition check after the reshuffle sees them."""
+    checked = []
+
+    def check(masses, tails, counts=None):
+        checked.append((masses, tails))
+        check_partition_rows(masses, tails, counts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments.pointproc, "check_partition_rows", check)
+        experiments.top_masses([rng], sampler, 1, law=law, beta=beta)
+    masses, tails = checked[-1]
+    return masses[0], tails[0]
+
+
+def _reshuffle(masses, tail, law, beta=1.0, rng=None):
     """One reshuffle of a single partition: its positive masses and its tail mass."""
-    out, tails = reshuffle_rows(np.array([masses], dtype=float), np.array([tail], dtype=float),
-                                np.array([h], dtype=float), law, beta)
-    return out[0][out[0] > 0], tails[0]
+    start = np.asarray(masses, dtype=float), tail
+    out, tail = _reshuffled(experiments.Partitions(lambda rng: start, start[0].size), law, beta,
+                            rng)
+    return out[out > 0], tail
 
 
 def test_additive_common_shift_preserves_gaps():
@@ -133,43 +151,46 @@ def test_additive_rejects_non_finite_draws():
 
 def test_multiplicative_constant_weight_is_identity():
     masses = [0.5, 0.3, 0.2]
-    out, tail = _reshuffle(masses, 0.0, [0.7, 0.7, 0.7],
-                           _FixedDraws([], mean_weight=np.exp(1.3 * 0.7)), beta=1.3)
+    out, tail = _reshuffle(masses, 0.0, _FixedDraws([0.7, 0.7, 0.7], np.exp(1.3 * 0.7)),
+                           beta=1.3)
     np.testing.assert_allclose(out, masses, atol=1e-12)
     assert tail == pytest.approx(0.0, abs=1e-12)
 
 
 def test_multiplicative_reweights_and_reorders():
-    out, _ = _reshuffle([0.8, 0.2], 0.0, [0.0, np.log(8.0)], _FixedDraws([]))
+    out, _ = _reshuffle([0.8, 0.2], 0.0, _FixedDraws([0.0, np.log(8.0)]))
     np.testing.assert_allclose(out, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_multiplicative_drops_underflowed_masses():
     # e^{-800} underflows to exactly 0 and trails the row
-    masses, tails = reshuffle_rows(np.array([[0.6, 0.4]]), np.zeros(1), np.array([[0.0, -800.0]]),
-                                   _FixedDraws([]))
-    assert masses.tolist() == [[1.0, 0.0]]
-    assert masses.sum() + tails[0] == 1.0
+    sampler = experiments.Partitions(lambda rng: (np.array([0.6, 0.4]), 0.0), 2)
+    masses, tail = _reshuffled(sampler, _FixedDraws([0.0, -800.0]))
+    assert masses.tolist() == [1.0, 0.0]
+    assert masses.sum() + tail == 1.0
 
 
 def test_multiplicative_mass_conservation():
     rng = np.random.default_rng(3)
     law = IncrementLaw(0.0, 1.5)
-    masses, tails = np.full((1, 10), 0.09), np.array([0.1])
-    for _ in range(20):
-        masses, tails = reshuffle_rows(masses, tails, law.sample((1, 10), rng), law)
-        assert abs(masses.sum() + tails[0] - 1.0) <= 1e-10
+    masses, tail = np.full(10, 0.09), 0.1
+    for _ in range(20):  # each step starts from the last one's output
+        masses, tail = _reshuffle(masses, tail, law, rng=rng)
+        assert abs(masses.sum() + tail - 1.0) <= 1e-10
 
 
 def test_additive_multiplicative_commutation():
     # coupled draws: masses of the evolved configuration equal the reshuffled masses
-    points, tails = pp_exponential_rows(0.5, sample_gamma_arrivals(60, np.random.default_rng(8))[None])
+    _, tails = pp_exponential_rows(0.5, sample_gamma_arrivals(60, np.random.default_rng(8))[None])
     law = IncrementLaw(0.1, 0.9)
     h = law.sample(60, np.random.default_rng(21))
     # the additive step advances the tail estimate by E[e^{beta h}], as the reshuffle does
     stepped = experiments.top_points([np.random.default_rng(8)], 0.5, 60, 60, law=_FixedDraws(h))
-    via_points, via_points_tail = mass_partition_rows(stepped, tails * np.exp(law.log_mgf(1.0)))
-    via_masses, via_masses_tail = reshuffle_rows(*mass_partition_rows(points, tails), h[None], law)
+    (via_points,), (via_points_tail,) = mass_partition_rows(stepped,
+                                                            tails * np.exp(law.log_mgf(1.0)))
+    via_masses, via_masses_tail = _reshuffled(experiments.PoissonKingman((0.5,), 60),
+                                              _FixedDraws(h, np.exp(law.log_mgf(1.0))),
+                                              rng=np.random.default_rng(8))
     np.testing.assert_allclose(via_points, via_masses, atol=1e-10)
     np.testing.assert_allclose(via_points_tail, via_masses_tail, atol=1e-10)
 
@@ -222,8 +243,7 @@ def test_reshuffle_output_is_valid_partition(seed, sigma):
     rng = np.random.default_rng(seed)
     masses = np.sort(rng.dirichlet(np.ones(8) * 0.5) * 0.9)[::-1]
     masses = masses[masses > 0]
-    law = IncrementLaw(0.0, sigma)
-    out, tail = _reshuffle(masses, 1.0 - masses.sum(), law.sample(masses.size, rng), law)
+    out, tail = _reshuffle(masses, 1.0 - masses.sum(), IncrementLaw(0.0, sigma), rng=rng)
     check_partition_rows(out[None], np.array([tail]))  # positive, ranked, and summing to 1
     assert np.all(np.diff(out) <= 0)
     assert abs(out.sum() + tail - 1.0) <= 1e-10
@@ -231,13 +251,17 @@ def test_reshuffle_output_is_valid_partition(seed, sigma):
 
 def test_multiplicative_zero_tail_stays_zero():
     # E[W] = e^{800} overflows, but a zero tail has nothing to advance
-    law = _FixedDraws([])
+    law = _FixedDraws([0.0, 0.0])
     law.log_mgf = lambda lam: 800.0
-    out, tail = _reshuffle([0.6, 0.4], 0.0, [0.0, 0.0], law)
+    out, tail = _reshuffle([0.6, 0.4], 0.0, law)
     assert tail == 0.0
     assert out.tolist() == [0.6, 0.4]
     with pytest.raises(FloatingPointError, match="overflows"):
-        _reshuffle([0.6, 0.3], 0.1, [0.0, 0.0], law)
+        _reshuffle([0.6, 0.3], 0.1, law)
+    # nor does e^{800} overflow it where every weight is about e^{-800}
+    out, tail = _reshuffle([0.6, 0.4], 0.0, _FixedDraws([-800.0, -800.0]))
+    assert tail == 0.0
+    np.testing.assert_allclose(out, [0.6, 0.4], rtol=1e-12)
 
 
 def test_top_masses_refuses_rows_that_underflow_below_k():
@@ -250,15 +274,59 @@ def test_top_masses_refuses_rows_that_underflow_below_k():
         experiments.top_masses([None], sampler, 3)
 
 
-# The per-replica loop and arithmetic that the row kernels replace, kept as the reference.
+# Per-replica loops that the row kernels replace, kept as references: the
+# log-point arithmetic of ``experiments.top_masses``, which its chunks must match
+# bit for bit, and the reshuffle of the masses themselves, which it must match in law.
 
-def _pk_loop(alpha, n, rng):
+def _pk_points(alphas, n, rng):
+    """A PD(alpha, 0) start as ``PoissonKingman`` forms it: the PP(alpha) points
+    X_i = -log(Gamma_i)/alpha, and the tail estimate of sum e^{X_i}."""
+    alpha = alphas[rng.integers(len(alphas))] if len(alphas) > 1 else alphas[0]
     g = np.cumsum(rng.exponential(size=n))
-    x = -np.log(g) / alpha
+    return np.log(g) / -alpha, g[-1] ** (1.0 - 1.0 / alpha) / (1.0 / alpha - 1.0)
+
+
+def _normalized(x, tail):
+    """The masses e^{x_i} of ranked points x and the tail mass, normalized by
+    their sum with the tail estimate."""
     weights = np.exp(x - x[0])
-    tail = g[-1] ** (1.0 - 1.0 / alpha) / (1.0 / alpha - 1.0) * np.exp(-x[0])
-    total = weights.sum() + tail
-    return weights / total, tail / total
+    scaled_tail = tail * np.exp(-x[0])
+    total = weights.sum() + scaled_tail
+    return weights / total, scaled_tail / total
+
+
+def _pk_start(alphas, n):
+    """A start's log-points and tail estimate, and its masses and tail mass."""
+    def start(rng):
+        points = _pk_points(alphas, n, rng)
+        return points, _normalized(*points)
+    return start
+
+
+def _partition_start(sample, n):
+    def start(rng):
+        masses, tail = sample(rng)
+        x = np.full(n, -np.inf)
+        x[:masses.size] = np.log(masses)
+        return (x, tail), (masses, tail)
+    return start
+
+
+def _log_point_loop(rngs, start, k, law, beta, steps):
+    """``top_masses`` of each replica, after ``steps`` <= 1 reshuffles: its
+    log-points x + beta h, ranked, with E[W] on the points of a row with a tail."""
+    rows = []
+    for rng in rngs:
+        (x, tail), (masses, _) = start(rng)
+        if steps:
+            count = np.count_nonzero(x > -np.inf)
+            h = np.zeros(x.size)
+            h[:count] = law.sample(count, rng)
+            w = -np.sort(-(x + beta * h))
+            w -= law.log_mgf(beta) if tail > 0 else w[0]
+            masses, _ = _normalized(w, tail)
+        rows.append(masses[:k])
+    return np.array(rows)
 
 
 def _reshuffle_loop(masses, tail, law, beta, rng):
@@ -272,10 +340,10 @@ def _reshuffle_loop(masses, tail, law, beta, rng):
     return masses[masses > 0], scaled_tail / total
 
 
-def _top_masses_loop(rngs, sample, k, law, beta, steps):
+def _top_masses_loop(rngs, start, k, law, beta, steps):
     rows, fewest = [], np.inf
     for rng in rngs:
-        masses, tail = sample(rng)
+        _, (masses, tail) = start(rng)
         for _ in range(steps):
             masses, tail = _reshuffle_loop(masses, tail, law, beta, rng)
             fewest = min(fewest, masses.size)
@@ -296,23 +364,24 @@ def _uneven(rng):
 
 # name -> (sampler, reference start, trunc-n, sigma)
 _LOOP_CASES = {
-    **{f"pd-{a}": (experiments.PoissonKingman((a,), 40), lambda rng, a=a: _pk_loop(a, 40, rng),
-                   40, 1.0) for a in (0.3, 0.5, 0.7)},
-    "mixture-of-pd": (experiments.PoissonKingman((0.3, 0.7), 40),
-                      lambda rng: _pk_loop((0.3, 0.7)[rng.integers(2)], 40, rng), 40, 1.0),
+    **{f"pd-{a}": (experiments.PoissonKingman((a,), 40), _pk_start((a,), 40), 40, 1.0)
+       for a in (0.3, 0.5, 0.7)},
+    "mixture-of-pd": (experiments.PoissonKingman((0.3, 0.7), 40), _pk_start((0.3, 0.7), 40),
+                      40, 1.0),
     "geometric": (experiments.Partitions(lambda rng: _geometric(40), 40),
-                  lambda rng: _geometric(40), 40, 1.0),
-    "uneven-rows": (experiments.Partitions(_uneven, 200), _uneven, 200, 1.0),
+                  _partition_start(lambda rng: _geometric(40), 40), 40, 1.0),
+    "uneven-rows": (experiments.Partitions(_uneven, 200), _partition_start(_uneven, 200), 200,
+                    1.0),
     # 0.5**1074 is the smallest subnormal: most of the tail masses underflow and drop
     "geometric-underflow": (experiments.Partitions(lambda rng: _geometric(1074), 1074),
-                            lambda rng: _geometric(1074), 1074, 10.0),
+                            _partition_start(lambda rng: _geometric(1074), 1074), 1074, 10.0),
 }
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 5])
 @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
 def test_top_masses_matches_replica_loop(monkeypatch, case, chunk_rows):
-    sampler, sample, n, sigma = _LOOP_CASES[case]
+    sampler, start, n, sigma = _LOOP_CASES[case]
     if chunk_rows:  # 23 replicas in chunks of 5, 5, 5, 5 and 3
         monkeypatch.setattr(experiments, "_CHUNK_ELEMS", chunk_rows * n + 3)
     law, beta, k, replicas = IncrementLaw(0.1, sigma), 0.8, 5, 23
@@ -324,10 +393,12 @@ def test_top_masses_matches_replica_loop(monkeypatch, case, chunk_rows):
         return repeat(np.random.default_rng(7), replicas)
 
     for rngs, steps in [(independent, 0), (independent, 1), (shared, 0), (shared, 1)]:
-        reference, fewest = _top_masses_loop(rngs(), sample, k, law, beta, steps)
+        reference = _log_point_loop(rngs(), start, k, law, beta, steps)
         rows = experiments.top_masses(rngs(), sampler, k, law=law if steps else None, beta=beta)
         assert rows.shape == reference.shape
         assert rows.tobytes() == reference.tobytes(), (rngs, steps)
+        law_reference, fewest = _top_masses_loop(rngs(), start, k, law, beta, steps)
+        np.testing.assert_allclose(rows, law_reference, rtol=1e-13, atol=0)
         if case == "geometric-underflow" and steps:
             assert fewest < n
 
@@ -442,8 +513,8 @@ def test_summed_law_evolves_as_tau_steps(case):
         def ensemble(law):
             return experiments.top_points(rngs(2), 1.0, 300, k, law=law)
     else:
-        sampler, sample, _, _ = _LOOP_CASES[case]
-        reference, _ = _top_masses_loop(rngs(1), sample, k, law, beta, tau)
+        sampler, start, _, _ = _LOOP_CASES[case]
+        reference, _ = _top_masses_loop(rngs(1), start, k, law, beta, tau)
 
         def ensemble(law):
             return experiments.top_masses(rngs(2), sampler, k, law=law, beta=beta)
