@@ -258,7 +258,7 @@ def test_multiplicative_zero_tail_stays_zero():
     assert out.tolist() == [0.6, 0.4]
     with pytest.raises(FloatingPointError, match="overflows"):
         _reshuffle([0.6, 0.3], 0.1, law)
-    # nor does e^{800} overflow it where every weight is about e^{-800}
+    # nor does e^{-max w} = e^{800} overflow it where every weight is about e^{-800}
     out, tail = _reshuffle([0.6, 0.4], 0.0, _FixedDraws([-800.0, -800.0]))
     assert tail == 0.0
     np.testing.assert_allclose(out, [0.6, 0.4], rtol=1e-12)
