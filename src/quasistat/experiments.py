@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, pointproc, stattest
+from . import dynamics, pointproc
 
 # float64 elements per chunk of replica rows: bounds the chunk x N arrays the row
 # kernels hold at once.  Chunks of 2**18 ran no faster and left the peak RSS of a
@@ -71,13 +71,15 @@ class PoissonKingman(NamedTuple):
         return alpha, self.n
 
     def points(self, draws, alphas, beta=1.0):
-        """Points and tail estimates of sum e^{beta X_i} of a chunk of drawn rows,
-        one parameter per row.  Their arrival times are summed in place: once a chunk."""
+        """Points and tail estimates of sum e^{beta X_i}, relative to e^{beta X_1}, of
+        a chunk of drawn rows, one parameter per row.  Their arrival times are summed
+        in place: once a chunk."""
         return pointproc.pp_exponential_rows(alphas, np.cumsum(draws, axis=1, out=draws), beta)
 
     def starts(self, draws, alphas):
         """A chunk of drawn rows, one parameter per row, as log-points with the tail
-        estimates of their sums of e^{X_i}, and as the masses and tails these normalize to."""
+        estimates of their sums of e^{X_i} relative to e^{X_1}, and as the masses and
+        tails these normalize to."""
         points = self.points(draws, alphas)
         return points, pointproc.mass_partition_rows(*points)
 
@@ -98,7 +100,7 @@ class Partitions(NamedTuple):
     def starts(self, draws, tails):
         with np.errstate(divide="ignore"):  # log(0) = -inf past each row's count
             points = np.log(draws)
-        return (points, tails), (draws, tails)
+        return (points, tails / draws[:, 0]), (draws, tails)
 
 
 def _draw_rows(rngs, sampler, law=None):
@@ -143,8 +145,8 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0):
     arithmetic runs once per chunk.  The reshuffle xi_i W_i / sum_j xi_j W_j,
     W_i = e^{beta h_i}, ranks w = x + beta h on the log-points x of ``sampler.starts``
     and normalizes it with their tail estimate times E[W]: normalizing does not
-    depend on scale.  Raises OverflowError where a start leaves float64 range, and
-    FloatingPointError where the reshuffle does.
+    depend on scale.  Raises OverflowError where a start's masses underflow, and
+    FloatingPointError where the reshuffle's tail overflows or its masses underflow.
     """
     tops = [np.empty((0, k))]
     for chunk in _chunks(rngs, sampler.n):
@@ -157,18 +159,18 @@ def _chunk_top_masses(rngs, sampler, k, law, beta):
     (x, tails), (masses, _), h = _chunk_starts(rngs, sampler, k, law)
     if law is not None:
         w = np.add(x, np.multiply(h, beta, out=h), out=h)
-        del masses, x  # the start's rows go before the reshuffle's exist
         w.sort(axis=1)
         w = w[:, ::-1]
-        # E[W] = e^v rides on the points of rows with a tail, which it advances by
-        # e^{v - max w}; the rest lead at 0, so a zero tail stays zero under any E[W]
+        # a positive tail, relative to e^{x_1}, times E[W] = e^v and relative to e^{w_1};
+        # a zero tail stays zero under any E[W], without forming e^{x_1 + v - w_1}
         v = law.log_mgf(beta)
-        w -= np.where(tails > 0, v, w[:, 0])[:, None]
-        try:
-            masses, tails = pointproc.mass_partition_rows(w, tails)
-        except OverflowError:
+        with np.errstate(over="ignore"):  # checked below
+            tails = tails * np.exp(np.where(tails > 0, x[:, 0] + v - w[:, 0], 0.0))
+        del masses, x  # the start's rows go before the reshuffle's masses exist
+        if not np.all(np.isfinite(tails)):
             raise FloatingPointError(f"E[e^{{beta h}}] = e^{{{v:.6g}}} overflows "
-                                     f"the reshuffled tail") from None
+                                     f"the reshuffled tail")
+        masses, tails = pointproc.mass_partition_rows(w, tails)
         counts = np.count_nonzero(masses, axis=1)
         pointproc.check_partition_rows(masses, tails, counts)
         _check_counts(counts, k, FloatingPointError, "a replica keeps {} positive masses after "
@@ -291,14 +293,6 @@ def oracle_masses(streams, alpha, n, k):
         ss = np.concatenate(sums)
         sumsq[name] = {"mean": float(ss.mean()), "se": float(ss.std(ddof=1) / np.sqrt(len(ss)))}
     return tops, sumsq
-
-
-def pairwise_energy(tops, rngs, n_perm):
-    """Energy-test p-value for every pair of ``tops`` (name -> rows), keyed
-    "a|b"; ``rngs`` yields one permutation generator per pair, in order."""
-    return {f"{a}|{b}": stattest.energy_distance_perm_test(tops[a], tops[b], n_perm=n_perm,
-                                                           rng=rng)
-            for (a, b), rng in zip(itertools.combinations(tops, 2), rngs)}
 
 
 class ShallowTruncationError(ValueError):

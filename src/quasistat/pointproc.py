@@ -5,10 +5,11 @@ Gamma_1 < Gamma_2 < ...: the transform X_i = -log(Gamma_i)/rho (exponential
 intensity rho*e^{-rho*y} dy) yields exactly the N largest points of the
 infinite configuration, so truncation affects only normalizing sums, never
 point positions.  The untracked part of each normalizing sum is carried as an
-explicit tail estimate.  A PD(alpha, 0) start is the e^{X_i} of PP(alpha),
-normalized with their tail (``mass_partition_rows``): by the mapping theorem
-they are the atoms Gamma_i^{-1/alpha} of the power-law intensity
-alpha*s^{-alpha-1} ds.
+explicit tail estimate, relative to the row's leading weight: normalizing does
+not depend on scale, and so the estimate is finite for every finite row.  A
+PD(alpha, 0) start is the e^{X_i} of PP(alpha), normalized with their tail
+(``mass_partition_rows``): by the mapping theorem they are the atoms
+Gamma_i^{-1/alpha} of the power-law intensity alpha*s^{-alpha-1} ds.
 """
 
 import numpy as np
@@ -62,9 +63,11 @@ def check_point_rows(points, tails=None):
 def pp_exponential_rows(rho, arrivals, beta=1.0):
     """Row i holds one replica's arrival times Gamma_1 < ... < Gamma_n; returns
     its top n points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy), and the
-    tail estimate E[sum_{j>n} e^{beta X_j} | Gamma_n] of each row, for one rho
-    or one per row.  The sum diverges unless beta > rho, so beta <= rho raises
-    ValueError; a tail estimate that overflows raises OverflowError.
+    tail estimate E[sum_{j>n} e^{beta X_j} | Gamma_n] of each row relative to its
+    leading weight e^{beta X_1}, for one rho or one per row.  With r = beta/rho,
+    that is Gamma_n^{1-r} Gamma_1^r / (r - 1) = Gamma_n/(r - 1) e^{beta (X_n - X_1)},
+    finite for every finite row.  The sum diverges unless beta > rho, so
+    beta <= rho raises ValueError.
     """
     rho = np.broadcast_to(rho, len(arrivals))
     if not np.all(rho > 0):
@@ -73,15 +76,9 @@ def pp_exponential_rows(rho, arrivals, beta=1.0):
     if not np.all(r > 1):
         raise ValueError(f"the tail sum of e^{{beta X_i}} diverges unless beta > rho, "
                          f"got beta {beta} and rho {rho.max()}")
-    with np.errstate(over="ignore"):  # checked below
-        # a float64-scalar power per row: numpy's vector ** can differ from it in the last bit
-        tails = np.array([g ** (1.0 - e) for g, e in zip(arrivals[:, -1], r)]) / (r - 1.0)
-    off = np.flatnonzero(~np.isfinite(tails))
-    if off.size:
-        raise OverflowError(f"the tail estimate Gamma_n^(1 - beta/rho) / (beta/rho - 1) "
-                            f"leaves float64 range at Gamma_n = {arrivals[off[0], -1]:.6g}")
     points = np.log(arrivals)
     points /= -rho[:, None]  # the bits of -log(Gamma_i) / rho, with one chunk-sized array
+    tails = arrivals[:, -1] / (r - 1.0) * np.exp(beta * (points[:, -1] - points[:, 0]))
     check_point_rows(points, tails)
     return points, tails
 
@@ -124,46 +121,31 @@ def sample_pd_stickbreaking(alpha, n, rng):
     return top, max(0.0, 1.0 - top.sum())
 
 
-def _weights(points, tails, beta):
-    """Each row's weights e^{beta X_i - m}, against its leading m = beta X_1, its
-    tail estimate times e^{-m}, and m.  Raises OverflowError where that product
-    leaves float64 range (an underflowed tail times an overflowed e^{-m} is NaN)."""
+def mass_partition_rows(points, tails):
+    """Row i holds one replica's ranked points and ``tails[i]``, its tail estimate
+    of sum_{j>n} e^{X_j} relative to its leading weight e^{X_1}; returns its masses
+    e^{X_i - X_1} / (sum_j e^{X_j - X_1} + tail), and that tail's share.
+
+    A mass that underflows is 0, and as the points are ranked, these zeros trail.
+    """
+    w = np.subtract(points, points[:, :1])
+    np.exp(w, out=w)
+    total = w.sum(axis=1) + tails
+    w /= total[:, None]
+    return w, tails / total
+
+
+def shift_tail_rows(points, tails, beta=1.0):
+    """Re-center each row of ranked points, with ``tails[i]`` its tail estimate of
+    sum_{j>n} e^{beta X_j} relative to e^{beta X_1}, so that sum_i e^{beta X_i}
+    plus the tail's share, also returned, equals 1."""
     w = beta * points
     m = w[:, 0].copy()
     w -= m[:, None]
     np.exp(w, out=w)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        scaled_tails = tails * np.exp(-m)
-    off = np.flatnonzero(~np.isfinite(scaled_tails))
-    if off.size:
-        i = off[0]
-        raise OverflowError(f"the tail estimate {tails[i]:.6g} times "
-                            f"e^{{-beta X_1}} = e^{{{-m[i]:.6g}}} leaves float64 range")
-    return w, scaled_tails, m
-
-
-def mass_partition_rows(points, tails, beta=1.0):
-    """Row i holds one replica's ranked points and ``tails[i]``, its tail estimate
-    of sum_{j>n} e^{beta X_j}; returns its masses e^{beta X_i} / (sum_j e^{beta X_j}
-    + tail), max-subtracted for stability, and that tail's share.
-
-    A mass that underflows is 0, and as the points are ranked, these zeros trail.
-    Raises OverflowError as ``_weights`` does.
-    """
-    w, scaled_tails, _ = _weights(points, tails, beta)
-    total = w.sum(axis=1) + scaled_tails
-    w /= total[:, None]
-    return w, scaled_tails / total
-
-
-def shift_tail_rows(points, tails, beta=1.0):
-    """Re-center each row of ranked points, with its tail estimate ``tails[i]``,
-    so that sum_i e^{beta X_i} plus the rescaled tail equals 1.  Raises
-    OverflowError as ``_weights`` does.
-    """
-    w, scaled_tails, m = _weights(points, tails, beta)
-    log_totals = m + np.log(w.sum(axis=1) + scaled_tails)
+    total = w.sum(axis=1) + tails
+    log_totals = m + np.log(total)
     shifted = np.subtract(points, (log_totals / beta)[:, None], out=w)
-    tails = tails * np.exp(-log_totals)
+    tails = tails / total
     check_point_rows(shifted, tails)
     return shifted, tails

@@ -7,7 +7,7 @@ seeds so reruns are reproducible.
 
 import functools
 import time
-from itertools import combinations, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -148,12 +148,11 @@ def test_criterion_7_oracle_equivalence():
     alpha, n_rep, k, n_pts = 0.5, 2000, 5, 500
     streams = (repeat(_rng(7, s), n_rep) for s in range(2))
     tops, sumsq = experiments.oracle_masses(streams, alpha, n_pts, k)
-    pair_rngs = (_rng(7, 10 + i, j) for i, j in combinations(range(2), 2))
-    pairs = experiments.pairwise_energy(tops, pair_rngs, n_perm=199)
-    ok = (all(abs(s["mean"] - (1.0 - alpha)) <= 3.0 * s["se"] for s in sumsq.values())
-          and all(p >= 0.01 for p in pairs.values()))
+    p = energy_distance_perm_test(tops["poisson_kingman"], tops["stick_breaking"], n_perm=199,
+                                  rng=_rng(7, 10, 1))
+    ok = all(abs(s["mean"] - (1.0 - alpha)) <= 3.0 * s["se"] for s in sumsq.values()) and p >= 0.01
     details = ([f"{name}: E[sum xi^2]={s['mean']:.4f}" for name, s in sumsq.items()]
-               + [f"{pair}: p={p:.3f}" for pair, p in pairs.items()])
+               + [f"poisson_kingman|stick_breaking: p={p:.3f}"])
     return ok, "; ".join(details)
 
 

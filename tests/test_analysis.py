@@ -77,13 +77,12 @@ def test_markov_bound_holds_pathwise():
 
 def _start_loop(rng, rho, n, beta):
     g = np.cumsum(rng.exponential(size=n))
-    r = beta / rho
-    tail = g[-1] ** (1.0 - r) / (r - 1.0) if r > 1 else 0.0
     points = -np.log(g) / rho
+    tail = g[-1] / (beta / rho - 1.0) * np.exp(beta * (points[-1] - points[0]))
     logw = beta * points
     m = logw[0]
-    log_total = m + np.log(np.exp(logw - m).sum() + tail * np.exp(-m))
-    return points - log_total / beta, tail * np.exp(-log_total)
+    total = np.exp(logw - m).sum() + tail
+    return points - (m + np.log(total)) / beta, tail / total
 
 
 def _jump_events_loop(starts, law, tau, ck, rng):

@@ -181,13 +181,14 @@ def test_multiplicative_mass_conservation():
 
 def test_additive_multiplicative_commutation():
     # coupled draws: masses of the evolved configuration equal the reshuffled masses
-    _, tails = pp_exponential_rows(0.5, sample_gamma_arrivals(60, np.random.default_rng(8))[None])
+    x, tails = pp_exponential_rows(0.5, sample_gamma_arrivals(60, np.random.default_rng(8))[None])
     law = IncrementLaw(0.1, 0.9)
     h = law.sample(60, np.random.default_rng(21))
-    # the additive step advances the tail estimate by E[e^{beta h}], as the reshuffle does
+    # the additive step advances the tail estimate by E[e^{beta h}], as the reshuffle does,
+    # and the tail stays relative to the leading weight
     stepped = experiments.top_points([np.random.default_rng(8)], 0.5, 60, 60, law=_FixedDraws(h))
-    (via_points,), (via_points_tail,) = mass_partition_rows(stepped,
-                                                            tails * np.exp(law.log_mgf(1.0)))
+    advance = np.exp(x[:, 0] + law.log_mgf(1.0) - stepped[:, 0])
+    (via_points,), (via_points_tail,) = mass_partition_rows(stepped, tails * advance)
     via_masses, via_masses_tail = _reshuffled(experiments.PoissonKingman((0.5,), 60),
                                               _FixedDraws(h, np.exp(law.log_mgf(1.0))),
                                               rng=np.random.default_rng(8))
@@ -205,7 +206,7 @@ def test_shift_tail_normalizes_weights():
     totals = np.exp(out).sum(axis=1) + out_tails
     assert np.all(np.abs(totals - 1.0) <= 1e-10)
     np.testing.assert_allclose(np.diff(out), np.diff(points), atol=1e-12)
-    twice, _ = shift_tail_rows(out, out_tails)
+    twice, _ = shift_tail_rows(out, out_tails * np.exp(-out[:, 0]))
     np.testing.assert_allclose(twice, out, atol=1e-12)
     # at beta = 2 the weights are e^{2 X}
     out, out_tails = shift_tail_rows(points, tails, beta=2.0)
@@ -280,19 +281,19 @@ def test_top_masses_refuses_rows_that_underflow_below_k():
 
 def _pk_points(alphas, n, rng):
     """A PD(alpha, 0) start as ``PoissonKingman`` forms it: the PP(alpha) points
-    X_i = -log(Gamma_i)/alpha, and the tail estimate of sum e^{X_i}."""
+    X_i = -log(Gamma_i)/alpha, and the tail estimate of sum e^{X_i} relative to e^{X_1}."""
     alpha = alphas[rng.integers(len(alphas))] if len(alphas) > 1 else alphas[0]
     g = np.cumsum(rng.exponential(size=n))
-    return np.log(g) / -alpha, g[-1] ** (1.0 - 1.0 / alpha) / (1.0 / alpha - 1.0)
+    x = np.log(g) / -alpha
+    return x, g[-1] / (1.0 / alpha - 1.0) * np.exp(x[-1] - x[0])
 
 
 def _normalized(x, tail):
     """The masses e^{x_i} of ranked points x and the tail mass, normalized by
-    their sum with the tail estimate."""
+    their sum with the tail estimate relative to e^{x_1}."""
     weights = np.exp(x - x[0])
-    scaled_tail = tail * np.exp(-x[0])
-    total = weights.sum() + scaled_tail
-    return weights / total, scaled_tail / total
+    total = weights.sum() + tail
+    return weights / total, tail / total
 
 
 def _pk_start(alphas, n):
@@ -308,13 +309,13 @@ def _partition_start(sample, n):
         masses, tail = sample(rng)
         x = np.full(n, -np.inf)
         x[:masses.size] = np.log(masses)
-        return (x, tail), (masses, tail)
+        return (x, tail / masses[0]), (masses, tail)
     return start
 
 
 def _log_point_loop(rngs, start, k, law, beta, steps):
     """``top_masses`` of each replica, after ``steps`` <= 1 reshuffles: its
-    log-points x + beta h, ranked, with E[W] on the points of a row with a tail."""
+    log-points x + beta h, ranked, with a positive tail advanced by E[W] e^{x_1 - w_1}."""
     rows = []
     for rng in rngs:
         (x, tail), (masses, _) = start(rng)
@@ -323,7 +324,8 @@ def _log_point_loop(rngs, start, k, law, beta, steps):
             h = np.zeros(x.size)
             h[:count] = law.sample(count, rng)
             w = -np.sort(-(x + beta * h))
-            w -= law.log_mgf(beta) if tail > 0 else w[0]
+            if tail > 0:
+                tail = tail * np.exp(x[0] + law.log_mgf(beta) - w[0])
             masses, _ = _normalized(w, tail)
         rows.append(masses[:k])
     return np.array(rows)

@@ -64,7 +64,7 @@ def test_pp_exponential_transform():
     # beta <= rho: sum e^{beta X_i} diverges, so there is no tail to record
     with pytest.raises(ValueError, match="diverges unless beta > rho"):
         pp_exponential_rows(1.0, np.array([[1.0, 2.0, 3.0]]))
-    # beta = 2 rho: E[sum_{i>3} e^{2 X_i} | Gamma_3] = 1 / Gamma_3
+    # beta = 2 rho: E[sum_{i>3} e^{2 X_i} | Gamma_3] = 1 / Gamma_3, relative to e^{2 X_1} = 1
     _, tails = pp_exponential_rows(1.0, np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]]), beta=2.0)
     np.testing.assert_allclose(tails, [1.0 / 3.0, 1.0 / 4.0])
 
@@ -118,10 +118,16 @@ def test_pk_drops_underflowed_masses_and_refuses_overflowed_atoms():
         _pk_rows(0.02, np.cumsum([1e-7, 1.0]))
 
 
-def test_pp_tail_overflow_raises():
-    # Gamma_1^{1 - 300} / 299 overflows at Gamma_1 = 0.01
-    with pytest.raises(OverflowError, match="leaves float64 range"):
-        pp_exponential_rows(0.1, np.array([[1.0], [0.01]]), beta=30.0)
+def test_pp_tail_is_relative_to_the_leading_weight():
+    # Gamma_n^{1-r} Gamma_1^r / (r - 1), r = beta/rho, on the log scale; at r = 300 the
+    # power Gamma_n^{1-r} overflows in the first row and underflows in the last
+    arrivals = np.array([[0.002, 0.005, 0.01], [1.0, 2.0, 3.0], [600.0, 800.0, 1000.0]])
+    logs = np.log(arrivals)
+    for rho in (1e-3, 0.01, 0.1, 0.5):
+        for r in (1.001, 2.0, 300.0):
+            _, tails = pp_exponential_rows(rho, arrivals, beta=r * rho)
+            expected = np.exp((1.0 - r) * logs[:, -1] + r * logs[:, 0] - np.log(r - 1.0))
+            np.testing.assert_allclose(tails, expected, rtol=1e-12, atol=0)
 
 
 def test_pk_powerlaw_rejects_bad_alpha():
@@ -227,8 +233,9 @@ def test_mass_partition_from_config_examples():
                                                   [40.0, 40.0]]), np.zeros(4))
     np.testing.assert_allclose(masses, [[2 / 3, 1 / 3]] + [[0.5, 0.5]] * 3)
     assert tails.tolist() == [0.0] * 4
-    # at beta = 2, e^{2 X} with a tail estimate of 1: masses 4/6, 1/6 and tail 1/6
-    masses, tails = mass_partition_rows(np.array([[np.log(2), 0.0]]), np.ones(1), beta=2.0)
+    # weights 4 and 1 with a tail estimate of 1, or 1/4 of the leading weight:
+    # masses 4/6, 1/6 and tail 1/6
+    masses, tails = mass_partition_rows(np.array([[np.log(4), 0.0]]), np.array([0.25]))
     np.testing.assert_allclose(masses, [[4 / 6, 1 / 6]])
     np.testing.assert_allclose(tails, [1 / 6])
 
@@ -251,7 +258,7 @@ def test_mass_partition_round_trip(raw):
     masses = masses / masses.sum()
     tail = max(0.0, 1.0 - masses.sum())
     check_partition_rows(masses[None], np.array([tail]))
-    back, tails = mass_partition_rows(np.log(masses)[None], np.array([tail]))
+    back, tails = mass_partition_rows(np.log(masses)[None], np.array([tail / masses[0]]))
     np.testing.assert_allclose(back[0], masses, atol=1e-12)
     assert abs(tails[0] - tail) < 1e-12
 
