@@ -35,6 +35,13 @@ _CHUNK_ELEMS = 2 ** 16
 # points of an evolved ``top_points`` replica drawn with its chunk, before its walk:
 # at n <= _HEAD (the default --trunc-n 500, every golden pin) the rows keep their bits
 _HEAD = 1024
+# leading points of a start whose terms ``front_bound_counts`` evaluates for its screen;
+# deeper points enter it by doubling blocks, so at n = 500 a level takes 32 + 4 terms
+# in place of 500.  On 1000 x 500 starts at tau = 10 (rho = 0.5, 100 levels), that
+# left 8-10 starts to sum exactly, and ~8% of the survival terms to evaluate.
+_SCREEN_HEAD = 32
+# float64 elements per block of levels that ``front_bound_counts`` sums exactly at once
+_LEVEL_ELEMS = 2 ** 12
 
 
 def _chunks(rngs, n):
@@ -158,9 +165,13 @@ def _chunk_top_masses(rngs, sampler, k, law, beta):
     """``top_masses`` of one chunk of replicas; its chunk-sized arrays go when it returns."""
     (x, tails), (masses, _), h = _chunk_starts(rngs, sampler, k, law)
     if law is not None:
-        w = np.add(x, np.multiply(h, beta, out=h), out=h)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            w = np.add(x, np.multiply(h, beta, out=h), out=h)
         w.sort(axis=1)
         w = w[:, ::-1]
+        # a sort ranks NaN above inf; below the leader, -inf is a mass that underflows to 0
+        if not np.all(np.isfinite(w[:, 0])):
+            raise FloatingPointError("beta h takes a leading log-mass x + beta h beyond float64")
         # a positive tail, relative to e^{x_1}, times E[W] = e^v and relative to e^{w_1};
         # a zero tail stays zero under any E[W], without forming e^{x_1 + v - w_1}
         v = law.log_mgf(beta)
@@ -364,11 +375,27 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     and the largest ratio F / bound seen on the grid where the bound is
     positive.  ``starts`` is drained at once, on the calling thread: each chunk
     of starts is one task on a thread pool as wide as the CPUs this process may
-    use, which sums ``IncrementLaw.survival`` of the summed law per start, for
-    its F on the grid and at the level (v/beta) tau (ndtr releases the GIL),
-    and returns the chunk's F and bound rows.  The bounds are checked a chunk
-    at a time, in start order, so the counts are those of a serial loop over
-    the starts, bit for bit.
+    use (ndtr releases the GIL), which returns the chunk's two counts and its
+    largest ratio; the calling thread sums the counts and takes the max.
+
+    F at the grid and at the level (v/beta) tau is the sum of
+    ``IncrementLaw.survival`` of the summed law over a start's points.  A task
+    first bounds it: the points are ranked and a term grows with x_i, so F is
+    at most U, the terms of the leading ``_SCREEN_HEAD`` points plus each
+    doubling block [K 2^b, K 2^{b+1}) of the deeper points times the term of
+    its first point, the whole times 1 + 1e-9.  The margin covers the rounding
+    of both sums, each of nonnegative terms and off its exact value by ~1e-14
+    relative (numpy's sum is pairwise), and the few ulps by which ndtr may
+    stray from monotone.  The task sums F exactly, with the serial loop's
+    expression, a block of levels at a time, only for the starts whose U can
+    break a bound (U / bound >= 1 at some level, U > 0 where the bound
+    underflows to 0, or U > 1 at (v/beta) tau), and then, in descending order
+    of their largest U / bound, for those whose U / bound exceeds the largest
+    exact ratio of the chunk so far.  Every other start has F <= U < bound and
+    F / bound <= U / bound <= that ratio in floats, so it moves neither count
+    nor the max: the counts and ``max_bound_ratio`` are a serial loop's, bit
+    for bit.  At tau = 0, and for starts of at most 2 ``_SCREEN_HEAD`` points,
+    every start is summed exactly.
     """
     # imported here: only this check needs a pool
     from concurrent.futures import ThreadPoolExecutor
@@ -383,13 +410,49 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
         decay = np.exp(v * tau - beta * grid)
     summed = law.summed(tau) if tau > 0 else None
 
-    def profiles(start):  # on a worker thread: it calls nothing perfbench's tracer patches
+    def ratios(fvals, rhs):  # F / bound where the bound is positive, 0 elsewhere
+        return np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
+
+    def exact(row, rhs):  # one start's Markov and Z violations, and its largest ratio
+        fvals = np.empty(len(levels))
+        step = max(1, _LEVEL_ELEMS // len(row))
+        for lo in range(0, len(levels), step):
+            gaps = np.subtract.outer(levels[lo:lo + step], row)
+            # at tau = 0, the count #{x_i >= y}
+            fvals[lo:lo + step] = (summed.survival(gaps).sum(axis=-1) if tau > 0
+                                   else (gaps <= 0).sum(axis=-1, dtype=float))
+        # F > 0 where the bound underflows to 0 is a violation, but has no ratio;
+        # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
+        return (bool(np.any(fvals[:-1] > rhs)), bool(tau > 0 and fvals[-1] > 1.0),
+                ratios(fvals[:-1], rhs).max())
+
+    def check(start):  # on a worker thread: it calls nothing perfbench's tracer patches
         points, tails = start
-        gaps = (np.subtract.outer(levels, row) for row in points)
-        # F at ``levels`` per start; at tau = 0, the count #{x_i >= y}
-        fvals = [summed.survival(g).sum(axis=-1) if tau > 0 else (g <= 0).sum(axis=-1, dtype=float)
-                 for g in gaps]
-        return np.array(fvals), (1.0 + tails)[:, None] * decay
+        rhs = (1.0 + tails)[:, None] * decay
+        n = points.shape[1]
+        if tau == 0 or n <= 2 * _SCREEN_HEAD:
+            results = [exact(row, r) for row, r in zip(points, rhs)]
+        else:
+            firsts = _SCREEN_HEAD * 2 ** np.arange(((n - 1) // _SCREEN_HEAD).bit_length())
+            cols = np.concatenate((np.arange(_SCREEN_HEAD), firsts))
+            sizes = np.concatenate((np.ones(_SCREEN_HEAD), np.minimum(n, 2 * firsts) - firsts))
+            upper = np.array([summed.survival(np.subtract.outer(levels, row[cols])) @ sizes
+                              for row in points])
+            upper *= 1.0 + 1e-9
+            bound = ratios(upper[:, :-1], rhs).max(axis=1)
+            # a NaN fails every comparison, so its start is summed exactly
+            safe = ((bound < 1.0) & (upper[:, -1] <= 1.0)
+                    & np.all((rhs > 0) | (upper[:, :-1] == 0), axis=1))
+            results = [exact(points[i], rhs[i]) for i in np.flatnonzero(~safe)]
+            best = max((ratio for _, _, ratio in results), default=0.0)
+            for i in np.flatnonzero(safe)[np.argsort(-bound[safe], kind="stable")]:
+                if bound[i] <= best:
+                    break
+                results.append(exact(points[i], rhs[i]))
+                best = max(best, results[-1][2])
+        # ratios are >= 0; np.max keeps a NaN one (a NaN grid), which the max over chunks skips
+        return (sum(r[0] for r in results), sum(r[1] for r in results),
+                float(np.max([r[2] for r in results], initial=0.0)))
 
     markov_violations = z_violations = 0
     max_ratio = 0.0
@@ -397,15 +460,10 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     width = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     with ThreadPoolExecutor(width) as pool:
-        for fvals, rhs in pool.map(profiles, starts):
-            f_speed, fvals = fvals[:, -1], fvals[:, :-1]
-            # F > 0 where the bound underflows to 0 is a violation, but has no ratio
-            markov_violations += int(np.count_nonzero((fvals > rhs).any(axis=1)))
-            ratio = np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
-            max_ratio = max(max_ratio, float(ratio.max()))
-            # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
-            if tau > 0:
-                z_violations += int(np.count_nonzero(f_speed > 1.0))
+        for markov, z, best in pool.map(check, starts):
+            markov_violations += markov
+            z_violations += z
+            max_ratio = max(max_ratio, best)
     return {"markov_violations": markov_violations, "z_violations": z_violations,
             "max_bound_ratio": max_ratio}
 

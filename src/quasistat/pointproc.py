@@ -78,7 +78,8 @@ def pp_exponential_rows(rho, arrivals, beta=1.0):
                          f"got beta {beta} and rho {rho.max()}")
     points = np.log(arrivals)
     points /= -rho[:, None]  # the bits of -log(Gamma_i) / rho, with one chunk-sized array
-    tails = arrivals[:, -1] / (r - 1.0) * np.exp(beta * (points[:, -1] - points[:, 0]))
+    with np.errstate(over="ignore"):  # a product of -inf is a factor e^{-inf} = 0
+        tails = arrivals[:, -1] / (r - 1.0) * np.exp(beta * (points[:, -1] - points[:, 0]))
     check_point_rows(points, tails)
     return points, tails
 
@@ -139,9 +140,11 @@ def shift_tail_rows(points, tails, beta=1.0):
     """Re-center each row of ranked points, with ``tails[i]`` its tail estimate of
     sum_{j>n} e^{beta X_j} relative to e^{beta X_1}, so that sum_i e^{beta X_i}
     plus the tail's share, also returned, equals 1."""
-    w = beta * points
-    m = w[:, 0].copy()
-    w -= m[:, None]
+    # a weight e^{-inf} is 0; an infinite leader leaves NaN rows, which check_point_rows rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = beta * points
+        m = w[:, 0].copy()
+        w -= m[:, None]
     np.exp(w, out=w)
     total = w.sum(axis=1) + tails
     log_totals = m + np.log(total)

@@ -572,6 +572,11 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
      ["--alpha", "underflowed"]),
     (["sample", "--kind", "pd", "--alpha", "0.01", "--replicas", "2000", "--seed", "2"],
      ["--alpha", "underflowed"]),
+    # beta h overflows, and with it the log-masses, before E[e^{beta h}] is formed
+    (["evolve", "--kind", "pd", "--beta", "1e300", "--sigma", "1e10"],
+     ["--sigma", "--beta 1e+300", "leading log-mass x + beta h beyond float64"]),
+    # beta X_i overflows while the starts are normalized: their weights e^{-inf} are 0
+    (["verify-lemma", "--beta", "1e308"], ["--ck", "--beta 1e+308", "v_beta"]),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
     env_seed = None
