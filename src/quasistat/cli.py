@@ -363,7 +363,7 @@ def _emit(cfg, experiment, record):
     """Write the JSON report of one run to <out>/<experiment>_report.json."""
     path = os.path.join(cfg["out"], f"{experiment}_report.json")
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)  # standard JSON only
         fh.write("\n")
     return path
 
@@ -528,7 +528,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(record, indent=2, sort_keys=True))
+    print(json.dumps(record, indent=2, sort_keys=True, allow_nan=False))
     return 0 if passed else 1
 
 

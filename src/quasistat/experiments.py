@@ -77,18 +77,12 @@ class PoissonKingman(NamedTuple):
         row[:] = rng.exponential(size=self.n)
         return alpha, self.n
 
-    def points(self, draws, alphas, beta=1.0):
-        """Points and tail estimates of sum e^{beta X_i}, relative to e^{beta X_1}, of
-        a chunk of drawn rows, one parameter per row.  Their arrival times are summed
-        in place: once a chunk."""
-        return pointproc.pp_exponential_rows(alphas, np.cumsum(draws, axis=1, out=draws), beta)
-
     def starts(self, draws, alphas):
         """A chunk of drawn rows, one parameter per row, as log-points with the tail
         estimates of their sums of e^{X_i} relative to e^{X_1}, and as the masses and
-        tails these normalize to."""
-        points = self.points(draws, alphas)
-        return points, pointproc.mass_partition_rows(*points)
+        tails these normalize to.  The arrival times are summed in place."""
+        points = pointproc.pp_exponential_rows(alphas, np.cumsum(draws, axis=1, out=draws))
+        return points, pointproc.mass_partition_rows(*points)[:2]
 
 
 class Partitions(NamedTuple):
@@ -181,7 +175,7 @@ def _chunk_top_masses(rngs, sampler, k, law, beta):
         if not np.all(np.isfinite(tails)):
             raise FloatingPointError(f"E[e^{{beta h}}] = e^{{{v:.6g}}} overflows "
                                      f"the reshuffled tail")
-        masses, tails = pointproc.mass_partition_rows(w, tails)
+        masses, tails, _ = pointproc.mass_partition_rows(w, tails)
         counts = np.count_nonzero(masses, axis=1)
         pointproc.check_partition_rows(masses, tails, counts)
         _check_counts(counts, k, FloatingPointError, "a replica keeps {} positive masses after "
@@ -360,9 +354,13 @@ def tail_normalized_starts(rngs, rho, n, beta=1.0):
     generator in loop order; the arithmetic runs once per chunk."""
     sampler = PoissonKingman((rho,), n)
     for chunk in _chunks(rngs, n):
-        # nothing holds a chunk's draws or points across the yield
-        yield pointproc.shift_tail_rows(*sampler.points(*_draw_rows(chunk, sampler)[:2], beta),
-                                        beta)
+        # a chunk's draws and arrival times go before its points are normalized
+        points, tails = pointproc.pp_exponential_rows(
+            rho, np.cumsum(_draw_rows(chunk, sampler)[0], axis=1), beta)
+        _, tails, shift = pointproc.mass_partition_rows(points, tails, beta)
+        points -= shift[:, None]
+        pointproc.check_point_rows(points, tails)
+        yield points, tails
 
 
 def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
@@ -481,9 +479,9 @@ def jump_event_bound_check(starts, law, tau, ck, beta=1.0, *, rng):
     """
     v = law.log_mgf(beta)
     exponent = tau * (ck * beta - v)
-    if tau > 0 and not exponent > 0:
-        raise ValueError(f"the bound needs (C + K) * beta > v_beta = log E[e^{{beta h}}], "
-                         f"got {ck * beta:.6g} <= {v:.6g}")
+    if not (np.isfinite(v) and (tau == 0 or exponent > 0)):  # v = inf: a NaN grid at tau = 0
+        raise ValueError(f"the bound needs a finite v_beta = log E[e^{{beta h}}] < (C + K) * beta, "
+                         f"got {v:.6g} and {ck * beta:.6g}")
     bound = float(np.exp(-exponent)) if tau > 0 else 0.0
     threshold = ck * tau
     summed = law.summed(tau) if tau > 0 else None

@@ -6,10 +6,11 @@ intensity rho*e^{-rho*y} dy) yields exactly the N largest points of the
 infinite configuration, so truncation affects only normalizing sums, never
 point positions.  The untracked part of each normalizing sum is carried as an
 explicit tail estimate, relative to the row's leading weight: normalizing does
-not depend on scale, and so the estimate is finite for every finite row.  A
-PD(alpha, 0) start is the e^{X_i} of PP(alpha), normalized with their tail
-(``mass_partition_rows``): by the mapping theorem they are the atoms
-Gamma_i^{-1/alpha} of the power-law intensity alpha*s^{-alpha-1} ds.
+not depend on scale, and so the estimate is finite for every finite row.  One
+normalizer, ``mass_partition_rows``, serves both uses: a PD(alpha, 0) start is
+the e^{X_i} of PP(alpha) normalized with their tail (by the mapping theorem the
+atoms Gamma_i^{-1/alpha} of the power-law intensity alpha*s^{-alpha-1} ds), and
+its shift tail-normalizes a row, so that sum_i e^{beta X_i} plus the tail is 1.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ __all__ = [
     "check_partition_rows",
     "sample_pd_stickbreaking",
     "mass_partition_rows",
-    "shift_tail_rows",
 ]
 
 _SUM_TOL = 1e-12
@@ -72,7 +72,8 @@ def pp_exponential_rows(rho, arrivals, beta=1.0):
     rho = np.broadcast_to(rho, len(arrivals))
     if not np.all(rho > 0):
         raise ValueError("rho must be positive")
-    r = beta / rho
+    with np.errstate(over="ignore"):  # an infinite r is a tail factor Gamma_n/(r - 1) = 0
+        r = beta / rho
     if not np.all(r > 1):
         raise ValueError(f"the tail sum of e^{{beta X_i}} diverges unless beta > rho, "
                          f"got beta {beta} and rho {rho.max()}")
@@ -122,33 +123,18 @@ def sample_pd_stickbreaking(alpha, n, rng):
     return top, max(0.0, 1.0 - top.sum())
 
 
-def mass_partition_rows(points, tails):
+def mass_partition_rows(points, tails, beta=1.0):
     """Row i holds one replica's ranked points and ``tails[i]``, its tail estimate
-    of sum_{j>n} e^{X_j} relative to its leading weight e^{X_1}; returns its masses
-    e^{X_i - X_1} / (sum_j e^{X_j - X_1} + tail), and that tail's share.
+    of sum_{j>n} e^{beta X_j} relative to e^{beta X_1}; returns its masses
+    e^{beta (X_i - X_1)} / T, with T = sum_j e^{beta (X_j - X_1)} + tail, the tail's
+    share, and the shift X_1 + log(T)/beta that tail-normalizes the row.
 
     A mass that underflows is 0, and as the points are ranked, these zeros trail.
     """
     w = np.subtract(points, points[:, :1])
+    with np.errstate(over="ignore"):  # a weight e^{-inf} is 0
+        w *= beta
     np.exp(w, out=w)
     total = w.sum(axis=1) + tails
     w /= total[:, None]
-    return w, tails / total
-
-
-def shift_tail_rows(points, tails, beta=1.0):
-    """Re-center each row of ranked points, with ``tails[i]`` its tail estimate of
-    sum_{j>n} e^{beta X_j} relative to e^{beta X_1}, so that sum_i e^{beta X_i}
-    plus the tail's share, also returned, equals 1."""
-    # a weight e^{-inf} is 0; an infinite leader leaves NaN rows, which check_point_rows rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = beta * points
-        m = w[:, 0].copy()
-        w -= m[:, None]
-    np.exp(w, out=w)
-    total = w.sum(axis=1) + tails
-    log_totals = m + np.log(total)
-    shifted = np.subtract(points, (log_totals / beta)[:, None], out=w)
-    tails = tails / total
-    check_point_rows(shifted, tails)
-    return shifted, tails
+    return w, tails / total, points[:, 0] + np.log(total) / beta

@@ -81,10 +81,8 @@ def _start_loop(rng, rho, n, beta):
     g = np.cumsum(rng.exponential(size=n))
     points = -np.log(g) / rho
     tail = g[-1] / (beta / rho - 1.0) * np.exp(beta * (points[-1] - points[0]))
-    logw = beta * points
-    m = logw[0]
-    total = np.exp(logw - m).sum() + tail
-    return points - (m + np.log(total)) / beta, tail / total
+    total = np.exp(beta * (points - points[0])).sum() + tail
+    return points - (points[0] + np.log(total) / beta), tail / total
 
 
 def _jump_events_loop(starts, law, tau, ck, rng):

@@ -577,6 +577,17 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
      ["--sigma", "--beta 1e+300", "leading log-mass x + beta h beyond float64"]),
     # beta X_i overflows while the starts are normalized: their weights e^{-inf} are 0
     (["verify-lemma", "--beta", "1e308"], ["--ck", "--beta 1e+308", "v_beta"]),
+    # v_beta = inf at tau = 0 too: the front checks' grid was NaN, the report "Infinity"
+    (["verify-lemma", "--rho", "0.5", "--tau", "0", "--beta", "1e308"],
+     ["--ck", "--beta 1e+308", "v_beta"]),
+    (["verify-lemma", "--rho", "0.5", "--tau", "0", "--sigma", "1e200"],
+     ["--ck", "--sigma 1e+200", "v_beta"]),
+    # r = beta / rho overflows: an infinite r is a tail factor Gamma_n/(r - 1) = 0
+    (["verify-lemma", "--rho", "0.5", "--beta", "1e308", "--ck", "1e300"],
+     ["--ck", "--beta 1e+308", "v_beta"]),
+    # a leader above ~1.8 took beta X_1 to inf before it was subtracted, at 50 replicas
+    (["verify-lemma", "--rho", "0.5", "--beta", "1e308", "--replicas", "50"],
+     ["--ck", "--beta 1e+308", "v_beta"]),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
     env_seed = None

@@ -12,7 +12,6 @@ from quasistat.pointproc import (
     check_partition_rows,
     mass_partition_rows,
     pp_exponential_rows,
-    shift_tail_rows,
 )
 from quasistat.stattest import invariance_verdict
 
@@ -188,7 +187,7 @@ def test_additive_multiplicative_commutation():
     # and the tail stays relative to the leading weight
     stepped = experiments.top_points([np.random.default_rng(8)], 0.5, 60, 60, law=_FixedDraws(h))
     advance = np.exp(x[:, 0] + law.log_mgf(1.0) - stepped[:, 0])
-    (via_points,), (via_points_tail,) = mass_partition_rows(stepped, tails * advance)
+    (via_points,), (via_points_tail,), _ = mass_partition_rows(stepped, tails * advance)
     via_masses, via_masses_tail = _reshuffled(experiments.PoissonKingman((0.5,), 60),
                                               _FixedDraws(h, np.exp(law.log_mgf(1.0))),
                                               rng=np.random.default_rng(8))
@@ -196,26 +195,32 @@ def test_additive_multiplicative_commutation():
     np.testing.assert_allclose(via_points_tail, via_masses_tail, atol=1e-10)
 
 
+def _shifted(points, tails, beta=1.0):
+    """Rows tail-normalized by the shift of ``mass_partition_rows``, and their tails."""
+    _, tails, shift = mass_partition_rows(points, tails, beta)
+    return points - shift[:, None], tails
+
+
 def test_shift_tail_normalizes_weights():
-    out, tails = shift_tail_rows(np.zeros((1, 2)), np.zeros(1))
+    out, tails = _shifted(np.zeros((1, 2)), np.zeros(1))
     np.testing.assert_allclose(out, [[-np.log(2), -np.log(2)]])
     assert tails.tolist() == [0.0]
     rng = np.random.default_rng(17)
     points, tails = pp_exponential_rows(0.5, rng.exponential(size=(3, 100)).cumsum(axis=1))
-    out, out_tails = shift_tail_rows(points, tails)
+    out, out_tails = _shifted(points, tails)
     totals = np.exp(out).sum(axis=1) + out_tails
     assert np.all(np.abs(totals - 1.0) <= 1e-10)
     np.testing.assert_allclose(np.diff(out), np.diff(points), atol=1e-12)
-    twice, _ = shift_tail_rows(out, out_tails * np.exp(-out[:, 0]))
+    twice, _ = _shifted(out, out_tails * np.exp(-out[:, 0]))
     np.testing.assert_allclose(twice, out, atol=1e-12)
     # at beta = 2 the weights are e^{2 X}
-    out, out_tails = shift_tail_rows(points, tails, beta=2.0)
+    out, out_tails = _shifted(points, tails, beta=2.0)
     assert np.all(np.abs(np.exp(2.0 * out).sum(axis=1) + out_tails - 1.0) <= 1e-10)
 
 
 def test_shift_tail_matches_mass_normalization_at_beta_one():
     points, tails = pp_exponential_rows(0.5, sample_gamma_arrivals(50, np.random.default_rng(29))[None])
-    via_shift, _ = shift_tail_rows(points, tails)
+    via_shift, _ = _shifted(points, tails)
     via_masses = np.log(mass_partition_rows(points, tails)[0])
     np.testing.assert_allclose(via_shift, via_masses, atol=1e-12)
 

@@ -229,13 +229,13 @@ def test_sum_of_squared_masses_identity():
 
 
 def test_mass_partition_from_config_examples():
-    masses, tails = mass_partition_rows(np.array([[0.0, -np.log(2)], [-3.0, -3.0], [0.0, 0.0],
-                                                  [40.0, 40.0]]), np.zeros(4))
+    masses, tails, _ = mass_partition_rows(np.array([[0.0, -np.log(2)], [-3.0, -3.0], [0.0, 0.0],
+                                                     [40.0, 40.0]]), np.zeros(4))
     np.testing.assert_allclose(masses, [[2 / 3, 1 / 3]] + [[0.5, 0.5]] * 3)
     assert tails.tolist() == [0.0] * 4
     # weights 4 and 1 with a tail estimate of 1, or 1/4 of the leading weight:
     # masses 4/6, 1/6 and tail 1/6
-    masses, tails = mass_partition_rows(np.array([[np.log(4), 0.0]]), np.array([0.25]))
+    masses, tails, _ = mass_partition_rows(np.array([[np.log(4), 0.0]]), np.array([0.25]))
     np.testing.assert_allclose(masses, [[4 / 6, 1 / 6]])
     np.testing.assert_allclose(tails, [1 / 6])
 
@@ -258,7 +258,7 @@ def test_mass_partition_round_trip(raw):
     masses = masses / masses.sum()
     tail = max(0.0, 1.0 - masses.sum())
     check_partition_rows(masses[None], np.array([tail]))
-    back, tails = mass_partition_rows(np.log(masses)[None], np.array([tail / masses[0]]))
+    back, tails, _ = mass_partition_rows(np.log(masses)[None], np.array([tail / masses[0]]))
     np.testing.assert_allclose(back[0], masses, atol=1e-12)
     assert abs(tails[0] - tail) < 1e-12
 
