@@ -21,7 +21,6 @@ the big-jump event behind them.
 """
 
 import itertools
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -36,10 +35,11 @@ _CHUNK_ELEMS = 2 ** 16
 # at n <= _HEAD (the default --trunc-n 500, every golden pin) the rows keep their bits
 _HEAD = 1024
 # leading points of a start whose terms ``front_bound_counts`` evaluates for its screen;
-# deeper points enter it by doubling blocks, so at n = 500 a level takes 32 + 4 terms
+# deeper points enter it by doubling blocks, so at n = 500 a level takes 16 + 5 terms
 # in place of 500.  On 1000 x 500 starts at tau = 10 (rho = 0.5, 100 levels), that
-# left 8-10 starts to sum exactly, and ~8% of the survival terms to evaluate.
-_SCREEN_HEAD = 32
+# left 362 levels of starts to sum exactly, and ~4.6% of the survival terms to
+# evaluate; heads of 8, 12, 24 and 32 ran 4-40% slower.
+_SCREEN_HEAD = 16
 # float64 elements per block of levels that ``front_bound_counts`` sums exactly at once
 _LEVEL_ELEMS = 2 ** 12
 
@@ -371,33 +371,27 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     ``tail_normalized_starts`` does: a points matrix with one row per start,
     and its tail column.  Returns the number of starts violating each bound
     and the largest ratio F / bound seen on the grid where the bound is
-    positive.  ``starts`` is drained at once, on the calling thread: each chunk
-    of starts is one task on a thread pool as wide as the CPUs this process may
-    use (ndtr releases the GIL), which returns the chunk's two counts and its
-    largest ratio; the calling thread sums the counts and takes the max.
+    positive, from one pass over the chunks on the calling thread.
 
-    F at the grid and at the level (v/beta) tau is the sum of
-    ``IncrementLaw.survival`` of the summed law over a start's points.  A task
-    first bounds it: the points are ranked and a term grows with x_i, so F is
-    at most U, the terms of the leading ``_SCREEN_HEAD`` points plus each
-    doubling block [K 2^b, K 2^{b+1}) of the deeper points times the term of
-    its first point, the whole times 1 + 1e-9.  The margin covers the rounding
-    of both sums, each of nonnegative terms and off its exact value by ~1e-14
-    relative (numpy's sum is pairwise), and the few ulps by which ndtr may
-    stray from monotone.  The task sums F exactly, with the serial loop's
-    expression, a block of levels at a time, only for the starts whose U can
-    break a bound (U / bound >= 1 at some level, U > 0 where the bound
-    underflows to 0, or U > 1 at (v/beta) tau), and then, in descending order
-    of their largest U / bound, for those whose U / bound exceeds the largest
-    exact ratio of the chunk so far.  Every other start has F <= U < bound and
-    F / bound <= U / bound <= that ratio in floats, so it moves neither count
-    nor the max: the counts and ``max_bound_ratio`` are a serial loop's, bit
-    for bit.  At tau = 0, and for starts of at most 2 ``_SCREEN_HEAD`` points,
-    every start is summed exactly.
+    F at the grid and at the level (v/beta) tau sums a term per point of a
+    start: P(x_i + S(tau) >= y), by ``IncrementLaw.survival`` of the summed
+    law, or at tau = 0 the indicator 1{x_i >= y}.  Each start is first bounded:
+    the points are ranked and a term grows with x_i, so F is at most U, the
+    terms of the leading ``_SCREEN_HEAD`` points plus each doubling block
+    [K 2^b, K 2^{b+1}) of the deeper points times the term of its first point,
+    the whole times 1 + 1e-9.  The margin covers the rounding of both sums, each
+    of nonnegative terms and off its exact value by ~1e-14 relative (numpy's
+    sum is pairwise), and the few ulps by which ndtr may stray from monotone.
+    F is summed exactly, with the serial loop's expression, a block of levels
+    at a time: at every level for the starts whose U can break a bound
+    (U / bound >= 1 at some level, U > 0 where the bound underflows to 0, or
+    U > 1 at (v/beta) tau); then, in descending order of their largest
+    U / bound and until that is at most the largest exact ratio so far, for
+    the other starts, only at the levels where U / bound exceeds that ratio.
+    Elsewhere F <= U < bound and F / bound <= U / bound <= that ratio in
+    floats, which moves neither count nor the max: the counts and
+    ``max_bound_ratio`` are a serial loop's, bit for bit.
     """
-    # imported here: only this check needs a pool
-    from concurrent.futures import ThreadPoolExecutor
-
     if tau < 0:
         raise ValueError("tau must be >= 0")
     v = law.log_mgf(beta)
@@ -408,60 +402,47 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
         decay = np.exp(v * tau - beta * grid)
     summed = law.summed(tau) if tau > 0 else None
 
+    def terms(gaps):  # of the levels y minus the points x_i
+        return summed.survival(gaps) if tau > 0 else (gaps <= 0).astype(float)
+
     def ratios(fvals, rhs):  # F / bound where the bound is positive, 0 elsewhere
         return np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
 
-    def exact(row, rhs):  # one start's Markov and Z violations, and its largest ratio
-        fvals = np.empty(len(levels))
-        step = max(1, _LEVEL_ELEMS // len(row))
-        for lo in range(0, len(levels), step):
-            gaps = np.subtract.outer(levels[lo:lo + step], row)
-            # at tau = 0, the count #{x_i >= y}
-            fvals[lo:lo + step] = (summed.survival(gaps).sum(axis=-1) if tau > 0
-                                   else (gaps <= 0).sum(axis=-1, dtype=float))
-        # F > 0 where the bound underflows to 0 is a violation, but has no ratio;
-        # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
-        return (bool(np.any(fvals[:-1] > rhs)), bool(tau > 0 and fvals[-1] > 1.0),
-                ratios(fvals[:-1], rhs).max())
-
-    def check(start):  # on a worker thread: it calls nothing perfbench's tracer patches
-        points, tails = start
-        rhs = (1.0 + tails)[:, None] * decay
-        n = points.shape[1]
-        if tau == 0 or n <= 2 * _SCREEN_HEAD:
-            results = [exact(row, r) for row, r in zip(points, rhs)]
-        else:
-            firsts = _SCREEN_HEAD * 2 ** np.arange(((n - 1) // _SCREEN_HEAD).bit_length())
-            cols = np.concatenate((np.arange(_SCREEN_HEAD), firsts))
-            sizes = np.concatenate((np.ones(_SCREEN_HEAD), np.minimum(n, 2 * firsts) - firsts))
-            upper = np.array([summed.survival(np.subtract.outer(levels, row[cols])) @ sizes
-                              for row in points])
-            upper *= 1.0 + 1e-9
-            bound = ratios(upper[:, :-1], rhs).max(axis=1)
-            # a NaN fails every comparison, so its start is summed exactly
-            safe = ((bound < 1.0) & (upper[:, -1] <= 1.0)
-                    & np.all((rhs > 0) | (upper[:, :-1] == 0), axis=1))
-            results = [exact(points[i], rhs[i]) for i in np.flatnonzero(~safe)]
-            best = max((ratio for _, _, ratio in results), default=0.0)
-            for i in np.flatnonzero(safe)[np.argsort(-bound[safe], kind="stable")]:
-                if bound[i] <= best:
-                    break
-                results.append(exact(points[i], rhs[i]))
-                best = max(best, results[-1][2])
-        # ratios are >= 0; np.max keeps a NaN one (a NaN grid), which the max over chunks skips
-        return (sum(r[0] for r in results), sum(r[1] for r in results),
-                float(np.max([r[2] for r in results], initial=0.0)))
-
     markov_violations = z_violations = 0
     max_ratio = 0.0
-    # the CPUs this process may run on; sched_getaffinity is not on every platform
-    width = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    with ThreadPoolExecutor(width) as pool:
-        for markov, z, best in pool.map(check, starts):
-            markov_violations += markov
-            z_violations += z
-            max_ratio = max(max_ratio, best)
+    for points, tails in starts:
+        # at a tiny sigma, (mu - c) / sigma overflows to +-inf, where ndtr is exact; not
+        # around the loop, so that drawing the next chunk of starts still warns
+        with np.errstate(over="ignore"):
+            rhs = (1.0 + tails)[:, None] * decay
+            n = points.shape[1]
+            head = min(n, _SCREEN_HEAD)
+            firsts = head * 2 ** np.arange(((n - 1) // head).bit_length())
+            cols = np.concatenate((np.arange(head), firsts))
+            sizes = np.concatenate((np.ones(head), np.minimum(n, 2 * firsts) - firsts))
+            upper = np.array([terms(np.subtract.outer(levels, row[cols])) @ sizes
+                              for row in points])
+            upper *= 1.0 + 1e-9
+            level_ratios = ratios(upper[:, :-1], rhs)
+            bound = level_ratios.max(axis=1)
+            # a NaN fails every comparison, so its start is summed at every level
+            safe = ((bound < 1.0) & (upper[:, -1] <= 1.0)
+                    & np.all((rhs > 0) | (upper[:, :-1] == 0), axis=1))
+            step = max(1, _LEVEL_ELEMS // n)
+            for i in np.lexsort((-bound, safe)):  # the unsafe starts first
+                if safe[i] and bound[i] <= max_ratio:
+                    break
+                fvals = np.zeros(len(levels))
+                # a safe start can raise the max only where its U / bound exceeds it
+                live = np.flatnonzero(np.append(level_ratios[i] > max_ratio, False) | ~safe[i])
+                for at in np.split(live, range(step, len(live), step)):
+                    fvals[at] = terms(np.subtract.outer(levels[at], points[i])).sum(axis=-1)
+                # F > 0 where the bound underflows to 0 is a violation, but has no ratio;
+                # F strictly decreasing, so F(speed) <= 1 pins Z <= (v/beta)*tau
+                markov_violations += bool(np.any(fvals[:-1] > rhs[i]))
+                z_violations += bool(tau > 0 and fvals[-1] > 1.0)
+                # max skips a NaN ratio (a NaN grid), as the serial loop's does
+                max_ratio = max(max_ratio, float(ratios(fvals[:-1], rhs[i]).max()))
     return {"markov_violations": markov_violations, "z_violations": z_violations,
             "max_bound_ratio": max_ratio}
 

@@ -240,9 +240,21 @@ def test_verify_lemma_underflowed_markov_bound(tmp_path, capsys, sigma, positive
     assert (record["max_bound_ratio"] > 0) == positive
 
 
+def test_verify_lemma_tiny_sigma(tmp_path, capsys):
+    # at sigma = 1e-300, (mu - c) / sigma overflows to +-inf in the front checks' survival
+    # terms, where ndtr is exact: the run passes without a RuntimeWarning
+    code = run(["verify-lemma", "--rho", "1e-300", "--beta", "0.5", "--mu=1e-300",
+                "--sigma", "1e-300", "--ck", "1e10", "--tau", "10", "--trunc-n", "2",
+                "--replicas", "5", "--seed", "1", "--out", str(tmp_path)])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert record["markov_violations"] == 0 and record["z_violations"] == 0
+
+
 def test_front_checks_call_public_names_on_the_main_thread_only(tmp_path, capsys, monkeypatch):
     # perfbench's span tracer patches the targets of its SPANS and keeps one span stack
-    # for the process, so the front checks' worker threads may call none of them
+    # for the process, so the front checks, which run on the calling thread, must call
+    # them on the main thread only
     def main_thread_only(original):
         def guarded(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
