@@ -280,17 +280,19 @@ def _check_depth(cfg, need):
 
 
 def _in_range(cfg, ensemble, *args, **kwargs):
-    """``ensemble(*args, **kwargs)``, the rows of an ``experiments`` ensemble,
-    with a float64 range error turned into one that names the flags."""
+    """``ensemble(*args, **kwargs)``, the rows of an ``experiments`` ensemble (or the
+    list of a lazy one's chunks), with a float64 range error turned into one that
+    names the flags."""
     # --input rows take one step, whatever --tau reads
     steps = ("the one step of --kind custom-from-file" if cfg["kind"] == "custom-from-file"
              else f"--tau {cfg['tau']}")
     try:
         return ensemble(*args, **kwargs)
-    except OverflowError as exc:  # raised by a PD start, before any reshuffle
-        key = "alphas" if cfg["kind"] == "mixture-of-pd" else "alpha"
-        raise ConfigError(f"{_flag(key)} {cfg[key]} takes the PD(alpha, 0) start beyond "
-                          f"float64: {exc}") from None
+    except OverflowError as exc:  # raised by a start, before any reshuffle
+        key = ("rho" if ensemble is not experiments.top_masses
+               else "alphas" if cfg["kind"] == "mixture-of-pd" else "alpha")
+        raise ConfigError(f"{_flag(key)} {cfg[key]} takes the start beyond float64: "
+                          f"{exc}") from None
     except FloatingPointError as exc:
         raise ConfigError(f"--sigma {cfg['sigma']}, --beta {cfg['beta']} and {steps} "
                           f"take the reshuffle beyond float64: {exc}") from None
@@ -379,7 +381,8 @@ def _write(cfg, name, header, rows):
 def cmd_sample(cfg):
     if cfg["kind"] == "pp":
         _check_depth(cfg, cfg["topk"])
-        rows = experiments.top_points(_rngs(cfg, 0), cfg["rho"], cfg["topk"], cfg["topk"])
+        rows = _in_range(cfg, experiments.top_points, _rngs(cfg, 0), cfg["rho"], cfg["topk"],
+                         cfg["topk"])
         prefix = "x"
     else:
         rows, prefix = _ensemble(cfg, 0, steps=0)
@@ -430,8 +433,8 @@ def cmd_verify_lemma(cfg):
         # sum_i e^{beta X_i} diverges, so the starts cannot be tail-normalized
         raise ConfigError(f"verify-lemma needs --beta > --rho, "
                           f"got --beta {beta} and --rho {cfg['rho']}")
-    starts = list(experiments.tail_normalized_starts(_rngs(cfg, 0), cfg["rho"], cfg["trunc_n"],
-                                                     beta=beta))
+    starts = _in_range(cfg, list, experiments.tail_normalized_starts(
+        _rngs(cfg, 0), cfg["rho"], cfg["trunc_n"], beta=beta))
     try:  # before the front profiles, so a bound that says nothing stops the run early
         jump = experiments.jump_event_bound_check((points for points, _ in starts), law, tau, ck,
                                                   beta=beta, rng=replica_rng(cfg["seed"], 1))
@@ -453,7 +456,7 @@ def _check_se_replicas(cfg):
 def cmd_gen_functional(cfg):
     _check_se_replicas(cfg)
     n, rho, d = cfg["trunc_n"], cfg["rho"], cfg["f_d"]
-    points = experiments.top_points(_rngs(cfg, 0), rho, n, n)
+    points = _in_range(cfg, experiments.top_points, _rngs(cfg, 0), rho, n, n)
     try:
         check = experiments.gen_functional_check(points, rho, cfg["f_a"], d)
     except experiments.ShallowTruncationError as exc:

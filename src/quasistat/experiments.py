@@ -34,14 +34,16 @@ _CHUNK_ELEMS = 2 ** 16
 # points of an evolved ``top_points`` replica drawn with its chunk, before its walk:
 # at n <= _HEAD (the default --trunc-n 500, every golden pin) the rows keep their bits
 _HEAD = 1024
-# leading points of a start whose terms ``front_bound_counts`` evaluates for its screen;
-# deeper points enter it by doubling blocks, so at n = 500 a level takes 16 + 5 terms
-# in place of 500.  On 1000 x 500 starts at tau = 10 (rho = 0.5, 100 levels), that
-# left 362 levels of starts to sum exactly, and ~4.6% of the survival terms to
-# evaluate; heads of 8, 12, 24 and 32 ran 4-40% slower.
+# leading points of a start that ``front_bound_counts`` screens one by one; deeper
+# points enter by doubling blocks, so at n = 500 a level takes 16 + 5 terms, not 500
 _SCREEN_HEAD = 16
 # float64 elements per block of levels that ``front_bound_counts`` sums exactly at once
 _LEVEL_ELEMS = 2 ** 12
+# the screen's table of terms: at most _TABLE_LEN gaps k * step (256 KB), with step a
+# power of two from _GAP_STEP to 1; a level or point past _INDEX_MAX steps takes 1
+_GAP_STEP = 2.0 ** -9
+_TABLE_LEN = 2 ** 15
+_INDEX_MAX = 2.0 ** 60
 
 
 def _chunks(rngs, n):
@@ -146,8 +148,9 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0):
     arithmetic runs once per chunk.  The reshuffle xi_i W_i / sum_j xi_j W_j,
     W_i = e^{beta h_i}, ranks w = x + beta h on the log-points x of ``sampler.starts``
     and normalizes it with their tail estimate times E[W]: normalizing does not
-    depend on scale.  Raises OverflowError where a start's masses underflow, and
-    FloatingPointError where the reshuffle's tail overflows or its masses underflow.
+    depend on scale.  Raises OverflowError where a start's points leave float64 or
+    its masses underflow, and FloatingPointError where the reshuffle's tail
+    overflows or its masses underflow.
     """
     tops = [np.empty((0, k))]
     for chunk in _chunks(rngs, sampler.n):
@@ -202,7 +205,8 @@ def top_points(rngs, rho, n, k, law=None):
     and Gamma_b, the interior arrival times are uniform order statistics, so a
     uniform subset of them, the proposals, is iid uniform on (Gamma_a, Gamma_b).
     So a generator shared by a chunk's rows keeps its stream only at n <= m.
-    Raises NonFiniteIncrementError where one of the first m increments is not finite.
+    Raises NonFiniteIncrementError where one of the first m increments is not finite,
+    and OverflowError where a point leaves float64.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -220,34 +224,33 @@ def _chunk_top_points(rngs, rho, m, n, k, law):
     g = np.cumsum(draws, axis=1, out=draws)
     if not np.all(np.isfinite(g[:, -1])):  # a cumsum of nonnegative draws: its last is its largest
         raise ValueError("arrival times must be finite")
-    # X_i = -log(Gamma_i)/rho, as pointproc.pp_exponential_rows forms them
-    x = np.log(g[:, :k] if law is None else g)
-    x /= -rho
-    pointproc.check_point_rows(x)
+    x = pointproc.pp_points(rho, g[:, :k] if law is None else g)  # ranked: g increases
     if law is None:
         return x
     h += x
     h.partition(m - k, axis=1)  # each row's top k of x_i + h_i, in its last k columns
     tops = np.sort(h[:, m - k:], axis=1)[:, ::-1].copy()
-    for top, rng, g_a, x_a in zip(tops, rngs, g[:, -1], x[:, -1]):
-        a = m
-        while a < n:
-            b, t = min(n, 2 * a), top[-1]
-            g_b = g_a + rng.standard_gamma(b - a)
-            pbar = law.survival(t - x_a)
-            proposed = rng.binomial(b - a - 1, pbar)
-            x_a = -np.log(g_b) / rho
-            last = x_a + law.sample(None, rng)
-            # a value at or below t cannot enter the top k; a NaN does, and fails the check below
-            entering = [] if last <= t else [last]
-            if proposed:  # as a rule none: calls on empty arrays draw nothing, at ~15 us a block
-                u = rng.random((2, proposed))
-                xs = -np.log(g_a + (g_b - g_a) * u[0]) / rho
-                keep = u[1] * pbar < law.survival(t - xs)
-                entering.extend(xs[keep] + law.sample_above(t - xs[keep], rng))
-            if entering:
-                top[:] = np.sort(np.concatenate((top, entering)))[::-1][:k]
-            a, g_a = b, g_b
+    # ndtr is exact where (mu - c) / sigma overflows, at a tiny sigma: once a chunk
+    with np.errstate(over="ignore"):
+        for top, rng, g_a, x_a in zip(tops, rngs, g[:, -1], x[:, -1]):
+            a = m
+            while a < n:
+                b, t = min(n, 2 * a), top[-1]
+                g_b = g_a + rng.standard_gamma(b - a)
+                pbar = law.survival(t - x_a)
+                proposed = rng.binomial(b - a - 1, pbar)
+                x_a = -np.log(g_b) / rho
+                last = x_a + law.sample(None, rng)
+                # a value at or below t cannot enter the top k; a NaN does, and fails the check
+                entering = [] if last <= t else [last]
+                if proposed:  # as a rule none: calls on empty arrays draw nothing, ~15 us a block
+                    u = rng.random((2, proposed))
+                    xs = -np.log(g_a + (g_b - g_a) * u[0]) / rho
+                    keep = u[1] * pbar < law.survival(t - xs)
+                    entering.extend(xs[keep] + law.sample_above(t - xs[keep], rng))
+                if entering:
+                    top[:] = np.sort(np.concatenate((top, entering)))[::-1][:k]
+                a, g_a = b, g_b
     if not np.all(np.isfinite(tops[:, [0, -1]])):
         raise ValueError("points must be finite")
     return tops
@@ -363,6 +366,45 @@ def tail_normalized_starts(rngs, rho, n, beta=1.0):
         yield points, tails
 
 
+def _gap_table(terms, law, levels, points):
+    """``terms`` at the gaps k * step, k >= first, as (step, first, values), with 1, a
+    bound on every term, for values[0].  The gaps span those of ``points`` at ``levels``
+    where a term of ``law`` (None: 1{gap <= 0}) is neither 1 nor below 1e-300."""
+    mean, sd = (law.mu, law.sigma) if law is not None else (0.0, 0.0)
+    span = [max(levels.min() - points[:, 0].max(), mean - 9.0 * sd),
+            min(levels.max() - points[:, -1].min(), mean + 38.0 * sd)]
+    lo, hi = np.clip(np.nan_to_num(span), -2.0 ** 42, 2.0 ** 42)  # so each k * step is exact
+    step = _GAP_STEP
+    while hi - lo > (_TABLE_LEN - 4) * step and step < 1.0:
+        step *= 2.0
+    first = int(np.floor(lo / step)) - 1
+    stop = min(max(int(np.ceil(hi / step)), first) + 2, first + _TABLE_LEN)
+    values = terms(np.arange(first, stop) * step)
+    values[0] = 1.0
+    return step, first, values
+
+
+def _upper_bounds(table, levels, points):
+    """U >= F(y) = sum_i term(y - x_i) per row of ranked ``points`` and level y: the
+    terms of the leading ``_SCREEN_HEAD`` points and of the first point of each deeper
+    doubling block [K 2^b, K 2^{b+1}) times its size, times 1 + 1e-9.  A term is the
+    ``_gap_table`` entry at (floor(y / step) - ceil(x / step)) * step <= fl(y - x):
+    terms do not grow with their gaps, and a gap off the table takes its nearer end."""
+    step, first, values = table
+    n = points.shape[1]
+    head = min(n, _SCREEN_HEAD)
+    firsts = head * 2 ** np.arange(((n - 1) // head).bit_length())
+    cols = np.concatenate((np.arange(head), firsts))
+    sizes = np.concatenate((np.ones(head), np.minimum(n, 2 * firsts) - firsts))
+    # as int64: past _INDEX_MAX steps a level moves down, or a point up, to a smaller gap;
+    # past twice that the other way, or at NaN, a gap lands below the table, on 1
+    ly = np.fmin(np.fmax(np.floor(levels / step), -2 * _INDEX_MAX), _INDEX_MAX)
+    kx = np.fmax(np.fmin(np.ceil(points[:, cols] / step), 2 * _INDEX_MAX), -_INDEX_MAX)
+    ly = ly.astype(np.int64) - first
+    return (1.0 + 1e-9) * np.array([values.take(np.subtract.outer(ly, k), mode="clip") @ sizes
+                                    for k in kx.astype(np.int64)])
+
+
 def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     """Pathwise checks of F(y) <= (1 + tail) e^{v tau - beta y} on a grid and of
     Z <= (v/beta) tau, with v = log E[e^{beta h}].
@@ -375,22 +417,20 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
 
     F at the grid and at the level (v/beta) tau sums a term per point of a
     start: P(x_i + S(tau) >= y), by ``IncrementLaw.survival`` of the summed
-    law, or at tau = 0 the indicator 1{x_i >= y}.  Each start is first bounded:
-    the points are ranked and a term grows with x_i, so F is at most U, the
-    terms of the leading ``_SCREEN_HEAD`` points plus each doubling block
-    [K 2^b, K 2^{b+1}) of the deeper points times the term of its first point,
-    the whole times 1 + 1e-9.  The margin covers the rounding of both sums, each
-    of nonnegative terms and off its exact value by ~1e-14 relative (numpy's
-    sum is pairwise), and the few ulps by which ndtr may stray from monotone.
-    F is summed exactly, with the serial loop's expression, a block of levels
-    at a time: at every level for the starts whose U can break a bound
-    (U / bound >= 1 at some level, U > 0 where the bound underflows to 0, or
-    U > 1 at (v/beta) tau); then, in descending order of their largest
-    U / bound and until that is at most the largest exact ratio so far, for
-    the other starts, only at the levels where U / bound exceeds that ratio.
-    Elsewhere F <= U < bound and F / bound <= U / bound <= that ratio in
-    floats, which moves neither count nor the max: the counts and
-    ``max_bound_ratio`` are a serial loop's, bit for bit.
+    law, or at tau = 0 the indicator 1{x_i >= y}.  Each start is first bounded,
+    F <= U, by ``_upper_bounds`` on one ``_gap_table`` of the first chunk's gaps.
+    Its margin covers the rounding of both sums, each of nonnegative terms and
+    off its exact value by ~1e-14 relative (numpy's sum is pairwise), and the
+    few ulps by which ndtr may stray from monotone.  F is summed exactly, with
+    the serial loop's expression, a block of levels at a time: at every level
+    for the starts whose U can break a bound (U / bound >= 1 at some level,
+    U > 0 where the bound underflows to 0, or U > 1 at (v/beta) tau); then, in
+    descending order of their largest U / bound and until that is at most the
+    largest exact ratio so far, for the other starts, only at the levels where
+    U / bound exceeds that ratio.  Elsewhere F <= U < bound and
+    F / bound <= U / bound <= that ratio in floats, which moves neither count
+    nor the max: the counts and ``max_bound_ratio`` are a serial loop's, bit
+    for bit.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
@@ -410,25 +450,21 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
 
     markov_violations = z_violations = 0
     max_ratio = 0.0
+    table = None
     for points, tails in starts:
         # at a tiny sigma, (mu - c) / sigma overflows to +-inf, where ndtr is exact; not
         # around the loop, so that drawing the next chunk of starts still warns
         with np.errstate(over="ignore"):
             rhs = (1.0 + tails)[:, None] * decay
-            n = points.shape[1]
-            head = min(n, _SCREEN_HEAD)
-            firsts = head * 2 ** np.arange(((n - 1) // head).bit_length())
-            cols = np.concatenate((np.arange(head), firsts))
-            sizes = np.concatenate((np.ones(head), np.minimum(n, 2 * firsts) - firsts))
-            upper = np.array([terms(np.subtract.outer(levels, row[cols])) @ sizes
-                              for row in points])
-            upper *= 1.0 + 1e-9
+            if table is None:  # once per call
+                table = _gap_table(terms, summed, levels, points)
+            upper = _upper_bounds(table, levels, points)
             level_ratios = ratios(upper[:, :-1], rhs)
             bound = level_ratios.max(axis=1)
             # a NaN fails every comparison, so its start is summed at every level
             safe = ((bound < 1.0) & (upper[:, -1] <= 1.0)
                     & np.all((rhs > 0) | (upper[:, :-1] == 0), axis=1))
-            step = max(1, _LEVEL_ELEMS // n)
+            step = max(1, _LEVEL_ELEMS // points.shape[1])
             for i in np.lexsort((-bound, safe)):  # the unsafe starts first
                 if safe[i] and bound[i] <= max_ratio:
                     break

@@ -16,6 +16,7 @@ its shift tail-normalizes a row, so that sum_i e^{beta X_i} plus the tail is 1.
 import numpy as np
 
 __all__ = [
+    "pp_points",
     "pp_exponential_rows",
     "check_point_rows",
     "check_partition_rows",
@@ -60,6 +61,17 @@ def check_point_rows(points, tails=None):
         raise ValueError("tails must be finite and nonnegative")
 
 
+def pp_points(rho, arrivals):
+    """The points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy) at rows of arrival
+    times, for one rho or a column of them; OverflowError where one leaves float64."""
+    points = np.log(arrivals)
+    with np.errstate(over="ignore"):  # checked below
+        points /= -rho  # the bits of -log(Gamma_i) / rho, with one chunk-sized array
+    if not np.all(np.isfinite(points[:, [0, -1]])):  # ranked rows: their ends bound them
+        raise OverflowError(f"a point -log(Gamma_i)/rho leaves float64 at rho {np.min(rho):.6g}")
+    return points
+
+
 def pp_exponential_rows(rho, arrivals, beta=1.0):
     """Row i holds one replica's arrival times Gamma_1 < ... < Gamma_n; returns
     its top n points X_i = -log(Gamma_i)/rho of PP(rho e^{-rho y} dy), and the
@@ -67,7 +79,7 @@ def pp_exponential_rows(rho, arrivals, beta=1.0):
     leading weight e^{beta X_1}, for one rho or one per row.  With r = beta/rho,
     that is Gamma_n^{1-r} Gamma_1^r / (r - 1) = Gamma_n/(r - 1) e^{beta (X_n - X_1)},
     finite for every finite row.  The sum diverges unless beta > rho, so
-    beta <= rho raises ValueError.
+    beta <= rho raises ValueError; a point beyond float64 raises OverflowError.
     """
     rho = np.broadcast_to(rho, len(arrivals))
     if not np.all(rho > 0):
@@ -77,8 +89,7 @@ def pp_exponential_rows(rho, arrivals, beta=1.0):
     if not np.all(r > 1):
         raise ValueError(f"the tail sum of e^{{beta X_i}} diverges unless beta > rho, "
                          f"got beta {beta} and rho {rho.max()}")
-    points = np.log(arrivals)
-    points /= -rho[:, None]  # the bits of -log(Gamma_i) / rho, with one chunk-sized array
+    points = pp_points(rho[:, None], arrivals)
     with np.errstate(over="ignore"):  # a product of -inf is a factor e^{-inf} = 0
         tails = arrivals[:, -1] / (r - 1.0) * np.exp(beta * (points[:, -1] - points[:, 0]))
     check_point_rows(points, tails)

@@ -251,6 +251,18 @@ def test_verify_lemma_tiny_sigma(tmp_path, capsys):
     assert record["markov_violations"] == 0 and record["z_violations"] == 0
 
 
+def test_evolve_pp_walk_tiny_sigma(tmp_path, capsys):
+    # past its first 1024 points each replica walks its deeper points, where at
+    # sigma = 1e-300 the survival terms overflow to ndtr(+-inf): no RuntimeWarning
+    code = run(["evolve", "--kind", "pp", "--rho", "1e-300", "--sigma", "1e-300", "--mu=1e-300",
+                "--tau", "10", "--trunc-n", "3000", "--topk", "5", "--replicas", "3",
+                "--seed", "1", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "evolved.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (3, 5) and np.all(np.isfinite(rows))
+
+
 def test_front_checks_call_public_names_on_the_main_thread_only(tmp_path, capsys, monkeypatch):
     # perfbench's span tracer patches the targets of its SPANS and keeps one span stack
     # for the process, so the front checks, which run on the calling thread, must call
@@ -600,6 +612,10 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
     # a leader above ~1.8 took beta X_1 to inf before it was subtracted, at 50 replicas
     (["verify-lemma", "--rho", "0.5", "--beta", "1e308", "--replicas", "50"],
      ["--ck", "--beta 1e+308", "v_beta"]),
+    # at a subnormal rate, -log(Gamma_i) / rate leaves float64
+    (["sample", "--kind", "pd", "--alpha", "1e-310"], ["--alpha", "beyond float64"]),
+    (["verify-lemma", "--rho", "1e-310", "--beta", "0.5"], ["--rho", "beyond float64"]),
+    (["gen-functional", "--rho", "1e-310"], ["--rho", "beyond float64"]),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
     env_seed = None
