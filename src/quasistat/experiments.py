@@ -367,9 +367,9 @@ def tail_normalized_starts(rngs, rho, n, beta=1.0):
 
 
 def _gap_table(terms, law, levels, points):
-    """``terms`` at the gaps k * step, k >= first, as (step, first, values), with 1, a
-    bound on every term, for values[0].  The gaps span those of ``points`` at ``levels``
-    where a term of ``law`` (None: 1{gap <= 0}) is neither 1 nor below 1e-300."""
+    """``terms`` at the gaps k * step from k = first on, as (step, first, values), with
+    values[0] = 1, a bound on every term.  The gaps span those of ``points`` at
+    ``levels`` where a term of ``law`` (None: 1{gap <= 0}) is neither 1 nor < 1e-300."""
     mean, sd = (law.mu, law.sigma) if law is not None else (0.0, 0.0)
     span = [max(levels.min() - points[:, 0].max(), mean - 9.0 * sd),
             min(levels.max() - points[:, -1].min(), mean + 38.0 * sd)]
