@@ -246,8 +246,13 @@ def _rngs(cfg, stream, n=None):
     return _generators(cfg["seed"], stream, range(n))
 
 
-def _increment_law(cfg):
-    return dynamics.IncrementLaw(cfg["mu"], cfg["sigma"])
+def _increment_law(cfg, steps=1):
+    """N(--mu, --sigma^2) summed over ``steps`` steps."""
+    try:
+        return dynamics.IncrementLaw(cfg["mu"], cfg["sigma"]).summed(steps)
+    except ValueError as exc:
+        raise ConfigError(f"--mu {cfg['mu']}, --sigma {cfg['sigma']} and --tau {steps} take "
+                          f"the summed increments beyond float64: {exc}") from None
 
 
 def _partition_sampler(cfg):
@@ -305,7 +310,7 @@ def _ensemble(cfg, stream, steps):
     """Replica x topk matrix after ``steps`` evolution steps, taken as one step of
     their summed law, and its column prefix: gaps of the point process for
     kind=pp, top masses otherwise."""
-    k, law = cfg["topk"], _increment_law(cfg).summed(steps) if steps else None
+    k, law = cfg["topk"], _increment_law(cfg, steps) if steps else None
     if cfg["kind"] == "pp":
         _check_depth(cfg, k + 1)
         # unevolved, only the top k + 1 points are read, and they are a prefix of any deeper draw
@@ -433,6 +438,7 @@ def cmd_verify_lemma(cfg):
         # sum_i e^{beta X_i} diverges, so the starts cannot be tail-normalized
         raise ConfigError(f"verify-lemma needs --beta > --rho, "
                           f"got --beta {beta} and --rho {cfg['rho']}")
+    _increment_law(cfg, max(tau, 1))  # both checks take the --tau steps as one
     starts = _in_range(cfg, list, experiments.tail_normalized_starts(
         _rngs(cfg, 0), cfg["rho"], cfg["trunc_n"], beta=beta))
     try:  # before the front profiles, so a bound that says nothing stops the run early
@@ -441,10 +447,14 @@ def cmd_verify_lemma(cfg):
     except ValueError as exc:
         raise ConfigError(f"--ck {ck} gives no jump bound at --beta {beta}, --mu {law.mu} "
                           f"and --sigma {law.sigma}: {exc}") from None
+    v = law.log_mgf(beta)  # the front levels are (v_beta / beta) tau and the grid around it
+    if not (np.isfinite(v * tau) and np.isfinite(v / beta * tau)):
+        raise ConfigError(f"--mu {law.mu}, --sigma {law.sigma}, --beta {beta} and --tau {tau} "
+                          f"take the front levels beyond float64: v_beta = {v:.6g}")
     counts = experiments.front_bound_counts(starts, law, tau, beta=beta,
                                             grid_points=cfg["grid_points"])
     passed = counts["markov_violations"] == 0 and counts["z_violations"] == 0 and jump["passed"]
-    return {"v_beta": law.log_mgf(beta), **counts, "jump": jump, "passed": passed}, passed
+    return {"v_beta": v, **counts, "jump": jump, "passed": passed}, passed
 
 
 def _check_se_replicas(cfg):

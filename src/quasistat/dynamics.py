@@ -35,8 +35,9 @@ class IncrementLaw:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not (np.isfinite(self.mu) and 0 < self.sigma < np.inf):
+            raise ValueError(f"N(mu, sigma^2) needs a finite mu and a finite sigma > 0, "
+                             f"got mu {self.mu:.6g} and sigma {self.sigma:.6g}")
 
     def sample(self, size, rng):
         return rng.normal(self.mu, self.sigma, size=size)
@@ -55,8 +56,9 @@ class IncrementLaw:
     def summed(self, tau):
         """The law N(tau mu, tau sigma^2) of h_1 + ... + h_tau, tau >= 1: as the
         increments are iid, tau steps are one step of this law (``summed(1)`` is
-        this law, float for float)."""
-        return IncrementLaw(tau * self.mu, self.sigma * np.sqrt(tau))
+        this law, float for float).  Raises ValueError where it leaves float64."""
+        # a float product overflows to inf without a warning, and __post_init__ rejects it
+        return IncrementLaw(tau * self.mu, self.sigma * float(np.sqrt(tau)))
 
     def log_mgf(self, lam):
         """log E[e^{lam * h}], finite for every real lam."""

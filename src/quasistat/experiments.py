@@ -6,10 +6,10 @@ acceptance suite one pinned generator repeated.  Replicas run in chunks of
 rows, each drawing from its generator in loop order, and the arithmetic runs
 once per chunk.  An ensemble evolves by at most one step: tau steps of iid
 increments are one step of ``IncrementLaw.summed(tau)`` in law.  A reshuffle
-of masses is the additive step on their log-points, normalized.  Past its
-first ``_HEAD`` points, an evolved ``top_points`` replica walks after its chunk.
-Results are arrays and plain numbers; writing files and judging verdicts is
-left to the caller.
+of masses is the additive step on their log-points, normalized.  Past its first
+``_HEAD`` points, an evolved ``top_points`` replica walks after its chunk, in blocks
+sized by the proposals they expect.  Results are arrays and plain numbers; writing
+files and judging verdicts is left to the caller.
 
 The front profile of a configuration X over a horizon tau is
 F(y) = sum_i P(X_i + S_i(tau) >= y) with S_i(tau) the tau-step increment sum,
@@ -34,6 +34,9 @@ _CHUNK_ELEMS = 2 ** 16
 # points of an evolved ``top_points`` replica drawn with its chunk, before its walk:
 # at n <= _HEAD (the default --trunc-n 500, every golden pin) the rows keep their bits
 _HEAD = 1024
+# a block (a, b] of the walk past the head ends where it expects _BLOCK_PROPOSALS proposals,
+# at 2a if later, or at n: at rho = sigma = tau = 1 and k = 11, one block walks 10^5 points
+_BLOCK_PROPOSALS = 64
 # leading points of a start that ``front_bound_counts`` screens one by one; deeper
 # points enter by doubling blocks, so at n = 500 a level takes 16 + 5 terms, not 500
 _SCREEN_HEAD = 16
@@ -195,15 +198,16 @@ def top_points(rngs, rho, n, k, law=None):
     replica draws its n arrival times.  Evolved, it draws its first
     m = min(n, max(k, _HEAD)) arrival times, then their m increments, and
     ranks x_i + h_i: where n <= m, these are the rows of a full sort, bit for
-    bit.  Deeper points are then walked per replica, after its chunk, in
-    doubling blocks (a, b] of indices, exact in law by thinning (Lewis &
-    Shedler, 1979), with t the k-th largest value so far:
-    Gamma_b = Gamma_a + Gamma(b - a), point b takes an increment, and each
-    interior point is proposed with probability
-    pbar = P(h >= t - x_a) >= P(h >= t - x_i), kept with probability
-    P(h >= t - x_i) / pbar, and then drawn h given h >= t - x_i.  Given Gamma_a
-    and Gamma_b, the interior arrival times are uniform order statistics, so a
-    uniform subset of them, the proposals, is iid uniform on (Gamma_a, Gamma_b).
+    bit.  Deeper points are then walked per replica, after its chunk, in blocks
+    (a, b] of indices, exact in law by thinning (Lewis & Shedler, 1979).  With t the
+    k-th largest value so far and pbar = P(h >= t - x_a), b = n if the block would
+    expect (n - a) pbar <= _BLOCK_PROPOSALS proposals, else the later of 2a and
+    a + floor(_BLOCK_PROPOSALS / pbar), capped at n.  Gamma_b = Gamma_a + Gamma(b - a),
+    point b takes an increment, and each interior point is proposed with probability
+    pbar >= P(h >= t - x_i), kept with probability P(h >= t - x_i) / pbar, and then
+    drawn h given h >= t - x_i.  As b depends on t, x_a, a and n alone, given Gamma_a
+    and Gamma_b the interior arrival times are uniform order statistics, so a uniform
+    subset of them, the proposals, is iid uniform on (Gamma_a, Gamma_b).
     So a generator shared by a chunk's rows keeps its stream only at n <= m.
     Raises NonFiniteIncrementError where one of the first m increments is not finite,
     and OverflowError where a point leaves float64.
@@ -235,9 +239,11 @@ def _chunk_top_points(rngs, rho, m, n, k, law):
         for top, rng, g_a, x_a in zip(tops, rngs, g[:, -1], x[:, -1]):
             a = m
             while a < n:
-                b, t = min(n, 2 * a), top[-1]
-                g_b = g_a + rng.standard_gamma(b - a)
+                t = top[-1]
                 pbar = law.survival(t - x_a)
+                b = n if (n - a) * pbar <= _BLOCK_PROPOSALS else min(  # pbar = 0: no division
+                    n, max(2 * a, a + int(_BLOCK_PROPOSALS / pbar)))
+                g_b = g_a + rng.standard_gamma(b - a)
                 proposed = rng.binomial(b - a - 1, pbar)
                 x_a = -np.log(g_b) / rho
                 last = x_a + law.sample(None, rng)

@@ -384,7 +384,7 @@ def test_golden_one_step_stream(tmp_path, capsys, command, kind):
 
 # Past its first 1024 points an evolved pp replica is drawn by the lazy walk of
 # experiments.top_points; --trunc-n 3000 pins that stream.
-_GOLDEN_DEEP_PP_CSV = "0a40a56acc21b4f4b5c0ca0a600f37bda3fbc30956dc356cc136155fd51c32a2"
+_GOLDEN_DEEP_PP_CSV = "6df805fa1fb59fab9fa665667f932137fb3d2c77a0e7c9bbe61273c5eba5492b"
 
 
 def test_golden_deep_pp_stream(tmp_path, capsys):
@@ -616,6 +616,16 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
     (["sample", "--kind", "pd", "--alpha", "1e-310"], ["--alpha", "beyond float64"]),
     (["verify-lemma", "--rho", "1e-310", "--beta", "0.5"], ["--rho", "beyond float64"]),
     (["gen-functional", "--rho", "1e-310"], ["--rho", "beyond float64"]),
+    # sigma sqrt(tau) overflows: it warned, and the front checks read ndtr(0) = 1/2 per term
+    (["evolve", "--kind", "pp", "--sigma", "1e308", "--tau", "10"],
+     ["--mu", "--sigma 1e+308", "--tau 10", "summed increments beyond float64"]),
+    (["verify-lemma", "--rho", "1e-162", "--beta", "2e-162", "--mu=-1", "--sigma", "1.3e308",
+      "--ck", "0", "--tau", "2", "--trunc-n", "1"],
+     ["--mu", "--sigma 1.3e+308", "--tau 2", "summed increments beyond float64"]),
+    # (v_beta / beta) tau = inf: the front checks' grid was NaN, and the run passed
+    (["verify-lemma", "--rho", "0.4", "--beta", "0.5", "--sigma", "1e154", "--ck", "1e308",
+      "--tau", "10", "--trunc-n", "1"],
+     ["--mu", "--sigma 1e+154", "--beta 0.5", "--tau 10", "front levels beyond float64"]),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
     env_seed = None
@@ -767,6 +777,74 @@ def test_pp_rows_finite_and_ranked(command, rho, beta, sigma, topk, extra, tau):
         assert np.all(np.diff(rows, axis=1) <= 0)  # points, largest first
     else:
         assert np.all(rows >= 0)  # gaps of points ranked largest first
+
+
+def _run_quiet(args):
+    """``run(args)`` with its stdout and stderr caught: the exit code, and both texts."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _scales(lo, hi):
+    """10^e for e in [lo, hi]: every scale between the two, not only the largest."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _signed(magnitudes):
+    return st.one_of(st.just(0.0), st.builds(lambda sign, m: sign * m,
+                                             st.sampled_from([-1.0, 1.0]), magnitudes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(trunc_n=st.integers(1025, 5000), rho=_scales(-300, 300), sigma=_scales(-300, 300),
+       mu=_signed(_scales(-300, 300)), tau=st.sampled_from([1, 2, 10, 1000]),
+       topk=st.integers(1, 11))
+def test_pp_walk_rows_finite_or_flag_error(trunc_n, rho, sigma, mu, tau, topk):
+    # past its first 1024 points each replica walks: gaps, or exit 2 naming a flag, and
+    # no RuntimeWarning on the way
+    with tempfile.TemporaryDirectory() as out:
+        code, _, err = _run_quiet(["evolve", "--kind", "pp", "--rho", repr(rho),
+                                   "--sigma", repr(sigma), f"--mu={mu!r}", "--tau", str(tau),
+                                   "--topk", str(topk), "--trunc-n", str(trunc_n),
+                                   "--replicas", "3", "--seed", "1", "--out", out])
+        if code == 2:
+            assert err.startswith("error: --"), err
+            return
+        rows = np.loadtxt(os.path.join(out, "evolved.csv"), delimiter=",", skiprows=1, ndmin=2)
+    assert code == 0
+    assert rows.shape == (3, topk) and np.all(np.isfinite(rows)) and np.all(rows >= 0)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+@settings(max_examples=100, deadline=None)
+@given(rho=_scales(-323.3, 308.2), d=_scales(-9, 300), mu=_signed(_scales(-323.3, 308.2)),
+       sigma=_scales(-323.3, 308.2), ck=_signed(_scales(-323.3, 308.2)),
+       tau=st.integers(0, 1000), trunc_n=st.integers(1, 50))
+def test_verify_lemma_report_or_flag_error(rho, d, mu, sigma, ck, tau, trunc_n):
+    # beta = rho (1 + d) > rho in floats, or inf, which --beta rejects, or rho itself at a
+    # subnormal rho; whether the bounds hold is not asserted here: at |mu tau| ~ 1e17 the
+    # front levels lose the points
+    beta = rho * (1.0 + d)
+    with tempfile.TemporaryDirectory() as out:
+        code, text, err = _run_quiet(["verify-lemma", "--rho", repr(rho),
+                                      "--beta", repr(beta), f"--mu={mu!r}",
+                                      "--sigma", repr(sigma), f"--ck={ck!r}", "--tau", str(tau),
+                                      "--trunc-n", str(trunc_n), "--replicas", "5",
+                                      "--seed", "1", "--out", out])
+        if code == 2:
+            flag = "verify-lemma needs --beta > --rho" if beta == rho else "--"
+            assert err.startswith(f"error: {flag}"), err
+            return
+        with open(os.path.join(out, "verify_lemma_report.json")) as fh:
+            report = json.load(fh, parse_constant=_no_constant)
+    assert code in (0, 1)
+    assert json.loads(text, parse_constant=_no_constant) == report
+    assert report["passed"] == (code == 0)
 
 
 @settings(max_examples=80, deadline=None)

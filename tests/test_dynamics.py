@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import repeat
 
 import numpy as np
@@ -478,6 +479,53 @@ def test_top_points_walk_keeps_the_law(tau, sigma, n, shared):
         report = invariance_verdict(a, b, level=0.01, n_perm=199,
                                     rng=np.random.default_rng([1, 3 + key]))
         assert report["verdict"] == "consistent", ("positions", "gaps")[key]
+
+
+class _CountingRng:
+    """Forwards every call to a numpy Generator and counts the calls by name."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def _walk_calls(rngs, n, k, law):
+    """Per replica, the Gamma draws of its walk past the head, one per block, and its
+    calls for uniforms, two per block with proposals."""
+    rngs = [_CountingRng(rng) for rng in rngs]
+    experiments.top_points(rngs, 1.0, n, k, law=law)
+    return (np.array([rng.calls["standard_gamma"] for rng in rngs]),
+            np.array([rng.calls["random"] for rng in rngs]))
+
+
+def test_top_points_walk_blocks_expect_few_proposals():
+    # each block ends where it expects _BLOCK_PROPOSALS proposals, or at n: at the shape
+    # of the benchmark's deep pp gaps (rho = sigma = tau = 1, n = 10^5, k = 11) that is one
+    # block per replica, where doubling blocks took 7
+    n, head = 100_000, experiments._HEAD
+    gammas, _ = _walk_calls([np.random.default_rng([5, i]) for i in range(50)], n, 11,
+                            IncrementLaw(0.0, 1.0))
+    assert np.all(gammas == 1), np.bincount(gammas)
+    # where proposals are dense the blocks still at least double
+    gammas, _ = _walk_calls([np.random.default_rng([6, i]) for i in range(50)], n, 11,
+                            IncrementLaw(0.0, 1.0).summed(10))
+    assert np.all(gammas >= 1) and gammas.max() <= int(np.ceil(np.log2(n / head)))
+    # the generators of test_top_points_walk_keeps_the_law: its sigma = 50 case ends each
+    # walk's one block at n, with proposals, and its tau = 10 case ends some first blocks
+    # before n, so that law test covers both ends of a block
+    law_rngs = [np.random.default_rng([1, 2, i]) for i in range(400)]
+    gammas, uniforms = _walk_calls(law_rngs, 5000, 6, IncrementLaw(0.0, 50.0))
+    assert np.all(gammas == 1) and np.all(uniforms == 2)
+    law_rngs = [np.random.default_rng([1, 2, i]) for i in range(400)]
+    gammas, _ = _walk_calls(law_rngs, n, 6, IncrementLaw(0.0, 1.0).summed(10))
+    assert gammas.min() >= 1 and gammas.max() == 2
 
 
 def test_sample_above_is_the_conditional_law():
