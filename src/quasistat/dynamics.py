@@ -62,4 +62,5 @@ class IncrementLaw:
 
     def log_mgf(self, lam):
         """log E[e^{lam * h}], finite for every real lam."""
-        return lam * self.mu + 0.5 * lam * lam * self.sigma * self.sigma
+        spread = lam * self.sigma  # lam^2 alone can under- or overflow where (lam sigma)^2 does not
+        return lam * self.mu + 0.5 * spread * spread

@@ -79,7 +79,7 @@ class PoissonKingman(NamedTuple):
         number of masses it starts with."""
         # rng.integers(1) would leave the stream as it is, but costs ~2 us a replica
         alpha = self.alphas[rng.integers(len(self.alphas)) if len(self.alphas) > 1 else 0]
-        row[:] = rng.exponential(size=self.n)
+        rng.standard_exponential(out=row)
         return alpha, self.n
 
     def starts(self, draws, alphas):

@@ -44,9 +44,10 @@ def _observations(sample):
     return sample.reshape(-1, 1) if sample.ndim < 2 else sample
 
 
-# float64 entries of one distance tile (16 MiB): the energy test holds one
-# rows x tile_rows block at a time, never the pooled rows x rows matrix
-_TILE_ELEMS = 2 ** 21
+# float64 entries of one distance tile (4 MiB, one core's L2 on the Xeon it was timed
+# on): the energy test holds one tile_rows x rows block, never the rows x rows matrix;
+# smaller tiles run slower, as BLAS repacks the permutation block for every tile
+_TILE_ELEMS = 2 ** 19
 
 
 # the first pass of a sequential energy test evaluates 16 (G* + 1)
@@ -56,15 +57,16 @@ _PERMS_PER_EXCEEDANCE = 16
 
 def _indicators(z, count, rng):
     """The group indicator z, then count permutations of it drawn in order from
-    rng, as columns: one GEMM per tile serves them all."""
-    block = np.empty((z.size, count + 1))
-    block[:, 0] = z
-    block[:, 1:] = rng.permuted(np.broadcast_to(z, (count, z.size)), axis=1).T
+    rng, as the rows of one block, shuffled in place: one GEMM per tile serves
+    them all."""
+    block = np.empty((count + 1, z.size))
+    block[:] = z
+    rng.permuted(block[1:], axis=1, out=block[1:])
     return block
 
 
 def _energy_stats(pooled, indicators, nx):
-    """The energy statistic of each indicator column (1 on the x rows).
+    """The energy statistic of each indicator row (1 on the x rows).
 
     One walk over the upper triangle of the symmetric pooled distance matrix D
     in row tiles [a, b) x [a, rows).  Its row sums take each tile's rows and,
@@ -74,7 +76,7 @@ def _energy_stats(pooled, indicators, nx):
     rows = len(pooled)
     ny = rows - nx
     row_sums = np.zeros(rows)
-    s_xx = np.zeros(indicators.shape[1])
+    s_xx = np.zeros(len(indicators))
     tile_rows = max(1, _TILE_ELEMS // rows)
     for a in range(0, rows, tile_rows):
         b = min(a + tile_rows, rows)
@@ -82,9 +84,9 @@ def _energy_stats(pooled, indicators, nx):
         row_sums[a:b] += tile.sum(axis=1)
         row_sums[b:] += tile[:, b - a:].sum(axis=0)
         tile[:, :b - a] *= 0.5  # exact: the doubling below restores the diagonal block
-        s_xx += 2.0 * np.einsum("ij,ij->j", indicators[a:b], tile @ indicators[a:])
+        s_xx += 2.0 * np.einsum("ji,ij->j", indicators[:, a:b], tile @ indicators[:, a:].T)
         del tile  # so the next tile does not coexist with this one
-    s_xy = row_sums @ indicators - s_xx
+    s_xy = indicators @ row_sums - s_xx
     s_yy = row_sums.sum() - s_xx - 2.0 * s_xy
     return 2.0 * s_xy / (nx * ny) - s_xx / (nx * nx) - s_yy / (ny * ny)
 
@@ -110,7 +112,7 @@ def energy_distance_perm_test(X, Y, n_perm=199, *, rng, level=None, full_output=
     The reported p = (1 + G) / (1 + L) counts G over the L permutations
     evaluated.  With L = n_perm it is the full test's p; after a stop it is at
     least level, so p < level exactly when the full test rejects (up to the
-    last bit of a column's sums, which BLAS may round differently for a
+    last bit of a permutation's sums, which BLAS may round differently for a
     narrower block).  It is a valid p-value, P(p <= u) <= u under the null:
     for u < (1 + G*) / (1 + m1) a stop cannot give p <= u, so
     P(p <= u) <= P(p_full <= u); for u >= G* / (1 + m1), p = p_m1 after a
@@ -143,7 +145,7 @@ def energy_distance_perm_test(X, Y, n_perm=199, *, rng, level=None, full_output=
     observed = float(stats[0])
     exceed = np.count_nonzero(stats[1:] >= observed)
     if exceed < settle and evaluated < n_perm:
-        # the verdict is open: the rest of the stream; its column 0 repeats E
+        # the verdict is open: the rest of the stream; its row 0 repeats E
         more = _energy_stats(pooled, _indicators(z, n_perm - evaluated, rng), nx)
         exceed += np.count_nonzero(more[1:] >= observed)
         evaluated = n_perm

@@ -251,6 +251,18 @@ def test_verify_lemma_tiny_sigma(tmp_path, capsys):
     assert record["markov_violations"] == 0 and record["z_violations"] == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_lemma_huge_beta_tiny_sigma(tmp_path, capsys):
+    # v_beta = beta^2 sigma^2 / 2 = 1/2, where beta^2 alone overflows: it read inf, and the
+    # run exited 2 naming --ck
+    code = run(["verify-lemma", "--rho", "1", "--beta", "1e200", "--sigma", "1e-200",
+                "--ck", "1.5", "--tau", "1", "--trunc-n", "5", "--replicas", "5", "--seed", "1",
+                "--out", str(tmp_path)])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert record["v_beta"] == pytest.approx(0.5, rel=1e-15)
+
+
 def test_evolve_pp_walk_tiny_sigma(tmp_path, capsys):
     # past its first 1024 points each replica walks its deeper points, where at
     # sigma = 1e-300 the survival terms overflow to ndtr(+-inf): no RuntimeWarning
@@ -622,6 +634,10 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
     (["verify-lemma", "--rho", "1e-162", "--beta", "2e-162", "--mu=-1", "--sigma", "1.3e308",
       "--ck", "0", "--tau", "2", "--trunc-n", "1"],
      ["--mu", "--sigma 1.3e+308", "--tau 2", "summed increments beyond float64"]),
+    # beta^2 underflowed before sigma^2 lifted it: v_beta read -2e-162, and the run passed
+    (["verify-lemma", "--rho", "1e-162", "--beta", "2e-162", "--mu=-1", "--sigma", "1.3e308",
+      "--ck", "0", "--tau", "1", "--trunc-n", "1"],
+     ["--ck", "--beta 2e-162", "--mu -1.0", "--sigma 1.3e+308", "3.38e+292"]),
     # (v_beta / beta) tau = inf: the front checks' grid was NaN, and the run passed
     (["verify-lemma", "--rho", "0.4", "--beta", "0.5", "--sigma", "1e154", "--ck", "1e308",
       "--tau", "10", "--trunc-n", "1"],

@@ -206,9 +206,10 @@ def _energy_full_matrix(X, Y, n_perm, rng):
     (61, 53, 3, 199, 0.0),  # at 600 elements: 22 tiles of 5 rows, then a ragged one of 4
     (40, 40, 1, 499, 0.3),
     (7, 90, 2, 199, 0.5),
+    (600, 600, 5, 199, 0.0),  # at the module's 2**19 elements: tiles of 436, 436 and 328 rows
 ])
 def test_energy_tiles_match_full_matrix(monkeypatch, tile_elems, nx, ny, k, n_perm, shift):
-    # None keeps the module's tile: every input here is fewer rows than one tile
+    # None keeps the module's tile: only the 600 + 600 rows take more than one
     if tile_elems is not None:
         monkeypatch.setattr(stattest, "_TILE_ELEMS", tile_elems)
     data = np.random.default_rng(19)
@@ -273,6 +274,22 @@ def test_energy_memory_linear_in_rows():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("level,bound_mib", [(0.01, 6), (None, 12)])
+def test_energy_holds_one_small_tile(level, bound_mib):
+    # 4000 pooled rows: one 4 MiB distance tile plus the (L + 1) x rows permutation block,
+    # 33 rows for the sequential test's first pass and 200 for the full test, never a
+    # second copy of that block
+    data = np.random.default_rng(25)
+    x, y = data.normal(size=(2000, 5)), data.normal(size=(2000, 5))
+    tracemalloc.start()
+    try:
+        energy_distance_perm_test(x, y, n_perm=199, rng=np.random.default_rng(26), level=level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_permutation_generator_is_required():
