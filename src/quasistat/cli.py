@@ -298,7 +298,11 @@ def _in_range(cfg, ensemble, *args, **kwargs):
                else "alphas" if cfg["kind"] == "mixture-of-pd" else "alpha")
         raise ConfigError(f"{_flag(key)} {cfg[key]} takes the start beyond float64: "
                           f"{exc}") from None
-    except FloatingPointError as exc:
+    except FloatingPointError as exc:  # raised by a reshuffle, or by a pp ensemble's walk
+        if cfg["kind"] == "pp":
+            raise ConfigError(f"--rho {cfg['rho']}, --mu {cfg['mu']}, --sigma {cfg['sigma']} "
+                              f"and {steps} take the evolved points beyond float64: "
+                              f"{exc}") from None
         raise ConfigError(f"--sigma {cfg['sigma']}, --beta {cfg['beta']} and {steps} "
                           f"take the reshuffle beyond float64: {exc}") from None
     except dynamics.NonFiniteIncrementError as exc:

@@ -1,9 +1,9 @@
 """Evolution maps for ranked configurations and mass-partitions.
 
 Additive picture: every point gets an independent Gaussian increment h_i and
-the configuration is re-ranked; ``experiments.top_points`` draws h_i only where
-x_i + h_i can reach the top k, through ``IncrementLaw.survival`` and
-``IncrementLaw.sample_above``.
+the configuration is re-ranked; ``experiments.top_points`` draws h_i for a head
+of points and promotes the rest by thinning, with the law tilted by e^{rho h}
+(``IncrementLaw.survival``).
 Multiplicative picture: every mass is reweighted by the lognormal
 W_i = e^{beta*h_i} and renormalized, and the untracked tail advances by its
 mean factor E[e^{beta*h}] = e^{log_mgf(beta)}.  On log-masses this is the
@@ -13,7 +13,7 @@ additive step x_i + beta*h_i, normalized; ``experiments.top_masses`` takes it so
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 __all__ = [
     "IncrementLaw",
@@ -42,16 +42,11 @@ class IncrementLaw:
     def sample(self, size, rng):
         return rng.normal(self.mu, self.sigma, size=size)
 
-    def survival(self, c):
-        """P(h >= c), elementwise."""
-        return ndtr((self.mu - c) / self.sigma)
-
-    def sample_above(self, c, rng):
-        """One draw of h given h >= c per element of c, by inversion: (mu - h) / sigma
-        is ndtri(U P(h >= c)), with U in (0, 1] so that no draw is infinite while
-        U P(h >= c) > 0 (c below ~mu + 37 sigma); a draw rounded below c is c."""
-        u = 1.0 - rng.random(np.shape(c))
-        return np.maximum(self.mu - self.sigma * ndtri(u * self.survival(c)), c)
+    def survival(self, c, tilt=0.0):
+        """P(h >= c) elementwise, under the law tilted by e^{tilt h}: N(mu + tilt sigma^2,
+        sigma^2), whose mean is formed as (mu - c) / sigma + tilt sigma, not tilt sigma^2."""
+        z = (self.mu - c) / self.sigma
+        return ndtr(z + tilt * self.sigma if tilt else z)
 
     def summed(self, tau):
         """The law N(tau mu, tau sigma^2) of h_1 + ... + h_tau, tau >= 1: as the

@@ -6,10 +6,10 @@ acceptance suite one pinned generator repeated.  Replicas run in chunks of
 rows, each drawing from its generator in loop order, and the arithmetic runs
 once per chunk.  An ensemble evolves by at most one step: tau steps of iid
 increments are one step of ``IncrementLaw.summed(tau)`` in law.  A reshuffle
-of masses is the additive step on their log-points, normalized.  Past its first
-``_HEAD`` points, an evolved ``top_points`` replica walks after its chunk, in blocks
-sized by the proposals they expect.  Results are arrays and plain numbers; writing
-files and judging verdicts is left to the caller.
+of masses is the additive step on their log-points, normalized.  An evolved
+``top_points`` replica draws at most ``_HEAD`` points, and the points below them
+enter its top k by one top-down promotion walk, exact in law.  Results are arrays
+and plain numbers; writing files and judging verdicts is left to the caller.
 
 The front profile of a configuration X over a horizon tau is
 F(y) = sum_i P(X_i + S_i(tau) >= y) with S_i(tau) the tau-step increment sum,
@@ -31,12 +31,12 @@ from . import dynamics, pointproc
 # kernels hold at once.  Chunks of 2**18 ran no faster and left the peak RSS of a
 # 2000 x 500 ensemble 1-5 MB higher.
 _CHUNK_ELEMS = 2 ** 16
-# points of an evolved ``top_points`` replica drawn with its chunk, before its walk:
-# at n <= _HEAD (the default --trunc-n 500, every golden pin) the rows keep their bits
-_HEAD = 1024
-# a block (a, b] of the walk past the head ends where it expects _BLOCK_PROPOSALS proposals,
-# at 2a if later, or at n: at rho = sigma = tau = 1 and k = 11, one block walks 10^5 points
-_BLOCK_PROPOSALS = 64
+# points of an evolved ``top_points`` replica drawn one by one, before its walk: at
+# n <= _HEAD (the default --trunc-n 500, every golden pin) a row keeps its head draws
+_HEAD = 512
+# (exponential, uniform) pairs an evolved ``top_points`` replica draws right after its
+# increments, and again each time its walk passes them: about k are walked
+_WALK_BATCH = 32
 # leading points of a start that ``front_bound_counts`` screens one by one; deeper
 # points enter by doubling blocks, so at n = 500 a level takes 16 + 5 terms, not 500
 _SCREEN_HEAD = 16
@@ -109,11 +109,12 @@ class Partitions(NamedTuple):
         return (points, tails / draws[:, 0]), (draws, tails)
 
 
-def _draw_rows(rngs, sampler, law=None):
+def _draw_rows(rngs, sampler, law=None, uniforms=None):
     """One chunk's draws in loop order, each replica's start by ``sampler.draw``
-    and, given ``law``, its increments right after: the chunk x n draws, each
-    row's parameter and count of values, and the increments.  Raises
-    NonFiniteIncrementError where an increment is not finite."""
+    and, given ``law``, its increments right after, then, given ``uniforms``, its
+    row of them: the chunk x n draws, each row's parameter and count of values,
+    and the increments.  Raises NonFiniteIncrementError where an increment is not
+    finite."""
     draws = np.empty((len(rngs), sampler.n))
     h = None if law is None else np.zeros_like(draws)
     params = np.empty(len(rngs))
@@ -122,6 +123,8 @@ def _draw_rows(rngs, sampler, law=None):
         params[i], counts[i] = sampler.draw(rng, draws[i])
         if h is not None:
             h[i, :counts[i]] = law.sample(counts[i], rng)
+        if uniforms is not None:
+            rng.random(out=uniforms[i])
     if h is not None and not np.all(np.isfinite(h)):
         raise dynamics.NonFiniteIncrementError("increment law produced non-finite draws")
     return draws, params, counts, h
@@ -190,27 +193,24 @@ def _chunk_top_masses(rngs, sampler, k, law, beta):
 
 
 def top_points(rngs, rho, n, k, law=None):
-    """Top k of the n largest points of PP(rho e^{-rho y} dy) per replica,
-    after one additive step by ``law`` if given.  Positions only, which track
-    no tail.
+    """Top k points of PP(rho e^{-rho y} dy) per replica, after one additive step
+    by ``law`` if given: of its n largest points unevolved, of the whole infinite
+    configuration evolved.  Positions only, which track no tail.
 
-    Replicas run in chunks of rows, ranked once per chunk.  Unevolved, each
-    replica draws its n arrival times.  Evolved, it draws its first
-    m = min(n, max(k, _HEAD)) arrival times, then their m increments, and
-    ranks x_i + h_i: where n <= m, these are the rows of a full sort, bit for
-    bit.  Deeper points are then walked per replica, after its chunk, in blocks
-    (a, b] of indices, exact in law by thinning (Lewis & Shedler, 1979).  With t the
-    k-th largest value so far and pbar = P(h >= t - x_a), b = n if the block would
-    expect (n - a) pbar <= _BLOCK_PROPOSALS proposals, else the later of 2a and
-    a + floor(_BLOCK_PROPOSALS / pbar), capped at n.  Gamma_b = Gamma_a + Gamma(b - a),
-    point b takes an increment, and each interior point is proposed with probability
-    pbar >= P(h >= t - x_i), kept with probability P(h >= t - x_i) / pbar, and then
-    drawn h given h >= t - x_i.  As b depends on t, x_a, a and n alone, given Gamma_a
-    and Gamma_b the interior arrival times are uniform order statistics, so a uniform
-    subset of them, the proposals, is iid uniform on (Gamma_a, Gamma_b).
-    So a generator shared by a chunk's rows keeps its stream only at n <= m.
-    Raises NonFiniteIncrementError where one of the first m increments is not finite,
-    and OverflowError where a point leaves float64.
+    Replicas run in chunks of rows, ranked once per chunk.  Unevolved, each replica
+    draws its n arrival times.  Evolved, it draws its first m = min(n, max(k, _HEAD))
+    arrival times, their increments and ``_WALK_BATCH`` pairs of uniforms, and ranks
+    x_i + h_i.  Given this head, the points below c = x_m evolve into a PPP of
+    intensity rho e^{-rho y} E[e^{rho h}] P(h' >= y - c), h' ~ N(mu + rho sigma^2,
+    sigma^2) the law tilted by e^{rho h} (Kingman, 1993: marking and mapping).  The
+    pairs walk the process that dominates it, PP(rho) shifted by mu + rho sigma^2 / 2,
+    from the top down, keep each point y with probability P(h' >= y - c) (Lewis &
+    Shedler, 1979), merge it into the top k, and stop at a point at or below the k-th
+    value; a replica whose pairs run out first draws more after its chunk.  So
+    per-replica generators keep their head draws, and a shared one keeps the law.
+    Raises NonFiniteIncrementError where an increment is not finite, OverflowError
+    where a point of PP(rho) leaves float64, and FloatingPointError where the head's
+    top k or the shift does.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -218,13 +218,14 @@ def top_points(rngs, rho, n, k, law=None):
     m = n if law is None else min(n, max(k, _HEAD))
     tops = [np.empty((0, k))]
     for chunk in _chunks(rngs, m):
-        tops.append(_chunk_top_points(chunk, rho, m, n, k, law))
+        tops.append(_chunk_top_points(chunk, rho, m, k, law))
     return np.concatenate(tops)
 
 
-def _chunk_top_points(rngs, rho, m, n, k, law):
+def _chunk_top_points(rngs, rho, m, k, law):
     """``top_points`` of one chunk of replicas, each drawing its first m points."""
-    draws, _, _, h = _draw_rows(rngs, PoissonKingman((rho,), m), law)
+    pairs = None if law is None else np.empty((len(rngs), 2, _WALK_BATCH))
+    draws, _, _, h = _draw_rows(rngs, PoissonKingman((rho,), m), law, pairs)
     g = np.cumsum(draws, axis=1, out=draws)
     if not np.all(np.isfinite(g[:, -1])):  # a cumsum of nonnegative draws: its last is its largest
         raise ValueError("arrival times must be finite")
@@ -233,33 +234,25 @@ def _chunk_top_points(rngs, rho, m, n, k, law):
         return x
     h += x
     h.partition(m - k, axis=1)  # each row's top k of x_i + h_i, in its last k columns
-    tops = np.sort(h[:, m - k:], axis=1)[:, ::-1].copy()
-    # ndtr is exact where (mu - c) / sigma overflows, at a tiny sigma: once a chunk
+    tops = np.sort(h[:, m - k:], axis=1)  # ascending: tops[:, 0] is the k-th value
+    shift = law.mu + 0.5 * (rho * law.sigma) * law.sigma  # in Python floats: no warning
+    if not (np.isfinite(shift) and np.all(np.isfinite(tops[:, [0, -1]]))):
+        raise FloatingPointError(f"a top point x + h, or the shift mu + rho sigma^2 / 2 = "
+                                 f"{shift:.6g} of the points below them, leaves float64")
+    c, arrivals, walking = x[:, -1], np.zeros(len(rngs)), np.arange(len(rngs))
+    # y - c and (mu - y + c) / sigma may overflow, where ndtr is exact: once a chunk
     with np.errstate(over="ignore"):
-        for top, rng, g_a, x_a in zip(tops, rngs, g[:, -1], x[:, -1]):
-            a = m
-            while a < n:
-                t = top[-1]
-                pbar = law.survival(t - x_a)
-                b = n if (n - a) * pbar <= _BLOCK_PROPOSALS else min(  # pbar = 0: no division
-                    n, max(2 * a, a + int(_BLOCK_PROPOSALS / pbar)))
-                g_b = g_a + rng.standard_gamma(b - a)
-                proposed = rng.binomial(b - a - 1, pbar)
-                x_a = -np.log(g_b) / rho
-                last = x_a + law.sample(None, rng)
-                # a value at or below t cannot enter the top k; a NaN does, and fails the check
-                entering = [] if last <= t else [last]
-                if proposed:  # as a rule none: calls on empty arrays draw nothing, ~15 us a block
-                    u = rng.random((2, proposed))
-                    xs = -np.log(g_a + (g_b - g_a) * u[0]) / rho
-                    keep = u[1] * pbar < law.survival(t - xs)
-                    entering.extend(xs[keep] + law.sample_above(t - xs[keep], rng))
-                if entering:
-                    top[:] = np.sort(np.concatenate((top, entering)))[::-1][:k]
-                a, g_a = b, g_b
-    if not np.all(np.isfinite(tops[:, [0, -1]])):
-        raise ValueError("points must be finite")
-    return tops
+        while walking.size:
+            g = arrivals[walking, None] + np.cumsum(-np.log1p(-pairs[walking, 0]), axis=1)
+            y = shift + pointproc.pp_points(rho, g)
+            kept = pairs[walking, 1] < law.survival(y - c[walking, None], tilt=rho)
+            merged = np.concatenate((tops[walking], np.where(kept, y, -np.inf)), axis=1)
+            tops[walking] = np.sort(merged, axis=1)[:, -k:]
+            arrivals[walking] = g[:, -1]
+            walking = walking[y[:, -1] > tops[walking, 0]]  # not >=: y may round to the shift
+            for i in walking:
+                rngs[i].random(out=pairs[i])
+    return tops[:, ::-1].copy()
 
 
 def top_gaps(rngs, rho, n, k, law=None):

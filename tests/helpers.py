@@ -2,7 +2,7 @@
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import kolmogorov, ndtr
+from scipy.special import gammainc, kolmogorov, ndtr
 
 
 def marginal_law_test(samples, cdf):
@@ -16,6 +16,15 @@ def marginal_law_test(samples, cdf):
     d_minus = np.max(f - np.arange(0, n) / n)
     d = float(max(d_plus, d_minus))
     return d, float(kolmogorov(np.sqrt(n) * d))
+
+
+def gap_law_p(top, rho):
+    """p of the one-sample KS test that T = sum_{i<=k} i (x_i - x_{i+1}) of each row
+    of k + 1 ranked points is Gamma(k, rate rho), as for the top points of PP(rho),
+    whose gaps X_i - X_{i+1} are independent Exp(i rho) (the Renyi representation)."""
+    k = top.shape[1] - 1
+    t = -np.diff(top, axis=1) @ np.arange(1.0, k + 1)
+    return marginal_law_test(t, lambda t: gammainc(k, rho * t))[1]
 
 
 def sample_gamma_arrivals(n, rng) -> np.ndarray:

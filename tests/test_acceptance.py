@@ -70,8 +70,9 @@ def test_criterion_1_pd_invariance():
 @_criterion(2, "PP(1) gap law invariant; gap_i ~ Exp(i)")
 def test_criterion_2_pp_gap_quasi_stationarity():
     # tau gaussian unit steps are one step of GAUSS.summed(tau) = N(0, tau), as the
-    # ensembles evolve them; truncation depth grows with tau so promotions from
-    # below the cut are negligible
+    # ensembles evolve them.  The head of each replica is min(n_pts, 512) points,
+    # and the points below it that reach the top k enter by the promotion walk,
+    # exact in law: promotions are part of the law, not an error to make negligible
     k, n_rep = 10, 2000
     details = []
     ok = True

@@ -117,6 +117,16 @@ def test_invariance_pd_consistent(tmp_path, capsys):
     assert 0 <= record["energy_perms"] <= 199
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_invariance_pp_tau_10_consistent(tmp_path, capsys, seed):
+    # PP(1) is invariant at every tau: the evolved half once left out the points below
+    # --trunc-n that ten steps lift into the top k, and read "rejected" at these seeds
+    code = run(["test-invariance", "--kind", "pp", "--tau", "10", "--seed", seed,
+                "--out", str(tmp_path)])
+    record = json.loads(capsys.readouterr().out)
+    assert (code, record["verdict"]) == (0, "consistent")
+
+
 def test_invariance_geometric_rejected(tmp_path, capsys):
     code = run(["test-invariance", "--kind", "geometric", "--replicas", "500",
                 "--trunc-n", "60", "--topk", "3", "--seed", "5", "--out", str(tmp_path)])
@@ -264,8 +274,8 @@ def test_verify_lemma_huge_beta_tiny_sigma(tmp_path, capsys):
 
 
 def test_evolve_pp_walk_tiny_sigma(tmp_path, capsys):
-    # past its first 1024 points each replica walks its deeper points, where at
-    # sigma = 1e-300 the survival terms overflow to ndtr(+-inf): no RuntimeWarning
+    # below its first 512 points each replica walks the points that may enter its top
+    # k, where at sigma = 1e-300 the survival terms overflow to ndtr(+-inf): no RuntimeWarning
     code = run(["evolve", "--kind", "pp", "--rho", "1e-300", "--sigma", "1e-300", "--mu=1e-300",
                 "--tau", "10", "--trunc-n", "3000", "--topk", "5", "--replicas", "3",
                 "--seed", "1", "--out", str(tmp_path)])
@@ -355,7 +365,7 @@ _GOLDEN_CSV = {
     ("sample", "geometric"): "8d9f0364e59e7f9c870af56365c71bdb9141827a7294c745ad92c395d92b5891",
     ("sample", "mixture-of-pd"): "8516dc0b3e7b36a2ff71250bbe30e538931e0f4c1ffc7dd895fdcb65aecb8b2c",
     ("evolve", "pd"): "8582731e1863bb9915266f13bcbf0e3624e58da1b7460f99d98190c82f5efacc",
-    ("evolve", "pp"): "ec8226e8db3ac716dc0eae7d302265a6e01634d30f49df431ef2d69a63d51aeb",
+    ("evolve", "pp"): "6c54b1bbb362db9eec9d7b0cf7fb740d41511ee216ec911f3bdc9750dbccfc89",
     ("evolve", "geometric"): "a7e14830aaed91f5afc3e1e25b44f7b1373015ce83c3e864816333835ed562bf",
     ("evolve", "mixture-of-pd"): "bc4dd591d68048a6b23d4ac81cd054836a8df55bee57e24e01db0a0c0221051f",
 }
@@ -394,19 +404,22 @@ def test_golden_one_step_stream(tmp_path, capsys, command, kind):
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == _GOLDEN_ONE_STEP_CSV[(command, kind)]
 
 
-# Past its first 1024 points an evolved pp replica is drawn by the lazy walk of
-# experiments.top_points; --trunc-n 3000 pins that stream.
-_GOLDEN_DEEP_PP_CSV = "6df805fa1fb59fab9fa665667f932137fb3d2c77a0e7c9bbe61273c5eba5492b"
+# An evolved pp replica draws at most its first 512 points one by one, and the
+# promotion walk of experiments.top_points the rest; --trunc-n 3000 pins that stream.
+_GOLDEN_DEEP_PP_CSV = "1a0df0ae96a34fafc3b3905a179e1f43023774d133633bab2469ae8f78af701f"
 
 
 def test_golden_deep_pp_stream(tmp_path, capsys):
     import hashlib
 
-    flags = [*_GOLDEN_FLAGS, "--trunc-n", "3000"]  # the last --trunc-n wins
-    assert run(["evolve", "--kind", "pp", *flags, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    digest = hashlib.sha256((tmp_path / "evolved.csv").read_bytes()).hexdigest()
-    assert digest == _GOLDEN_DEEP_PP_CSV
+    rows = {}
+    for trunc_n in ("3000", "512"):
+        flags = [*_GOLDEN_FLAGS, "--trunc-n", trunc_n]  # the last --trunc-n wins
+        assert run(["evolve", "--kind", "pp", *flags, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows[trunc_n] = (tmp_path / "evolved.csv").read_bytes()
+    assert hashlib.sha256(rows["3000"]).hexdigest() == _GOLDEN_DEEP_PP_CSV
+    assert rows["3000"] == rows["512"]  # past the head, --trunc-n moves nothing
 
 
 _SEED_CASES = [(seed, stream) for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
@@ -561,12 +574,12 @@ def test_unevolved_pp_draws_only_the_points_read(tmp_path, capsys, monkeypatch):
     assert run(["test-invariance", *flags]) in (0, 1)
     capsys.readouterr()
     # the unevolved half reads the top k + 1 points; the evolved half draws the first
-    # min(n, 1024) in full, and past them only the points that can reach the top k + 1
+    # min(n, 512) in full, and below them the walk promotes the points that reach the top
     assert drawn == [5] * 3 + [40] * 3
     drawn.clear()
     assert run(["test-invariance", *flags, "--trunc-n", "100000"]) in (0, 1)
     capsys.readouterr()
-    assert drawn == [5] * 3 + [1024] * 3
+    assert drawn == [5] * 3 + [512] * 3
 
 
 def test_invariance_pp_needs_trunc_n_above_topk(tmp_path, capsys):
@@ -696,15 +709,18 @@ def test_custom_nonfinite_increments_name_its_one_step(tmp_path, capsys):
 
 
 def test_invariance_distances_beyond_float64_name_the_flags(tmp_path, capsys):
-    # at --sigma 1e160 the squared distances between gap rows overflow; the energy
-    # statistics were NaN, and the verdict a rejection at p = 1 / (n_perm + 1)
+    # at --sigma 1e160 the evolved points' shift rho sigma^2 / 2 leaves float64 before
+    # the walk; the energy statistics were NaN, and the verdict a rejection at
+    # p = 1 / (n_perm + 1)
     args = ["test-invariance", "--kind", "pp", "--replicas", "20", "--seed", "1",
             "--out", str(tmp_path)]
     assert run([*args, "--sigma", "1e160"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --rho 1.0, --mu 0.0, --sigma 1e+160 and --tau 1 spread the "
-                          "ensembles beyond float64"), err
-    # at 1e150 they fit: the energy test runs, and rejects the evolved gaps
+    assert err.startswith("error: --rho 1.0, --mu 0.0, --sigma 1e+160 and --tau 1 take the "
+                          "evolved points beyond float64"), err
+    assert "shift mu + rho sigma^2 / 2 = inf" in err
+    # at 1e150 the shift fits, and every promoted point rounds to it: the energy test
+    # runs, and rejects the evolved gaps, all 0
     assert run([*args, "--sigma", "1e150"]) == 1
     record = json.loads(capsys.readouterr().out)
     assert (record["energy_p"], record["energy_perms"], record["verdict"]) == (
@@ -814,12 +830,14 @@ def _signed(magnitudes):
 
 
 @settings(max_examples=40, deadline=None)
-@given(trunc_n=st.integers(1025, 5000), rho=_scales(-300, 300), sigma=_scales(-300, 300),
-       mu=_signed(_scales(-300, 300)), tau=st.sampled_from([1, 2, 10, 1000]),
-       topk=st.integers(1, 11))
-def test_pp_walk_rows_finite_or_flag_error(trunc_n, rho, sigma, mu, tau, topk):
-    # past its first 1024 points each replica walks: gaps, or exit 2 naming a flag, and
-    # no RuntimeWarning on the way
+@given(depth=st.integers(1, 11).flatmap(lambda topk: st.tuples(st.just(topk),
+                                                               st.integers(topk + 1, 5000))),
+       rho=_scales(-300, 300), sigma=_scales(-300, 300), mu=_signed(_scales(-300, 300)),
+       tau=st.sampled_from([1, 2, 10, 1000]))
+def test_pp_walk_rows_finite_or_flag_error(depth, rho, sigma, mu, tau):
+    # below its first min(--trunc-n, 512) points each replica walks: gaps, or exit 2
+    # naming a flag, and no RuntimeWarning on the way
+    topk, trunc_n = depth
     with tempfile.TemporaryDirectory() as out:
         code, _, err = _run_quiet(["evolve", "--kind", "pp", "--rho", repr(rho),
                                    "--sigma", repr(sigma), f"--mu={mu!r}", "--tau", str(tau),

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
-from quasistat import experiments
+from quasistat import cli, experiments
 from quasistat.dynamics import IncrementLaw
 from quasistat.pointproc import (
     check_partition_rows,
@@ -16,11 +15,15 @@ from quasistat.pointproc import (
 )
 from quasistat.stattest import invariance_verdict
 
-from helpers import front_counts_loop, sample_gamma_arrivals
+from helpers import front_counts_loop, gap_law_p, sample_gamma_arrivals
 
 
 class _FixedDraws:
-    """Stands in for an IncrementLaw with scripted increments."""
+    """Stands in for an IncrementLaw with scripted increments.  Its mu and sigma
+    are the law of ``top_points``' promotion walk, whose points, near mu = -1e9,
+    rank below every scripted one: the walk promotes none of them."""
+
+    mu, sigma = -1e9, 1.0
 
     def __init__(self, draws, mean_weight=1.0):
         self.draws = np.asarray(draws, dtype=float)
@@ -32,6 +35,9 @@ class _FixedDraws:
 
     def log_mgf(self, lam):
         return np.log(self.mean_weight)
+
+    def survival(self, c, tilt=0.0):
+        return IncrementLaw(self.mu, self.sigma).survival(c, tilt)
 
 
 def test_increment_law_validation():
@@ -428,22 +434,23 @@ def _top_points_loop(rngs, rho, n, k, law, steps):
 @pytest.mark.parametrize("rho", [1e-3, 0.3, 1.0, 10.0])
 def test_top_points_matches_evolve_loop(rho, sigma):
     law, k = IncrementLaw(-0.4, sigma), 6
-    for n, replicas in [(k, 5), (k + 1, 5), (300, 5), (1024, 5), (1025, 5), (100_000, 2)]:
+    promoted = 0
+    for n, replicas in [(k, 5), (k + 1, 5), (300, 5), (512, 5), (513, 5), (100_000, 2)]:
         for steps in (0, 1):
             evolve = law if steps else None
             independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
             rows = experiments.top_points(independent, rho, n, k, law=evolve)
-            if steps and n > experiments._HEAD:
-                if n == experiments._HEAD + 1:
-                    # the head is the full draw of its first _HEAD points, and the one
-                    # point past it enters the top k or not
-                    independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
-                    head = _top_points_loop(independent, rho, n - 1, k, law, steps)
-                    for row, ref in zip(rows, head):
-                        kept = row[np.isin(row, ref)]
-                        assert kept.size >= k - 1 and kept.tobytes() == ref[:kept.size].tobytes()
-                continue  # deeper, the walk keeps the law (test_top_points_walk_keeps_the_law)
             independent = [np.random.default_rng([n, steps, i]) for i in range(replicas)]
+            if steps:
+                # a replica's head is the full draw of its first m points; where the walk
+                # promotes a point below them, the head's top values that stay keep their order
+                m = min(n, max(k, experiments._HEAD))
+                heads = _top_points_loop(independent, rho, m, m, law, steps)
+                for row, head in zip(rows, heads):
+                    kept = row[np.isin(row, head)]
+                    assert kept.tobytes() == head[:kept.size].tobytes(), n
+                    promoted += kept.size < k
+                continue  # a shared generator keeps the law (test_top_points_walk_keeps_the_law)
             reference = _top_points_loop(independent, rho, n, k, law, steps)
             assert rows.tobytes() == reference.tobytes(), (n, steps)
             # one generator for every replica, as the acceptance suite passes it
@@ -452,6 +459,8 @@ def test_top_points_matches_evolve_loop(rho, sigma):
             rows = experiments.top_points(repeat(rng, replicas), rho, n, k, law=evolve)
             assert rows.tobytes() == reference.tobytes(), (n, steps)
             assert rng.random() == ref_rng.random()  # nothing more or less was drawn
+    # the walk is live: where the increments spread the points, it promotes some
+    assert promoted > 0 or rho * sigma < 0.05
 
 
 @pytest.mark.parametrize("tau,sigma,n,shared", [
@@ -461,11 +470,12 @@ def test_top_points_matches_evolve_loop(rho, sigma):
     pytest.param(1, 1.0, 100_000, True, id="1-1.0-100000-shared"),
 ])
 def test_top_points_walk_keeps_the_law(tau, sigma, n, shared):
-    # past _HEAD points the walk draws only the points that can reach the top k;
-    # its top points and gaps must keep the law of the full draw.  A walk that
-    # stops at the head reads "rejected" at tau = 10 and at sigma = 50.  One
-    # generator shared by every replica, as the acceptance suite passes it, draws
-    # a chunk's heads before its walks, so it keeps only the law too.
+    # the evolved configuration is PP(rho) shifted by mu + rho sigma^2 / 2 of the summed
+    # law, whatever --trunc-n: its top points and gaps must keep the law of that closed
+    # form, drawn unevolved and shifted.  A walk that stops at the head reads "rejected"
+    # at tau = 10 and at sigma = 50, where the shift is 1250.  One generator shared by
+    # every replica, as the acceptance suite passes it, draws a chunk's heads before the
+    # walks that pass their batch, so it keeps only the law too.
     law, k, replicas = IncrementLaw(0.0, sigma).summed(tau), 6, 400
 
     def rngs(seed):
@@ -473,12 +483,25 @@ def test_top_points_walk_keeps_the_law(tau, sigma, n, shared):
             return repeat(np.random.default_rng([1, seed]), replicas)
         return [np.random.default_rng([1, seed, i]) for i in range(replicas)]
 
-    reference = _top_points_loop(rngs(1), 1.0, n, k, law, 1)
+    reference = experiments.top_points(rngs(1), 1.0, k, k) + law.log_mgf(1.0)
     rows = experiments.top_points(rngs(2), 1.0, n, k, law=law)
     for key, (a, b) in enumerate([(reference, rows), (-np.diff(reference), -np.diff(rows))]):
         report = invariance_verdict(a, b, level=0.01, n_perm=199,
                                     rng=np.random.default_rng([1, 3 + key]))
         assert report["verdict"] == "consistent", ("positions", "gaps")[key]
+
+
+@pytest.mark.parametrize("n", [8, 50, 500])
+def test_evolved_pp_gap_law_does_not_depend_on_the_head(n):
+    # T = sum_{i<=k} i (x_i - x_{i+1}) of the evolved top points is Gamma(k, rate rho)
+    # at every --trunc-n: at tau = 10 a head of n points, from k + 1 = 8 to 500, must
+    # not show.  3 seeds fixed in advance, Bonferroni over the 9 cases at level 0.01.
+    law, k = IncrementLaw(0.0, 1.0).summed(10), 7
+    for seed in (31, 32, 33):
+        rows = experiments.top_points(cli._generators(seed, 1, range(2000)), 1.0, n, k + 1,
+                                      law=law)
+        p = gap_law_p(rows, 1.0)
+        assert p >= 0.01 / 9, (seed, p)
 
 
 class _CountingRng:
@@ -496,57 +519,24 @@ class _CountingRng:
         return counted
 
 
-def _walk_calls(rngs, n, k, law):
-    """Per replica, the Gamma draws of its walk past the head, one per block, and its
-    calls for uniforms, two per block with proposals."""
-    rngs = [_CountingRng(rng) for rng in rngs]
-    experiments.top_points(rngs, 1.0, n, k, law=law)
-    return (np.array([rng.calls["standard_gamma"] for rng in rngs]),
-            np.array([rng.calls["random"] for rng in rngs]))
-
-
-def test_top_points_walk_blocks_expect_few_proposals():
-    # each block ends where it expects _BLOCK_PROPOSALS proposals, or at n: at the shape
-    # of the benchmark's deep pp gaps (rho = sigma = tau = 1, n = 10^5, k = 11) that is one
-    # block per replica, where doubling blocks took 7
-    n, head = 100_000, experiments._HEAD
-    gammas, _ = _walk_calls([np.random.default_rng([5, i]) for i in range(50)], n, 11,
-                            IncrementLaw(0.0, 1.0))
-    assert np.all(gammas == 1), np.bincount(gammas)
-    # where proposals are dense the blocks still at least double
-    gammas, _ = _walk_calls([np.random.default_rng([6, i]) for i in range(50)], n, 11,
-                            IncrementLaw(0.0, 1.0).summed(10))
-    assert np.all(gammas >= 1) and gammas.max() <= int(np.ceil(np.log2(n / head)))
-    # the generators of test_top_points_walk_keeps_the_law: its sigma = 50 case ends each
-    # walk's one block at n, with proposals, and its tau = 10 case ends some first blocks
-    # before n, so that law test covers both ends of a block
-    law_rngs = [np.random.default_rng([1, 2, i]) for i in range(400)]
-    gammas, uniforms = _walk_calls(law_rngs, 5000, 6, IncrementLaw(0.0, 50.0))
-    assert np.all(gammas == 1) and np.all(uniforms == 2)
-    law_rngs = [np.random.default_rng([1, 2, i]) for i in range(400)]
-    gammas, _ = _walk_calls(law_rngs, n, 6, IncrementLaw(0.0, 1.0).summed(10))
-    assert gammas.min() >= 1 and gammas.max() == 2
-
-
-def test_sample_above_is_the_conditional_law():
-    law, rng = IncrementLaw(0.3, 2.0), np.random.default_rng(14)
-    for z in (-30.0, -2.0, 0.0, 2.0, 10.0, 30.0):
-        c = np.full(10_000, law.mu + z * law.sigma)
-        h = law.sample_above(c, rng)
-        assert np.all(np.isfinite(h)) and np.all(h >= c), z
-    # the mean of N(mu, sigma^2) truncated to [mu + 2 sigma, inf)
-    h = law.sample_above(np.full(100_000, law.mu + 2.0 * law.sigma), rng)
-    expected = law.mu + law.sigma * np.exp(-2.0) / np.sqrt(2 * np.pi) / ndtr(-2.0)
-    assert abs(h.mean() - expected) <= 4 * h.std() / np.sqrt(h.size)
-    for z in (-30.0, 30.0):
-        assert law.survival(law.mu + z * law.sigma) == pytest.approx(ndtr(-z), rel=1e-12)
+@pytest.mark.parametrize("tau", [1, 10])
+def test_top_points_walk_draws_about_k_points(tau):
+    # each replica draws one batch of _WALK_BATCH pairs with its head, and another only
+    # where its walk passes them: at the shape of the benchmark's deep pp gaps (n = 10^5,
+    # k = 11) about k points are walked, whatever n or tau
+    rngs = [_CountingRng(np.random.default_rng([5, tau, i])) for i in range(200)]
+    experiments.top_points(rngs, 1.0, 100_000, 11, law=IncrementLaw(0.0, 1.0).summed(tau))
+    batches = np.array([rng.calls["random"] for rng in rngs])
+    assert batches.min() == 1 and batches.max() <= 2 and np.mean(batches > 1) <= 0.05
+    assert all(set(rng.calls) == {"standard_exponential", "normal", "random"} for rng in rngs)
 
 
 def test_top_points_cut_reaches_a_lifted_last_point():
-    # the last point's increment lifts it to first place, so no point may be cut
-    n, k = 500, 3
-    law = _FixedDraws(np.r_[np.zeros(n - 1), 1e3])
-    reference = _top_points_loop([np.random.default_rng(3)], 1.0, n, k, law, 1)
+    # the head's last point, lifted to first place by its increment, leads: the head
+    # is ranked in full, however deep the walk below it goes
+    n, k, head = 100_000, 3, experiments._HEAD
+    law = _FixedDraws(np.r_[np.zeros(head - 1), 1e3])
+    reference = _top_points_loop([np.random.default_rng(3)], 1.0, head, k, law, 1)
     rows = experiments.top_points([np.random.default_rng(3)], 1.0, n, k, law=law)
     assert rows.tobytes() == reference.tobytes()
     assert rows[0, 0] > 900.0
