@@ -67,9 +67,9 @@ def _check_counts(counts, k, error, message):
 
 class PoissonKingman(NamedTuple):
     """PD(alpha, 0) starts of n masses: the top n points X_i = -log(Gamma_i)/alpha
-    of PP(alpha e^{-alpha y} dy), as masses e^{X_i} normalized with their tail.
-    Each replica first draws its alpha uniformly from ``alphas``, which takes no
-    draw for a single alpha."""
+    of PP(alpha e^{-alpha y} dy), whose masses are e^{X_i} normalized with their
+    tail.  Each replica first draws its alpha uniformly from ``alphas``, which
+    takes no draw for a single alpha."""
 
     alphas: tuple
     n: int
@@ -84,15 +84,15 @@ class PoissonKingman(NamedTuple):
 
     def starts(self, draws, alphas):
         """A chunk of drawn rows, one parameter per row, as log-points with the tail
-        estimates of their sums of e^{X_i} relative to e^{X_1}, and as the masses and
-        tails these normalize to.  The arrival times are summed in place."""
-        points = pointproc.pp_exponential_rows(alphas, np.cumsum(draws, axis=1, out=draws))
-        return points, pointproc.mass_partition_rows(*points)[:2]
+        estimates of their sums of e^{X_i} relative to e^{X_1}.  The arrival times
+        are summed in place."""
+        return pointproc.pp_exponential_rows(alphas, np.cumsum(draws, axis=1, out=draws))
 
 
 class Partitions(NamedTuple):
     """Starts given per replica by ``sample(rng)``: a pair of at most n positive
-    ranked masses, as a 1-d array, and the tail they leave."""
+    ranked masses, as a 1-d array, and the tail they leave, carried as their logs
+    and the tail relative to the leading mass."""
 
     sample: object
     n: int
@@ -105,8 +105,7 @@ class Partitions(NamedTuple):
 
     def starts(self, draws, tails):
         with np.errstate(divide="ignore"):  # log(0) = -inf past each row's count
-            points = np.log(draws)
-        return (points, tails / draws[:, 0]), (draws, tails)
+            return np.log(draws), tails / draws[:, 0]
 
 
 def _draw_rows(rngs, sampler, law=None, uniforms=None):
@@ -130,20 +129,6 @@ def _draw_rows(rngs, sampler, law=None, uniforms=None):
     return draws, params, counts, h
 
 
-def _chunk_starts(rngs, sampler, k, law=None):
-    """Log-points with tail estimates, masses with tails, and increments of one
-    checked chunk of ``_draw_rows``; OverflowError where fewer than k masses are > 0."""
-    draws, params, counts, h = _draw_rows(rngs, sampler, law)
-    points, (masses, tails) = sampler.starts(draws, params)
-    del draws  # the reshuffles can reuse its memory
-    _check_counts(counts, k, ValueError, "a replica tracks {} values; {} are needed")
-    counts = np.count_nonzero(masses, axis=1)
-    _check_counts(counts, k, OverflowError,
-                  "a replica starts with {} positive masses, {} are needed: the rest underflowed")
-    pointproc.check_partition_rows(masses, tails, counts)
-    return points, (masses, tails), h
-
-
 def top_masses(rngs, sampler, k, law=None, beta=1.0):
     """Top k masses per replica, from the starts ``sampler`` (a
     ``PoissonKingman`` or ``Partitions``) draws, after one multiplicative
@@ -152,21 +137,28 @@ def top_masses(rngs, sampler, k, law=None, beta=1.0):
     Replicas run in chunks of rows.  Each draws its start and its increments,
     back to back, from its generator, as a loop over replicas would; the
     arithmetic runs once per chunk.  The reshuffle xi_i W_i / sum_j xi_j W_j,
-    W_i = e^{beta h_i}, ranks w = x + beta h on the log-points x of ``sampler.starts``
-    and normalizes it with their tail estimate times E[W]: normalizing does not
-    depend on scale.  Raises OverflowError where a start's points leave float64 or
-    its masses underflow, and FloatingPointError where the reshuffle's tail
-    overflows or its masses underflow.
+    W_i = e^{beta h_i}, is the additive step w = x + beta h on the log-points x of
+    ``sampler.starts``, ranked, with their tail estimate times E[W]: normalizing
+    does not depend on scale, so a chunk is normalized once, after the step.
+    Raises OverflowError where a start's points leave float64 or its masses
+    underflow, and FloatingPointError where the reshuffle's tail overflows or its
+    masses underflow.
     """
     tops = [np.empty((0, k))]
     for chunk in _chunks(rngs, sampler.n):
-        tops.append(_chunk_top_masses(chunk, sampler, k, law, beta))
+        masses, _ = _chunk_masses(chunk, sampler, k, law, beta)
+        tops.append(masses[:, :k].copy())  # a view would keep the whole chunk alive
     return np.concatenate(tops)
 
 
-def _chunk_top_masses(rngs, sampler, k, law, beta):
-    """``top_masses`` of one chunk of replicas; its chunk-sized arrays go when it returns."""
-    (x, tails), (masses, _), h = _chunk_starts(rngs, sampler, k, law)
+def _chunk_masses(rngs, sampler, k, law=None, beta=1.0):
+    """Checked masses and tail masses of one chunk of ``_draw_rows``: the log-points
+    of ``sampler.starts``, after one reshuffle by ``law`` if given, normalized."""
+    draws, params, counts, h = _draw_rows(rngs, sampler, law)
+    start = x, tails = sampler.starts(draws, params)
+    del draws  # the reshuffle can reuse its memory
+    _check_counts(counts, k, ValueError, "a replica tracks {} values; {} are needed")
+    w = x
     if law is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             w = np.add(x, np.multiply(h, beta, out=h), out=h)
@@ -180,16 +172,22 @@ def _chunk_top_masses(rngs, sampler, k, law, beta):
         v = law.log_mgf(beta)
         with np.errstate(over="ignore"):  # checked below
             tails = tails * np.exp(np.where(tails > 0, x[:, 0] + v - w[:, 0], 0.0))
-        del masses, x  # the start's rows go before the reshuffle's masses exist
         if not np.all(np.isfinite(tails)):
             raise FloatingPointError(f"E[e^{{beta h}}] = e^{{{v:.6g}}} overflows "
                                      f"the reshuffled tail")
-        masses, tails, _ = pointproc.mass_partition_rows(w, tails)
-        counts = np.count_nonzero(masses, axis=1)
-        pointproc.check_partition_rows(masses, tails, counts)
-        _check_counts(counts, k, FloatingPointError, "a replica keeps {} positive masses after "
-                      "the reshuffle, {} are needed: the rest underflowed")
-    return masses[:, :k].copy()  # a view would keep the whole chunk alive
+    masses, tails, _ = pointproc.mass_partition_rows(w, tails)
+    counts = np.count_nonzero(masses, axis=1)
+    error, message = OverflowError, ("a replica starts with {} positive masses, {} are needed: "
+                                     "the rest underflowed")
+    if law is not None and np.any(counts < k):
+        # only here is an evolved start normalized: one that underflows names its own flags
+        _check_counts(np.count_nonzero(pointproc.mass_partition_rows(*start)[0], axis=1), k,
+                      error, message)
+        error, message = FloatingPointError, ("a replica keeps {} positive masses after the "
+                                              "reshuffle, {} are needed: the rest underflowed")
+    _check_counts(counts, k, error, message)
+    pointproc.check_partition_rows(masses, tails, counts)
+    return masses, tails
 
 
 def top_points(rngs, rho, n, k, law=None):
@@ -293,7 +291,7 @@ def oracle_masses(streams, alpha, n, k):
     for (name, sampler), rngs in zip(samplers.items(), streams):
         rows, sums = [np.empty((0, k))], []
         for chunk in _chunks(rngs, sampler.n):
-            _, (masses, tails), _ = _chunk_starts(chunk, sampler, k)
+            masses, tails = _chunk_masses(chunk, sampler, k)
             rows.append(masses[:, :k].copy())
             sums.append(sum_squares_rows(masses, tails))
         tops[name] = np.concatenate(rows)

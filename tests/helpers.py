@@ -64,6 +64,34 @@ def poisson_kingman_rows(alphas, arrivals):
     return atoms, tails / total
 
 
+def gem_partition(alpha, theta, sticks=500):
+    """A ``Partitions`` sample of PD(alpha, theta) by stick-breaking, GEM(alpha, theta):
+    ``sticks`` sticks V_i ~ Beta(1 - alpha, theta + i alpha) in one draw, ranked, and
+    the tail 1 - sum they leave.  A near alternative to PD(alpha, 0) for theta > 0."""
+    def sample(rng):
+        v = rng.beta(1.0 - alpha, theta + alpha * np.arange(1, sticks + 1))
+        masses = np.sort(v * np.cumprod(np.concatenate(([1.0], 1.0 - v[:-1]))))[::-1]
+        masses = masses[masses > 0]
+        return masses, max(0.0, 1.0 - masses.sum())
+    return sample
+
+
+def decorated_pp_gaps(q, replicas, rng, k=5, n=500, law=None):
+    """First k gaps of the top points of ``replicas`` decorated PP(1) configurations,
+    given ``law`` after one step that moves every point by one draw of it.  Each of
+    the top n points X_i = -log(Gamma_i) gains, with probability q, a twin X_i - D_i,
+    D_i ~ Exp(mean 0.5): random offsets keep an atom out of the gap law.  A near
+    alternative to PP(1) with its exponential intensity, not quasi-stationary."""
+    x = -np.log(np.cumsum(rng.exponential(size=(replicas, n)), axis=1))
+    twins = np.where(rng.random((replicas, n)) < q, x - rng.exponential(0.5, (replicas, n)),
+                     -np.inf)
+    points = np.concatenate((x, twins), axis=1)
+    if law is not None:
+        points += law.sample(points.shape, rng)
+    points.sort(axis=1)
+    return -np.diff(points[:, :-k - 2:-1], axis=1)
+
+
 def tail_sums(levels, points, law):
     """sum_i P(x_i + h >= y) for each level y, h one draw of ``law``, or the count
     #{i : x_i >= y} for ``law`` None: the front profile

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The suite is Monte Carlo
-heavy (~20-25 s end to end on 2 CPUs); every experiment is pinned to explicit
+heavy (~25-30 s end to end on 2 CPUs); every experiment is pinned to explicit
 seeds so reruns are reproducible.
 """
 

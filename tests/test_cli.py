@@ -362,7 +362,7 @@ _GOLDEN_FLAGS = ["--alpha", "0.5", "--alphas", "0.3,0.7", "--rho", "1", "--repli
 _GOLDEN_CSV = {
     ("sample", "pd"): "fae88df577c171a6e0c25ede1ff526d5b24375a6e51472993b62007f5889b82f",
     ("sample", "pp"): "44643849ac2bc3fc914c26b5e244d806f71df0373f70bf6e3855da690c45f4ed",
-    ("sample", "geometric"): "8d9f0364e59e7f9c870af56365c71bdb9141827a7294c745ad92c395d92b5891",
+    ("sample", "geometric"): "790a644b97d7b467d324aeeba9b80b092058828b705f713762186feaffb04d91",
     ("sample", "mixture-of-pd"): "8516dc0b3e7b36a2ff71250bbe30e538931e0f4c1ffc7dd895fdcb65aecb8b2c",
     ("evolve", "pd"): "8582731e1863bb9915266f13bcbf0e3624e58da1b7460f99d98190c82f5efacc",
     ("evolve", "pp"): "6c54b1bbb362db9eec9d7b0cf7fb740d41511ee216ec911f3bdc9750dbccfc89",

@@ -287,6 +287,21 @@ def test_top_masses_refuses_rows_that_underflow_below_k():
         experiments.top_masses([None], sampler, 3)
 
 
+@pytest.mark.parametrize("sampler", [experiments.PoissonKingman((0.5,), 40),
+                                     experiments.Partitions(lambda rng: _geometric(40), 40)])
+def test_evolved_chunk_normalizes_and_checks_once(monkeypatch, sampler):
+    # a start stays log-points through the step: only the reshuffled rows are normalized
+    calls = Counter()
+    for name in ("mass_partition_rows", "check_partition_rows"):
+        def counted(*args, _call=getattr(experiments.pointproc, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(experiments.pointproc, name, counted)
+    rngs = [np.random.default_rng([9, i]) for i in range(10)]  # one chunk
+    experiments.top_masses(rngs, sampler, 5, law=IncrementLaw(0.0, 1.0))
+    assert calls == {"mass_partition_rows": 1, "check_partition_rows": 1}
+
+
 # Per-replica loops that the row kernels replace, kept as references: the
 # log-point arithmetic of ``experiments.top_masses``, which its chunks must match
 # bit for bit, and the reshuffle of the masses themselves, which it must match in law.
@@ -327,10 +342,11 @@ def _partition_start(sample, n):
 
 def _log_point_loop(rngs, start, k, law, beta, steps):
     """``top_masses`` of each replica, after ``steps`` <= 1 reshuffles: its
-    log-points x + beta h, ranked, with a positive tail advanced by E[W] e^{x_1 - w_1}."""
+    log-points x, or after the step x + beta h, ranked, with a positive tail
+    advanced by E[W] e^{x_1 - w_1}, normalized with their tail."""
     rows = []
     for rng in rngs:
-        (x, tail), (masses, _) = start(rng)
+        (x, tail), _ = start(rng)
         if steps:
             count = np.count_nonzero(x > -np.inf)
             h = np.zeros(x.size)
@@ -338,8 +354,8 @@ def _log_point_loop(rngs, start, k, law, beta, steps):
             w = -np.sort(-(x + beta * h))
             if tail > 0:
                 tail = tail * np.exp(x[0] + law.log_mgf(beta) - w[0])
-            masses, _ = _normalized(w, tail)
-        rows.append(masses[:k])
+            x = w
+        rows.append(_normalized(x, tail)[0][:k])
     return np.array(rows)
 
 

@@ -54,7 +54,7 @@ def _pd_rows(alpha, n, replicas, rng):
     """PD(alpha, 0) masses and tails of ``replicas`` rows, as ``experiments`` draws them."""
     alphas = np.full(replicas, alpha)
     draws = rng.exponential(size=(replicas, n))
-    return experiments.PoissonKingman((alpha,), n).starts(draws, alphas)[1]
+    return mass_partition_rows(*experiments.PoissonKingman((alpha,), n).starts(draws, alphas))[:2]
 
 
 def test_pp_exponential_transform():
@@ -156,8 +156,8 @@ def test_pk_atom_count_is_poisson():
 def test_normalization_arithmetic():
     # draws [1, 99] give Gamma = [1, 100], weights e^{X_i} = Gamma^{-2} = [1, 1e-4] and
     # tail estimate Gamma_2^{1 - 1/alpha} / (1/alpha - 1) = 0.01 at alpha = 1/2
-    _, (masses, tails) = experiments.PoissonKingman((0.5,), 2).starts(np.array([[1.0, 99.0]]),
-                                                                      np.array([0.5]))
+    start = experiments.PoissonKingman((0.5,), 2).starts(np.array([[1.0, 99.0]]), np.array([0.5]))
+    masses, tails = mass_partition_rows(*start)[:2]
     np.testing.assert_allclose(masses, [np.array([1.0, 1e-4]) / 1.0101])
     assert tails[0] == pytest.approx(0.01 / 1.0101)
 
@@ -169,7 +169,7 @@ def test_pd_starts_match_the_power_reference(alphas):
     draws = np.random.default_rng(43).exponential(size=(100, 500))
     params = np.resize(alphas, 100)  # one chunk; (0.3, 0.7) alternate row by row
     expected = poisson_kingman_rows(params, draws.cumsum(axis=1))
-    _, starts = experiments.PoissonKingman(alphas, 500).starts(draws, params)
+    starts = mass_partition_rows(*experiments.PoissonKingman(alphas, 500).starts(draws, params))[:2]
     for got, want in zip(starts, expected):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 

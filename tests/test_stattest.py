@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
-from quasistat import stattest
+from quasistat import experiments, stattest
+from quasistat.dynamics import IncrementLaw
 from quasistat.stattest import (
     energy_distance_perm_test,
     invariance_verdict,
     ks_two_sample,
 )
 
-from helpers import marginal_law_test
+from helpers import decorated_pp_gaps, gem_partition, marginal_law_test
 
 
 def test_ks_identical_samples():
@@ -351,3 +353,49 @@ def test_verdict_rule_matches_definition():
     min_ks_p = min(p for _, p in report["ks"])
     rejected = min_ks_p < 0.05 / 2 or report["energy_p"] < 0.05
     assert (report["verdict"] == "rejected") == rejected
+
+
+# Power floors: the verdict must reject starts that the converse of each theorem says
+# one step moves, or a verdict that always read "consistent" would pass every null
+# gate.  Seeds 1-10 are fixed in advance; each seed draws its start ensemble, its
+# evolved ensemble and its verdict from default_rng([item, seed, half]), half 0, 1, 2.
+
+def _rejections(item, ensembles):
+    """Seeds of 1-10 where the verdict at level 0.01 rejects ``ensembles(start, evolved)``,
+    a pair of ensembles drawn from those two generators."""
+    rejected = 0
+    for seed in range(1, 11):
+        start, evolved, verdict = (np.random.default_rng([item, seed, half]) for half in range(3))
+        report = invariance_verdict(*ensembles(start, evolved), level=0.01, n_perm=199,
+                                    rng=verdict)
+        rejected += report["verdict"] == "rejected"
+    return rejected
+
+
+@pytest.mark.parametrize("alpha,theta,replicas,low,high", [
+    (0.5, 0.0, 500, 0, 2),  # the control: PD(0.5, 0) is invariant
+    (0.5, 2.0, 500, 9, 10),
+    (0.0, 1.0, 2000, 9, 10),
+])
+def test_pd_theta_starts_rejected(alpha, theta, replicas, low, high):
+    # PD(alpha, theta), theta > 0, is no mixture of PD(alpha', 0) laws, which are mutually
+    # singular (Pitman, LNM 1875, 2006): one N(0, 1) step moves it
+    sampler = experiments.Partitions(gem_partition(alpha, theta), 500)
+
+    def ensembles(start, evolved):
+        return (experiments.top_masses(repeat(start, replicas), sampler, 5),
+                experiments.top_masses(repeat(evolved, replicas), sampler, 5,
+                                       law=IncrementLaw(0.0, 1.0)))
+
+    assert low <= _rejections(14, ensembles) <= high
+
+
+@pytest.mark.parametrize("q,low,high", [(0.0, 0, 2), (0.5, 9, 10), (1.0, 9, 10)])
+def test_decorated_pp_starts_rejected(q, low, high):
+    # PP(1) with twins is not quasi-stationary (Ruzmaikina & Aizenman, 2005); q = 0 is
+    # PP(1) itself, the control
+    def ensembles(start, evolved):
+        return (decorated_pp_gaps(q, 500, start),
+                decorated_pp_gaps(q, 500, evolved, law=IncrementLaw(0.0, 1.0)))
+
+    assert low <= _rejections(18, ensembles) <= high
