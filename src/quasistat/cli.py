@@ -57,7 +57,8 @@ OPTIONS = {
     "sigma": Option(1.0, float, "increment law std dev", _above(0)),
     "tau": Option(1, int, "evolution steps", _at_least(0)),
     "topk": Option(5, int, "tracked coordinates per replica", _at_least(1)),
-    "trunc_n": Option(500, int, "tracked points per replica", _at_least(1)),
+    "trunc_n": Option(500, int, "tracked points per replica; evolved, it caps a pp head, and a "
+                      "pd half reads --topk alone", _at_least(1)),
     "level": Option(0.01, float, "test level", _UNIT),
     "n_perm": Option(199, int, "energy-test permutations", _at_least(199)),
     "f_a": Option(0.5, float, "step amplitude", _at_least(0)),
@@ -291,40 +292,45 @@ def _in_range(cfg, ensemble, *args, **kwargs):
     # --input rows take one step, whatever --tau reads
     steps = ("the one step of --kind custom-from-file" if cfg["kind"] == "custom-from-file"
              else f"--tau {cfg['tau']}")
+    key = ("rho" if ensemble is not experiments.top_masses
+           else "alphas" if cfg["kind"] == "mixture-of-pd" else "alpha")
+    walked = cfg["kind"] in ("pd", "mixture-of-pd")  # an evolved PD start walks, drawing beta h
     try:
         return ensemble(*args, **kwargs)
     except OverflowError as exc:  # raised by a start, before any reshuffle
-        key = ("rho" if ensemble is not experiments.top_masses
-               else "alphas" if cfg["kind"] == "mixture-of-pd" else "alpha")
         raise ConfigError(f"{_flag(key)} {cfg[key]} takes the start beyond float64: "
                           f"{exc}") from None
-    except FloatingPointError as exc:  # raised by a reshuffle, or by a pp ensemble's walk
-        if cfg["kind"] == "pp":
-            raise ConfigError(f"--rho {cfg['rho']}, --mu {cfg['mu']}, --sigma {cfg['sigma']} "
-                              f"and {steps} take the evolved points beyond float64: "
-                              f"{exc}") from None
-        raise ConfigError(f"--sigma {cfg['sigma']}, --beta {cfg['beta']} and {steps} "
-                          f"take the reshuffle beyond float64: {exc}") from None
+    except FloatingPointError as exc:  # raised by a reshuffle, or by a walk, which reads more
+        keys = (["rho", "mu", "sigma"] if cfg["kind"] == "pp" else [key, "beta", "mu", "sigma"]
+                if walked else ["sigma", "beta"])
+        what = "the evolved points" if cfg["kind"] == "pp" else "the reshuffle"
+        raise ConfigError(f"{', '.join(f'{_flag(k)} {cfg[k]}' for k in keys)} and {steps} "
+                          f"take {what} beyond float64: {exc}") from None
     except dynamics.NonFiniteIncrementError as exc:
-        raise ConfigError(f"--mu {cfg['mu']}, --sigma {cfg['sigma']} and {steps} "
+        beta = f", --beta {cfg['beta']}" if walked else ""
+        raise ConfigError(f"--mu {cfg['mu']}, --sigma {cfg['sigma']}{beta} and {steps} "
                           f"take the increments beyond float64: {exc}") from None
 
 
 def _ensemble(cfg, stream, steps):
     """Replica x topk matrix after ``steps`` evolution steps, taken as one step of
-    their summed law, and its column prefix: gaps of the point process for
-    kind=pp, top masses otherwise."""
+    their summed law, its column prefix and its report fields: gaps of the point
+    process for kind=pp, top masses otherwise, with a walked ``truncation`` block."""
     k, law = cfg["topk"], _increment_law(cfg, steps) if steps else None
     if cfg["kind"] == "pp":
         _check_depth(cfg, k + 1)
         # unevolved, only the top k + 1 points are read, and they are a prefix of any deeper draw
         n = cfg["trunc_n"] if steps else k + 1
         return _in_range(cfg, experiments.top_gaps, _rngs(cfg, stream), cfg["rho"], n, k,
-                         law=law), "gap"
+                         law=law), "gap", {}
     sampler = _partition_sampler(cfg)
     _check_depth(cfg, k)
-    return _in_range(cfg, experiments.top_masses, _rngs(cfg, stream), sampler, k, law=law,
-                     beta=cfg["beta"]), "xi"
+    rows, cut = _in_range(cfg, experiments.top_masses, _rngs(cfg, stream), sampler, k, law=law,
+                          beta=cfg["beta"])
+    return rows, "xi", {} if cut is None else {"truncation": {
+        "head": k, "walked_mean": float(cut[0].mean()), "walked_max": int(cut[0].max()),
+        "promoted_replicas": int(cut[1].sum()), "max_remainder_share": float(cut[2].max()),
+        "max_sd_bound_share": float(cut[3].max())}}
 
 
 def _input_partition(row, i, k):
@@ -363,7 +369,7 @@ def _custom_ensembles(cfg):
     sampler = experiments.Partitions(lambda rng: next(evolved), data.shape[1])
     rngs = _rngs(cfg, 1, len(partitions) - half)
     return before, _in_range(cfg, experiments.top_masses, rngs, sampler, k,
-                             law=_increment_law(cfg), beta=cfg["beta"])
+                             law=_increment_law(cfg), beta=cfg["beta"])[0]
 
 
 def _header(prefix, k):
@@ -394,26 +400,26 @@ def cmd_sample(cfg):
                          cfg["topk"])
         prefix = "x"
     else:
-        rows, prefix = _ensemble(cfg, 0, steps=0)
+        rows, prefix, _ = _ensemble(cfg, 0, steps=0)
     path = _write(cfg, "sample.csv", _header(prefix, cfg["topk"]), rows)
     return {"files": [path], "column_means": [float(m) for m in rows.mean(axis=0)]}, True
 
 
 def cmd_evolve(cfg):
-    rows, prefix = _ensemble(cfg, 0, steps=cfg["tau"])
-    return {"files": [_write(cfg, "evolved.csv", _header(prefix, cfg["topk"]), rows)]}, True
+    rows, prefix, fields = _ensemble(cfg, 0, steps=cfg["tau"])
+    return {"files": [_write(cfg, "evolved.csv", _header(prefix, cfg["topk"]), rows)],
+            **fields}, True
 
 
 def cmd_test_invariance(cfg):
     if cfg["kind"] == "custom-from-file":
-        before, after = _custom_ensembles(cfg)
-        prefix = "xi"
+        (before, after), prefix, evolved = _custom_ensembles(cfg), "xi", {}
     else:
         if cfg["tau"] < 1:
             raise ConfigError(f"--tau must be >= 1 for test-invariance, got {cfg['tau']}: "
                               f"the evolved half takes --tau steps")
-        before, prefix = _ensemble(cfg, 0, steps=0)
-        after, _ = _ensemble(cfg, 1, steps=cfg["tau"])
+        before, prefix, _ = _ensemble(cfg, 0, steps=0)
+        after, _, evolved = _ensemble(cfg, 1, steps=cfg["tau"])
     names = _header(prefix, cfg["topk"])
     if 1.0 / (cfg["n_perm"] + 1.0) >= cfg["level"]:  # its p is at least 1 / (n_perm + 1)
         print(f"warning: --level {cfg['level']} with --n-perm {cfg['n_perm']}: the energy "
@@ -432,6 +438,7 @@ def cmd_test_invariance(cfg):
         "coordinates": names,
         "ks": [{"coordinate": n, "statistic": d, "p": p} for n, (d, p) in zip(names, report["ks"])],
         "files": [pcsv],
+        **evolved,
     }
     return fields, report["verdict"] == "consistent"
 

@@ -5,9 +5,10 @@ the configuration is re-ranked; ``experiments.top_points`` draws h_i for a head
 of points and promotes the rest by thinning, with the law tilted by e^{rho h}
 (``IncrementLaw.survival``).
 Multiplicative picture: every mass is reweighted by the lognormal
-W_i = e^{beta*h_i} and renormalized, and the untracked tail advances by its
-mean factor E[e^{beta*h}] = e^{log_mgf(beta)}.  On log-masses this is the
-additive step x_i + beta*h_i, normalized; ``experiments.top_masses`` takes it so.
+W_i = e^{beta*h_i} and renormalized.  On log-masses this is the additive step
+x_i + beta*h_i, normalized; ``experiments.top_masses`` takes it so, walking the
+points below a PD start's head, and advancing the untracked tail of a
+``Partitions`` start by its mean factor E[e^{beta*h}] = e^{log_mgf(beta)}.
 """
 
 from dataclasses import dataclass
@@ -43,10 +44,9 @@ class IncrementLaw:
         return rng.normal(self.mu, self.sigma, size=size)
 
     def survival(self, c, tilt=0.0):
-        """P(h >= c) elementwise, under the law tilted by e^{tilt h}: N(mu + tilt sigma^2,
-        sigma^2), whose mean is formed as (mu - c) / sigma + tilt sigma, not tilt sigma^2."""
-        z = (self.mu - c) / self.sigma
-        return ndtr(z + tilt * self.sigma if tilt else z)
+        """P(h >= c) elementwise under the law tilted by e^{tilt h}, tilt a number or an
+        array: N(mu + tilt sigma^2, sigma^2), its mean formed as (mu - c) / sigma + tilt sigma."""
+        return ndtr((self.mu - c) / self.sigma + tilt * self.sigma)
 
     def summed(self, tau):
         """The law N(tau mu, tau sigma^2) of h_1 + ... + h_tau, tau >= 1: as the

@@ -7,9 +7,10 @@ rows, each drawing from its generator in loop order, and the arithmetic runs
 once per chunk.  An ensemble evolves by at most one step: tau steps of iid
 increments are one step of ``IncrementLaw.summed(tau)`` in law.  A reshuffle
 of masses is the additive step on their log-points, normalized.  An evolved
-``top_points`` replica draws at most ``_HEAD`` points, and the points below them
-enter its top k by one top-down promotion walk, exact in law.  Results are arrays
-and plain numbers; writing files and judging verdicts is left to the caller.
+``top_points`` replica draws at most ``_HEAD`` points, an evolved PD start k, and
+the points below them enter its top k by one top-down promotion walk, exact in
+law; a ``Partitions`` start advances its tail by its mean factor.  Results are
+arrays and plain numbers; writing files and judging verdicts is left to the caller.
 
 The front profile of a configuration X over a horizon tau is
 F(y) = sum_i P(X_i + S_i(tau) >= y) with S_i(tau) the tau-step increment sum,
@@ -24,6 +25,7 @@ import itertools
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from . import dynamics, pointproc
 
@@ -37,6 +39,9 @@ _HEAD = 512
 # (exponential, uniform) pairs an evolved ``top_points`` replica draws right after its
 # increments, and again each time its walk passes them: about k are walked
 _WALK_BATCH = 32
+# float64 values' worth of memory a replica's Generator holds, ~2 KB: a walked PD chunk keeps
+# its rows' until their walks end, and 949 rows of 69 values held ~1.5 MB more than 201
+_GENERATOR_ELEMS = 256
 # leading points of a start that ``front_bound_counts`` screens one by one; deeper
 # points enter by doubling blocks, so at n = 500 a level takes 16 + 5 terms, not 500
 _SCREEN_HEAD = 16
@@ -132,34 +137,48 @@ def _draw_rows(rngs, sampler, law=None, uniforms=None):
 def top_masses(rngs, sampler, k, law=None, beta=1.0):
     """Top k masses per replica, from the starts ``sampler`` (a
     ``PoissonKingman`` or ``Partitions``) draws, after one multiplicative
-    reshuffle by ``law`` if given.
+    reshuffle by ``law`` if given; and ``_walk_masses``' counters where it walked.
 
     Replicas run in chunks of rows.  Each draws its start and its increments,
     back to back, from its generator, as a loop over replicas would; the
     arithmetic runs once per chunk.  The reshuffle xi_i W_i / sum_j xi_j W_j,
     W_i = e^{beta h_i}, is the additive step w = x + beta h on the log-points x of
-    ``sampler.starts``, ranked, with their tail estimate times E[W]: normalizing
-    does not depend on scale, so a chunk is normalized once, after the step.
-    Raises OverflowError where a start's points leave float64 or its masses
-    underflow, and FloatingPointError where the reshuffle's tail overflows or its
-    masses underflow.
+    ``sampler.starts``: normalizing does not depend on scale, so a chunk is
+    normalized once, after the step.  A ``Partitions`` start steps each mass and
+    advances its tail by E[W]; a ``PoissonKingman`` start draws k points, whatever
+    its n, and ``_walk_masses`` promotes PP(alpha) below them.  Raises OverflowError
+    where a start's points leave float64 or its masses underflow, and
+    FloatingPointError where the step leaves float64 or its masses underflow.
     """
-    tops = [np.empty((0, k))]
-    for chunk in _chunks(rngs, sampler.n):
-        masses, _ = _chunk_masses(chunk, sampler, k, law, beta)
+    walk = law is not None and isinstance(sampler, PoissonKingman)
+    if walk:  # e^{beta mu}, common to every W, cancels: beta h is drawn less its mean
+        try:  # a spread that underflows moves nothing, as the least subnormal does
+            law = dynamics.IncrementLaw(0.0, max(beta * law.sigma, 5e-324))
+        except ValueError as exc:
+            raise FloatingPointError(f"the step beta h leaves float64: {exc}") from None
+        sampler = sampler._replace(n=k)
+    tops, cuts = [np.empty((0, k))], [np.empty((4, 0))]
+    for chunk in _chunks(rngs, k + 2 * _WALK_BATCH + _GENERATOR_ELEMS if walk else sampler.n):
+        masses, _, cut = _chunk_masses(chunk, sampler, k, law, beta)
         tops.append(masses[:, :k].copy())  # a view would keep the whole chunk alive
-    return np.concatenate(tops)
+        cuts.append(cut)
+    return np.concatenate(tops), np.concatenate(cuts, axis=1) if walk else None
 
 
 def _chunk_masses(rngs, sampler, k, law=None, beta=1.0):
     """Checked masses and tail masses of one chunk of ``_draw_rows``: the log-points
-    of ``sampler.starts``, after one reshuffle by ``law`` if given, normalized."""
-    draws, params, counts, h = _draw_rows(rngs, sampler, law)
+    of ``sampler.starts``, after one reshuffle by ``law`` if given, normalized; and
+    the walk's counters where a ``PoissonKingman`` start evolved, else None."""
+    walk = law is not None and isinstance(sampler, PoissonKingman)
+    pairs = np.empty((len(rngs), 2, _WALK_BATCH)) if walk else None
+    draws, params, counts, h = _draw_rows(rngs, sampler, law, pairs)
     start = x, tails = sampler.starts(draws, params)
     del draws  # the reshuffle can reuse its memory
     _check_counts(counts, k, ValueError, "a replica tracks {} values; {} are needed")
-    w = x
-    if law is not None:
+    w, cut = x, None
+    if walk:
+        w, tails, cut = _walk_masses(rngs, pairs, x, h, params, law)
+    elif law is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             w = np.add(x, np.multiply(h, beta, out=h), out=h)
         w.sort(axis=1)
@@ -187,7 +206,49 @@ def _chunk_masses(rngs, sampler, k, law=None, beta=1.0):
                                               "reshuffle, {} are needed: the rest underflowed")
     _check_counts(counts, k, error, message)
     pointproc.check_partition_rows(masses, tails, counts)
-    return masses, tails
+    return masses, tails, cut
+
+
+def _walk_masses(rngs, pairs, x, h, alphas, law):
+    """The evolved top k log-masses, ranked, of a chunk whose rows of x hold the first
+    k points of PP(alpha), one alpha per row, and of h their steps by ``law``, N(0, S^2);
+    their tail relative to the first; and rows of counters: points walked, a promoted
+    point in the top k, and the mean of the untracked sum R and its SD bound over the
+    total T.  The step runs less the shift alpha S^2 / 2 of PP(alpha): the head moves to
+    x + h - alpha S^2 / 2, and ``_promote`` walks below c = x_k - alpha S^2 / 2.  R sums
+    e^y over the points kept below the walk's last point s: with b = 1 - alpha and
+    A = c + alpha S^2, E[R] = alpha / b [e^{bs} Phi((A - s)/S) + e^{bA + b^2 S^2/2}
+    Phi((s - A - bS^2)/S)] and its SD is at most sqrt(alpha e^{(2 - alpha) s} / (2 - alpha)).
+    A row walks on until that bound is at most T / 100, in logs relative to its leading
+    value.  Raises FloatingPointError where the shift or E[R] leaves float64.
+    """
+    spread, (n, k) = law.sigma, x.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        shift = 0.5 * (alphas * spread) * spread
+        tops = np.sort(x + h - shift[:, None], axis=1)
+    if not np.all(np.isfinite(tops[:, [0, -1]])):
+        raise FloatingPointError("a top point x + beta h, or the shift alpha (beta sigma)^2 / 2 "
+                                 "of the points below them, leaves float64")
+    c, heads, (rest, er, sd) = x[:, -1] - shift, tops[:, 0].copy(), np.zeros((3, n))
+
+    def remainder(rows, s, merged):  # before the top k are taken from merged
+        a, b, lead, cut = alphas[rows], 1.0 - alphas[rows], merged[:, -1], c[rows]
+        rest[rows] = (rest[rows] * np.exp(tops[rows, -1] - lead)
+                      + np.exp(merged[:, :-k] - lead[:, None]).sum(axis=1))
+        z = (cut - s) / spread  # (A - s) / S is z + alpha S
+        with np.errstate(invalid="ignore"):  # checked below
+            er[rows] = a / b * np.exp(b * (s - lead) - a * lead + np.logaddexp(
+                log_ndtr(z + a * spread),
+                b * (cut - s) + 0.5 * b * (1.0 + a) * spread * spread + log_ndtr(-z - spread)))
+            sd[rows] = np.sqrt(a / (2.0 - a) * np.exp((2.0 - a) * (s - lead) - a * lead))
+            total = np.exp(merged[:, -k:] - lead[:, None]).sum(axis=1) + rest[rows] + er[rows]
+        if not np.all(np.isfinite(total)):
+            raise FloatingPointError("the mean E[R] of the untracked sum leaves float64")
+        return sd[rows] > 0.01 * total
+
+    walked = _promote(rngs, pairs, tops, c, law, alphas, 0.0, remainder)
+    total = np.exp(tops - tops[:, -1:]).sum(axis=1) + rest + er
+    return tops[:, ::-1], rest + er, np.array([walked, tops[:, 0] > heads, er / total, sd / total])
 
 
 def top_points(rngs, rho, n, k, law=None):
@@ -198,14 +259,9 @@ def top_points(rngs, rho, n, k, law=None):
     Replicas run in chunks of rows, ranked once per chunk.  Unevolved, each replica
     draws its n arrival times.  Evolved, it draws its first m = min(n, max(k, _HEAD))
     arrival times, their increments and ``_WALK_BATCH`` pairs of uniforms, and ranks
-    x_i + h_i.  Given this head, the points below c = x_m evolve into a PPP of
-    intensity rho e^{-rho y} E[e^{rho h}] P(h' >= y - c), h' ~ N(mu + rho sigma^2,
-    sigma^2) the law tilted by e^{rho h} (Kingman, 1993: marking and mapping).  The
-    pairs walk the process that dominates it, PP(rho) shifted by mu + rho sigma^2 / 2,
-    from the top down, keep each point y with probability P(h' >= y - c) (Lewis &
-    Shedler, 1979), merge it into the top k, and stop at a point at or below the k-th
-    value; a replica whose pairs run out first draws more after its chunk.  So
-    per-replica generators keep their head draws, and a shared one keeps the law.
+    x_i + h_i; ``_promote`` walks the points below c = x_m and stops at a point at or
+    below the k-th value.  So per-replica generators keep their head draws, and a
+    shared one keeps the law.
     Raises NonFiniteIncrementError where an increment is not finite, OverflowError
     where a point of PP(rho) leaves float64, and FloatingPointError where the head's
     top k or the shift does.
@@ -237,20 +293,42 @@ def _chunk_top_points(rngs, rho, m, k, law):
     if not (np.isfinite(shift) and np.all(np.isfinite(tops[:, [0, -1]]))):
         raise FloatingPointError(f"a top point x + h, or the shift mu + rho sigma^2 / 2 = "
                                  f"{shift:.6g} of the points below them, leaves float64")
-    c, arrivals, walking = x[:, -1], np.zeros(len(rngs)), np.arange(len(rngs))
+    _promote(rngs, pairs, tops, x[:, -1], law, np.full(len(rngs), rho), shift)
+    return tops[:, ::-1].copy()
+
+
+def _promote(rngs, pairs, tops, c, law, rho, shift, more=None):
+    """Merge into each row of ``tops``, its k largest values ascending, in place, the
+    points below c of PP(rho) after one step by ``law``, one c and rho per row, and
+    return the number each row walked.  Given the head above c, those points form a
+    PPP of intensity rho e^{-rho y} E[e^{rho h}] P(h' >= y - c), h' ~ N(mu + rho sigma^2,
+    sigma^2) the law tilted by e^{rho h} (Kingman, 1993: marking and mapping).  A row's
+    ``pairs`` walk the process that dominates it, PP(rho) shifted by ``shift`` =
+    mu + rho sigma^2 / 2 (or 0, in a frame moved by it), from the top down, keep each
+    point y with probability P(h' >= y - c) (Lewis & Shedler, 1979), and merge it into
+    the top k, while the last point is above the k-th value or ``more(rows, s, merged)``
+    holds of it and the merged values; past its pairs a row draws more after its chunk.
+    """
+    k = tops.shape[1]
+    arrivals, walked, walking = np.zeros(len(tops)), np.zeros(len(tops)), np.arange(len(tops))
     # y - c and (mu - y + c) / sigma may overflow, where ndtr is exact: once a chunk
     with np.errstate(over="ignore"):
         while walking.size:
             g = arrivals[walking, None] + np.cumsum(-np.log1p(-pairs[walking, 0]), axis=1)
-            y = shift + pointproc.pp_points(rho, g)
-            kept = pairs[walking, 1] < law.survival(y - c[walking, None], tilt=rho)
-            merged = np.concatenate((tops[walking], np.where(kept, y, -np.inf)), axis=1)
-            tops[walking] = np.sort(merged, axis=1)[:, -k:]
+            y = shift + pointproc.pp_points(rho[walking, None], g)
+            kept = pairs[walking, 1] < law.survival(y - c[walking, None], tilt=rho[walking, None])
+            merged = np.sort(np.concatenate((tops[walking], np.where(kept, y, -np.inf)), axis=1),
+                             axis=1)
+            on = y[:, -1] > merged[:, -k]  # not >=: y may round to the shift
+            if more is not None:
+                on |= more(walking, y[:, -1], merged)
+            tops[walking] = merged[:, -k:]
             arrivals[walking] = g[:, -1]
-            walking = walking[y[:, -1] > tops[walking, 0]]  # not >=: y may round to the shift
+            walked[walking] += g.shape[1]
+            walking = walking[on]
             for i in walking:
                 rngs[i].random(out=pairs[i])
-    return tops[:, ::-1].copy()
+    return walked
 
 
 def top_gaps(rngs, rho, n, k, law=None):
@@ -291,7 +369,7 @@ def oracle_masses(streams, alpha, n, k):
     for (name, sampler), rngs in zip(samplers.items(), streams):
         rows, sums = [np.empty((0, k))], []
         for chunk in _chunks(rngs, sampler.n):
-            masses, tails = _chunk_masses(chunk, sampler, k)
+            masses, tails, _ = _chunk_masses(chunk, sampler, k)
             rows.append(masses[:, :k].copy())
             sums.append(sum_squares_rows(masses, tails))
         tops[name] = np.concatenate(rows)

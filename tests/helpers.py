@@ -21,10 +21,12 @@ def marginal_law_test(samples, cdf):
 def gap_law_p(top, rho):
     """p of the one-sample KS test that T = sum_{i<=k} i (x_i - x_{i+1}) of each row
     of k + 1 ranked points is Gamma(k, rate rho), as for the top points of PP(rho),
-    whose gaps X_i - X_{i+1} are independent Exp(i rho) (the Renyi representation)."""
+    whose gaps X_i - X_{i+1} are independent Exp(i rho) (the Renyi representation).
+    For a tuple of rates, each row's drawn with equal chance, T's CDF is their mean."""
     k = top.shape[1] - 1
     t = -np.diff(top, axis=1) @ np.arange(1.0, k + 1)
-    return marginal_law_test(t, lambda t: gammainc(k, rho * t))[1]
+    return marginal_law_test(t, lambda t: np.mean([gammainc(k, r * t)
+                                                   for r in np.atleast_1d(rho)], axis=0))[1]
 
 
 def sample_gamma_arrivals(n, rng) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The suite is Monte Carlo
-heavy (~25-30 s end to end on 2 CPUs); every experiment is pinned to explicit
+heavy (~20-25 s end to end on 2 CPUs); every experiment is pinned to explicit
 seeds so reruns are reproducible.
 """
 
@@ -50,9 +50,9 @@ def _pd_consistency_count(alpha, trunc_n, n_seeds=10, n_rep=2000, k=5):
     sample = experiments.PoissonKingman((alpha,), trunc_n)
     consistent = 0
     for seed in range(n_seeds):
-        before = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 0), n_rep), sample, k)
-        after = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 1), n_rep), sample, k,
-                                       law=GAUSS, beta=1.0)
+        before, _ = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 0), n_rep), sample, k)
+        after, _ = experiments.top_masses(repeat(_rng(1, trunc_n, seed, 1), n_rep), sample, k,
+                                          law=GAUSS, beta=1.0)
         report = invariance_verdict(before, after, level=0.01, n_perm=199,
                                     rng=_rng(1, trunc_n, seed, 2))
         consistent += report["verdict"] == "consistent"
@@ -98,9 +98,9 @@ def test_criterion_3_geometric_counterexample_power():
     before = np.tile(geo[:k], (n_rep, 1))
     rejected = 0
     for seed in range(20):
-        after = experiments.top_masses(repeat(_rng(3, seed), n_rep),
-                                       experiments.Partitions(lambda rng: base, n_pts), k,
-                                       law=GAUSS, beta=1.0)
+        after, _ = experiments.top_masses(repeat(_rng(3, seed), n_rep),
+                                          experiments.Partitions(lambda rng: base, n_pts), k,
+                                          law=GAUSS, beta=1.0)
         report = invariance_verdict(before, after, level=0.001, n_perm=199, rng=_rng(3, seed, 1))
         rejected += report["verdict"] == "rejected"
     return rejected >= 19, f"rejected in {rejected}/20 seeds"

@@ -127,6 +127,35 @@ def test_invariance_pp_tau_10_consistent(tmp_path, capsys, seed):
     assert (code, record["verdict"]) == (0, "consistent")
 
 
+@pytest.mark.parametrize("alpha,sigma", [("0.7", "3"), ("0.5", "5")])
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_invariance_pd_strong_reshuffle_consistent(tmp_path, capsys, alpha, sigma, seed):
+    # PD(alpha, 0) is invariant under every reshuffle: the evolved half once missed the atoms
+    # below --trunc-n that the step lifts into the top k, and read "rejected" at these seeds
+    code = run(["test-invariance", "--kind", "pd", "--alpha", alpha, "--sigma", sigma,
+                "--seed", seed, "--out", str(tmp_path)])
+    record = json.loads(capsys.readouterr().out)
+    assert (code, record["verdict"]) == (0, "consistent")
+
+
+@pytest.mark.parametrize("command", ["evolve", "test-invariance"])
+@pytest.mark.parametrize("kind", ["pd", "mixture-of-pd"])
+def test_walked_halves_report_their_truncation(tmp_path, capsys, command, kind):
+    # at --sigma 400 the mean factor E[e^{beta h}] = e^{80000} of the untracked tail left
+    # float64, and the run exited 2; the walk forms none, and reports what it simulated
+    assert run([command, "--kind", kind, "--sigma", "400", "--topk", "3", "--replicas", "200",
+                "--seed", "1", "--out", str(tmp_path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    cut = record["truncation"]
+    assert (cut["head"], cut["walked_max"] % 32) == (3, 0)
+    assert 32 <= cut["walked_mean"] <= cut["walked_max"] and cut["promoted_replicas"] <= 200
+    assert 0 < cut["max_remainder_share"] < 1 and 0 < cut["max_sd_bound_share"] <= 0.01
+    # an unevolved half, a pp ensemble and a partition's reshuffle walk no PD start
+    for args in (["sample"], ["evolve", "--kind", "pp"], ["evolve", "--kind", "geometric"]):
+        assert run([*args, "--replicas", "5", "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert "truncation" not in json.loads(capsys.readouterr().out)
+
+
 def test_invariance_geometric_rejected(tmp_path, capsys):
     code = run(["test-invariance", "--kind", "geometric", "--replicas", "500",
                 "--trunc-n", "60", "--topk", "3", "--seed", "5", "--out", str(tmp_path)])
@@ -163,7 +192,7 @@ def _pd_rows_file(tmp_path, edit=lambda rows: rows):
     from quasistat.cli import write_csv
 
     rngs = itertools.repeat(np.random.default_rng(3), 600)
-    rows = experiments.top_masses(rngs, experiments.PoissonKingman((0.5,), 100), 40)
+    rows, _ = experiments.top_masses(rngs, experiments.PoissonKingman((0.5,), 100), 40)
     path = tmp_path / "masses.csv"
     write_csv(path, [f"xi_{j}" for j in range(1, 41)], edit(rows))
     return ["test-invariance", "--kind", "custom-from-file", "--input", str(path),
@@ -364,10 +393,10 @@ _GOLDEN_CSV = {
     ("sample", "pp"): "44643849ac2bc3fc914c26b5e244d806f71df0373f70bf6e3855da690c45f4ed",
     ("sample", "geometric"): "790a644b97d7b467d324aeeba9b80b092058828b705f713762186feaffb04d91",
     ("sample", "mixture-of-pd"): "8516dc0b3e7b36a2ff71250bbe30e538931e0f4c1ffc7dd895fdcb65aecb8b2c",
-    ("evolve", "pd"): "8582731e1863bb9915266f13bcbf0e3624e58da1b7460f99d98190c82f5efacc",
+    ("evolve", "pd"): "5ae1666bb169cd2f5de11fbd704bcf1dd40204d58f054419644b0f5b65e1587c",
     ("evolve", "pp"): "6c54b1bbb362db9eec9d7b0cf7fb740d41511ee216ec911f3bdc9750dbccfc89",
     ("evolve", "geometric"): "a7e14830aaed91f5afc3e1e25b44f7b1373015ce83c3e864816333835ed562bf",
-    ("evolve", "mixture-of-pd"): "bc4dd591d68048a6b23d4ac81cd054836a8df55bee57e24e01db0a0c0221051f",
+    ("evolve", "mixture-of-pd"): "9d69d452ccab807d04557e371267f8943f307deeac98564f0ead5bb8e916cc58",
 }
 
 
@@ -384,11 +413,11 @@ def test_golden_csv_stream(tmp_path, capsys, command, kind):
 # One step (--tau 1): the streams every path keeps bit for bit whatever the
 # multi-step arithmetic, including the evolved half of test-invariance.
 _GOLDEN_ONE_STEP_CSV = {
-    ("evolve", "pd"): "8f315acdb76d175dbf6c318448b5e4fe19771117c7f81e8004d822c18a50697a",
+    ("evolve", "pd"): "483900db395132f8f7999c841f6fe42ac2bf0903e13e47f024d80eb0fa62c96a",
     ("evolve", "pp"): "b3a8419b66c5bb256ea0815131c271634587d1544e549266e637ac5efb825d6f",
     ("evolve", "geometric"): "75e9c0ceeb785ce7096c10ef099ccbebc40056d50949bbb39b3e312dae9c5d2c",
-    ("evolve", "mixture-of-pd"): "964d90345d4526f7ff02d632d14136fc3d2a10da253d21c41e4dc0872c4aa4be",
-    ("test-invariance", "pd"): "42b91b7556be14f86547d7f9c8a807094734c8bce6c140638c10e7a70fa4730f",
+    ("evolve", "mixture-of-pd"): "bbc6a7bf44e2bf865b3dd15d661041fa2f9ec34b551306306637ff36bad615e0",
+    ("test-invariance", "pd"): "78a7022aca0a988ff635c681bf25cfb7af3b86ac631e2da4427fbeb9a7eaa7ce",
     ("test-invariance", "pp"): "b9f5a7b5058f8a705e391c092fa56aa16b349960fe003c6b1d8285030fdaf6eb",
 }
 
@@ -611,9 +640,10 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
     (["test-invariance", "--kind", "custom-from-file"], ["--input", "kind=custom-from-file"]),
     (["sample", "--kind", "mixture-of-pd", "--alphas", ","],
      ["--alphas", "components must lie in (0, 1)"]),
-    # E[e^{beta h}] is e^{inf}; every point less e^{inf} was -inf - (-inf), with a warning
+    # the shift alpha (beta sigma)^2 / 2 of the walk is inf; E[e^{beta h}] was e^{inf}, and
+    # every point less e^{inf} was -inf - (-inf), with a warning
     (["evolve", "--kind", "pd", "--beta", "1e160"],
-     ["--sigma", "--beta 1e+160", "overflows the reshuffled tail"]),
+     ["--alpha", "--beta 1e+160", "--mu", "--sigma", "--tau", "shift alpha (beta sigma)^2 / 2"]),
     (["evolve", "--kind", "geometric", "--beta", "1e300", "--trunc-n", "50"],
      ["--sigma", "--beta 1e+300", "overflows the reshuffled tail"]),
     # a replica's 5th mass underflows at these seeds
@@ -621,9 +651,9 @@ _DEPTH_FLAGS = ["--trunc-n", "--rho", "--f-d"]
      ["--alpha", "underflowed"]),
     (["sample", "--kind", "pd", "--alpha", "0.01", "--replicas", "2000", "--seed", "2"],
      ["--alpha", "underflowed"]),
-    # beta h overflows, and with it the log-masses, before E[e^{beta h}] is formed
+    # beta sigma overflows, and with it the log-masses, before the walk starts
     (["evolve", "--kind", "pd", "--beta", "1e300", "--sigma", "1e10"],
-     ["--sigma", "--beta 1e+300", "leading log-mass x + beta h beyond float64"]),
+     ["--alpha", "--beta 1e+300", "--sigma 10000000000.0", "the step beta h leaves float64"]),
     # beta X_i overflows while the starts are normalized: their weights e^{-inf} are 0
     (["verify-lemma", "--beta", "1e308"], ["--ck", "--beta 1e+308", "v_beta"]),
     # v_beta = inf at tau = 0 too: the front checks' grid was NaN, the report "Infinity"
@@ -668,9 +698,10 @@ def test_bad_input_names_the_flag(tmp_path, capsys, args, names):
     assert all(name in err for name in names[1:]), err
 
 
-@pytest.mark.parametrize("kind,trunc_n", [("pd", "500"), ("geometric", "50")])
+@pytest.mark.parametrize("kind,trunc_n", [("geometric", "50")])
 def test_reshuffle_overflow_names_the_flags(tmp_path, capsys, kind, trunc_n):
     # E[e^{beta h}] of the tau-step sum h overflows the tail mass; exit 1 would read as a rejection
+    # (a PD start forms no E[e^{beta h}]: test_walked_halves_report_their_truncation)
     for sigma, tau, exponent in [("400", "1", "80000"), ("13", "10", "845")]:
         assert run(["evolve", "--kind", kind, "--sigma", sigma, "--tau", tau, "--trunc-n", trunc_n,
                     "--topk", "1", "--replicas", "20", "--seed", "1", "--out", str(tmp_path)]) == 2
@@ -693,12 +724,13 @@ def test_custom_overflow_names_its_one_step(tmp_path, capsys):
     ["evolve", "--kind", "pp"], ["evolve", "--kind", "pd"],
 ])
 def test_nonfinite_increments_name_the_flags(tmp_path, capsys, args):
-    # --sigma 1e308 draws increments beyond float64
+    # --sigma 1e308 draws increments beyond float64; a walked PD start draws beta h
     assert run([*args, "--sigma", "1e308", "--replicas", "20", "--seed", "1",
                 "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --mu 0.0, --sigma 1e+308 and --tau 1 take the increments "
-                          "beyond float64: increment law produced non-finite draws"), err
+    beta = ", --beta 1.0" if "pd" in args else ""
+    assert err.startswith(f"error: --mu 0.0, --sigma 1e+308{beta} and --tau 1 take the increments "
+                          f"beyond float64: increment law produced non-finite draws"), err
 
 
 def test_custom_nonfinite_increments_name_its_one_step(tmp_path, capsys):
@@ -908,6 +940,30 @@ def test_partition_rows_valid_or_flag_error(command, kind, alphas, sigma, beta, 
     assert np.all((rows >= 0) & (rows <= 1))
     assert np.all(np.diff(rows, axis=1) <= 0)
     assert np.all(rows.sum(axis=1) <= 1 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["pd", "mixture-of-pd"]),
+       alphas=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2),
+       sigma=_scales(-323.3, 308.2), beta=_scales(-323.3, 308.2),
+       mu=_signed(_scales(-323.3, 308.2)), tau=st.sampled_from([1, 2, 10, 1000]),
+       topk=st.integers(1, 5))
+def test_walked_partition_rows_valid_or_flag_error(kind, alphas, sigma, beta, mu, tau, topk):
+    # an evolved PD start walks PP(alpha) below its first --topk points: valid ranked
+    # masses, or exit 2 naming a flag, and no RuntimeWarning on the way
+    with tempfile.TemporaryDirectory() as out:
+        code, _, err = _run_quiet(["evolve", "--kind", kind, "--alpha", repr(alphas[0]),
+                                   "--alphas", ",".join(map(repr, alphas)), "--sigma", repr(sigma),
+                                   "--beta", repr(beta), f"--mu={mu!r}", "--tau", str(tau),
+                                   "--topk", str(topk), "--replicas", "4", "--seed", "1",
+                                   "--out", out])
+        if code == 2:
+            assert err.startswith("error: --"), err
+            return
+        rows = np.loadtxt(os.path.join(out, "evolved.csv"), delimiter=",", skiprows=1, ndmin=2)
+    assert code == 0
+    assert rows.shape == (4, topk) and np.all((rows > 0) & (rows <= 1))
+    assert np.all(np.diff(rows, axis=1) <= 0) and np.all(rows.sum(axis=1) <= 1 + 1e-12)
 
 
 def _reads(trees, name, skip):

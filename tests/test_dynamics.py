@@ -13,7 +13,7 @@ from quasistat.pointproc import (
     mass_partition_rows,
     pp_exponential_rows,
 )
-from quasistat.stattest import invariance_verdict
+from quasistat.stattest import invariance_verdict, ks_two_sample
 
 from helpers import front_counts_loop, gap_law_p, sample_gamma_arrivals
 
@@ -186,7 +186,8 @@ def test_multiplicative_mass_conservation():
 
 
 def test_additive_multiplicative_commutation():
-    # coupled draws: masses of the evolved configuration equal the reshuffled masses
+    # coupled draws: masses of the evolved configuration equal the reshuffled masses of
+    # the same start, given as a partition (a PD start walks below its head instead)
     x, tails = pp_exponential_rows(0.5, sample_gamma_arrivals(60, np.random.default_rng(8))[None])
     law = IncrementLaw(0.1, 0.9)
     h = law.sample(60, np.random.default_rng(21))
@@ -195,9 +196,8 @@ def test_additive_multiplicative_commutation():
     stepped = experiments.top_points([np.random.default_rng(8)], 0.5, 60, 60, law=_FixedDraws(h))
     advance = np.exp(x[:, 0] + law.log_mgf(1.0) - stepped[:, 0])
     (via_points,), (via_points_tail,), _ = mass_partition_rows(stepped, tails * advance)
-    via_masses, via_masses_tail = _reshuffled(experiments.PoissonKingman((0.5,), 60),
-                                              _FixedDraws(h, np.exp(law.log_mgf(1.0))),
-                                              rng=np.random.default_rng(8))
+    (masses,), (tail,), _ = mass_partition_rows(x, tails)
+    via_masses, via_masses_tail = _reshuffle(masses, tail, _FixedDraws(h, np.exp(law.log_mgf(1.0))))
     np.testing.assert_allclose(via_points, via_masses, atol=1e-10)
     np.testing.assert_allclose(via_points_tail, via_masses_tail, atol=1e-10)
 
@@ -423,14 +423,73 @@ def test_top_masses_matches_replica_loop(monkeypatch, case, chunk_rows):
         return repeat(np.random.default_rng(7), replicas)
 
     for rngs, steps in [(independent, 0), (independent, 1), (shared, 0), (shared, 1)]:
+        if steps and isinstance(sampler, experiments.PoissonKingman):
+            # walked below its first k points: each replica's row is its own, whatever the
+            # chunk, and the rows keep the law of the unevolved start, not the loop's bits
+            rows, _ = experiments.top_masses(rngs(), sampler, k, law=law, beta=beta)
+            if rngs is independent:
+                alone = [experiments.top_masses([rng], sampler, k, law=law, beta=beta)[0]
+                         for rng in rngs()]
+                assert rows.tobytes() == np.concatenate(alone).tobytes()
+            _assert_walk_keeps_the_law(sampler.alphas, law, beta, rngs is shared, 40 + steps)
+            continue
         reference = _log_point_loop(rngs(), start, k, law, beta, steps)
-        rows = experiments.top_masses(rngs(), sampler, k, law=law if steps else None, beta=beta)
+        rows, _ = experiments.top_masses(rngs(), sampler, k, law=law if steps else None,
+                                         beta=beta)
         assert rows.shape == reference.shape
         assert rows.tobytes() == reference.tobytes(), (rngs, steps)
         law_reference, fewest = _top_masses_loop(rngs(), start, k, law, beta, steps)
         np.testing.assert_allclose(rows, law_reference, rtol=1e-13, atol=0)
         if case == "geometric-underflow" and steps:
             assert fewest < n
+
+
+def _assert_walk_keeps_the_law(alphas, law, beta, shared, seed, replicas=2000, k=6, cases=1):
+    """The evolved top k masses of PD(alpha, 0) starts, walked below their first k
+    points, against the law of the unevolved top k (PD(alpha, 0) is invariant): the
+    two-sample KS of each coordinate against an unevolved ensemble of 2000-point
+    starts, and the closed-form law of the log-mass gaps (``gap_law_p``), each at
+    level 0.01 shared, Bonferroni, over ``cases`` calls; and the walk's counters."""
+    def rngs(half):
+        if shared:
+            return repeat(np.random.default_rng([seed, half]), replicas)
+        return [np.random.default_rng([seed, half, i]) for i in range(replicas)]
+
+    reference, _ = experiments.top_masses(rngs(0), experiments.PoissonKingman(alphas, 2000), k)
+    rows, cut = experiments.top_masses(rngs(1), experiments.PoissonKingman(alphas, 500), k,
+                                       law=law, beta=beta)
+    level = 0.01 / (2 * cases)
+    ks = [ks_two_sample(reference[:, j], rows[:, j])[1] for j in range(k)]
+    assert min(ks) >= level / k, ks
+    assert gap_law_p(np.log(rows), alphas) >= level
+    # a row walks at least its batch, and on until R's SD bound is at most 1% of its T: a
+    # first batch already takes it to ~3% at most, which no law test of this size can see
+    walked, _, remainder, spread = cut
+    assert np.all(walked >= experiments._WALK_BATCH) and np.all(spread <= 0.01)
+    assert np.all((remainder > 0) & (remainder < 1))
+
+
+# name -> (alphas, mu, sigma, tau, beta, shared generator): beta sigma from 1 to 3 per
+# step, at tau 1 and 10, with mu != 0 and beta != 1
+_WALK_CASES = {
+    "0.1-1": ((0.1,), 0.0, 1.0, 1, 1.0, False),
+    "0.1-3-shared": ((0.1,), 0.5, 2.0, 1, 1.5, True),
+    "0.5-1": ((0.5,), -1.0, 2.0, 1, 0.5, False),
+    "0.5-3-tau-10": ((0.5,), 0.2, 3.0, 10, 1.0, False),
+    "0.9-1-shared": ((0.9,), 0.0, 1.0, 1, 1.0, True),
+    "0.9-3": ((0.9,), 2.0, 1.5, 1, 2.0, False),
+    "mixture-3": ((0.3, 0.7), 0.0, 3.0, 1, 1.0, False),
+    "mixture-1-tau-10-shared": ((0.3, 0.7), -0.3, 1.25, 10, 0.8, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WALK_CASES))
+def test_pd_walk_keeps_the_law(case):
+    # every reshuffle leaves PD(alpha, 0) invariant: the walk's top k must keep its law,
+    # where the mean-factor tail and a 500-point start lost the promotions at beta sigma 3
+    alphas, mu, sigma, tau, beta, shared = _WALK_CASES[case]
+    _assert_walk_keeps_the_law(alphas, IncrementLaw(mu, sigma).summed(tau), beta, shared,
+                               seed=70 + sorted(_WALK_CASES).index(case), cases=len(_WALK_CASES))
 
 
 # The per-replica loop that ``experiments.top_points`` replaces, kept as the
@@ -520,6 +579,18 @@ def test_evolved_pp_gap_law_does_not_depend_on_the_head(n):
         assert p >= 0.01 / 9, (seed, p)
 
 
+@pytest.mark.parametrize("alphas,sigma", [((0.7,), 3.0), ((0.5,), 5.0), ((0.3, 0.7), 3.0)])
+def test_evolved_pd_gap_law_at_strong_reshuffles(alphas, sigma):
+    # the log-mass gaps of PD(alpha, 0) keep their closed-form law under every reshuffle;
+    # with the atoms below --trunc-n 500 left out of the top k, the first two corners read
+    # p = 0.004, 1.5e-4 and 1.5e-4 (alpha 0.7), and at most 3e-12 (alpha 0.5), at seeds 1-3
+    law, k = IncrementLaw(0.0, sigma), 5
+    for seed in (1, 2, 3):
+        rows, _ = experiments.top_masses(cli._generators(seed, 1, range(2000)),
+                                         experiments.PoissonKingman(alphas, 500), k + 1, law=law)
+        assert gap_law_p(np.log(rows), alphas) >= 0.01, seed
+
+
 class _CountingRng:
     """Forwards every call to a numpy Generator and counts the calls by name."""
 
@@ -578,7 +649,7 @@ def test_summed_law_evolves_as_tau_steps(case):
         reference, _ = _top_masses_loop(rngs(1), start, k, law, beta, tau)
 
         def ensemble(law):
-            return experiments.top_masses(rngs(2), sampler, k, law=law, beta=beta)
+            return experiments.top_masses(rngs(2), sampler, k, law=law, beta=beta)[0]
 
     def verdict(rows):
         return invariance_verdict(reference, rows, level=0.01, n_perm=199,

@@ -383,9 +383,9 @@ def test_pd_theta_starts_rejected(alpha, theta, replicas, low, high):
     sampler = experiments.Partitions(gem_partition(alpha, theta), 500)
 
     def ensembles(start, evolved):
-        return (experiments.top_masses(repeat(start, replicas), sampler, 5),
+        return (experiments.top_masses(repeat(start, replicas), sampler, 5)[0],
                 experiments.top_masses(repeat(evolved, replicas), sampler, 5,
-                                       law=IncrementLaw(0.0, 1.0)))
+                                       law=IncrementLaw(0.0, 1.0))[0])
 
     assert low <= _rejections(14, ensembles) <= high
 
