@@ -43,10 +43,11 @@ class IncrementLaw:
     def sample(self, size, rng):
         return rng.normal(self.mu, self.sigma, size=size)
 
-    def survival(self, c, tilt=0.0):
-        """P(h >= c) elementwise under the law tilted by e^{tilt h}, tilt a number or an
-        array: N(mu + tilt sigma^2, sigma^2), its mean formed as (mu - c) / sigma + tilt sigma."""
-        return ndtr((self.mu - c) / self.sigma + tilt * self.sigma)
+    def survival(self, c, tilt=None):
+        """P(h >= c) elementwise; given a tilt (a number or an array), under the law tilted
+        by e^{tilt h}: N(mu + tilt sigma^2, sigma^2), at the z-score (mu - c)/sigma + tilt sigma."""
+        z = (self.mu - c) / self.sigma
+        return ndtr(z if tilt is None else z + tilt * self.sigma)
 
     def summed(self, tau):
         """The law N(tau mu, tau sigma^2) of h_1 + ... + h_tau, tau >= 1: as the

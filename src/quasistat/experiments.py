@@ -229,7 +229,7 @@ def _walk_masses(rngs, pairs, x, h, alphas, law):
     if not np.all(np.isfinite(tops[:, [0, -1]])):
         raise FloatingPointError("a top point x + beta h, or the shift alpha (beta sigma)^2 / 2 "
                                  "of the points below them, leaves float64")
-    c, heads, (rest, er, sd) = x[:, -1] - shift, tops[:, 0].copy(), np.zeros((3, n))
+    c, heads, (rest, er, sd, total) = x[:, -1] - shift, tops[:, 0].copy(), np.zeros((4, n))
 
     def remainder(rows, s, merged):  # before the top k are taken from merged
         a, b, lead, cut = alphas[rows], 1.0 - alphas[rows], merged[:, -1], c[rows]
@@ -241,13 +241,13 @@ def _walk_masses(rngs, pairs, x, h, alphas, law):
                 log_ndtr(z + a * spread),
                 b * (cut - s) + 0.5 * b * (1.0 + a) * spread * spread + log_ndtr(-z - spread)))
             sd[rows] = np.sqrt(a / (2.0 - a) * np.exp((2.0 - a) * (s - lead) - a * lead))
-            total = np.exp(merged[:, -k:] - lead[:, None]).sum(axis=1) + rest[rows] + er[rows]
-        if not np.all(np.isfinite(total)):
+            total[rows] = (np.exp(merged[:, -k:] - lead[:, None]).sum(axis=1) + rest[rows]
+                           + er[rows])
+        if not np.all(np.isfinite(total[rows])):
             raise FloatingPointError("the mean E[R] of the untracked sum leaves float64")
-        return sd[rows] > 0.01 * total
+        return sd[rows] > 0.01 * total[rows]
 
     walked = _promote(rngs, pairs, tops, c, law, alphas, 0.0, remainder)
-    total = np.exp(tops - tops[:, -1:]).sum(axis=1) + rest + er
     return tops[:, ::-1], rest + er, np.array([walked, tops[:, 0] > heads, er / total, sd / total])
 
 

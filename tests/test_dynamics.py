@@ -36,7 +36,7 @@ class _FixedDraws:
     def log_mgf(self, lam):
         return np.log(self.mean_weight)
 
-    def survival(self, c, tilt=0.0):
+    def survival(self, c, tilt=None):
         return IncrementLaw(self.mu, self.sigma).survival(c, tilt)
 
 
