@@ -324,7 +324,8 @@ def _ensemble(cfg, stream, steps):
         return _in_range(cfg, experiments.top_gaps, _rngs(cfg, stream), cfg["rho"], n, k,
                          law=law), "gap", {}
     sampler = _partition_sampler(cfg)
-    _check_depth(cfg, k)
+    if not (steps and isinstance(sampler, experiments.PoissonKingman)):  # a walk draws k points
+        _check_depth(cfg, k)
     rows, cut = _in_range(cfg, experiments.top_masses, _rngs(cfg, stream), sampler, k, law=law,
                           beta=cfg["beta"])
     return rows, "xi", {} if cut is None else {"truncation": {

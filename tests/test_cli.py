@@ -770,6 +770,23 @@ def test_trunc_n_below_topk_names_the_flags(tmp_path, capsys, command, kind, nee
                                        f"a replica tracks 3 values; {need} are needed\n")
 
 
+@pytest.mark.parametrize("kind", ["pd", "mixture-of-pd"])
+def test_walked_pd_half_reads_no_trunc_n(tmp_path, capsys, kind):
+    # an evolved PD replica draws its first --topk points, whatever --trunc-n reads: a
+    # --trunc-n below --topk once exited 2, and at any depth the rows are the same
+    rows = []
+    for trunc_n in ("3", "500"):
+        out = tmp_path / trunc_n
+        assert run(["evolve", "--kind", kind, "--trunc-n", trunc_n, "--topk", "5",
+                    "--replicas", "20", "--seed", "1", "--out", str(out)]) == 0
+        rows.append((out / "evolved.csv").read_bytes())
+    assert rows[0] == rows[1]
+    # the unevolved half of test-invariance still tracks --trunc-n values
+    assert run(["test-invariance", "--kind", kind, "--trunc-n", "3", "--topk", "5",
+                "--replicas", "20", "--seed", "1", "--out", str(tmp_path)]) == 2
+    assert "--trunc-n must be >= 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ["test-invariance", "--rho", "0.01", "--beta", "5", "--topk", "1", "--replicas", "50"],
     ["sample", "--rho", "0.01", "--beta", "5", "--topk", "1", "--replicas", "50"],
