@@ -463,10 +463,11 @@ def cmd_verify_lemma(cfg):
     if not (np.isfinite(v * tau) and np.isfinite(v / beta * tau)):
         raise ConfigError(f"--mu {law.mu}, --sigma {law.sigma}, --beta {beta} and --tau {tau} "
                           f"take the front levels beyond float64: v_beta = {v:.6g}")
+    counters = {}
     counts = experiments.front_bound_counts(starts, law, tau, beta=beta,
-                                            grid_points=cfg["grid_points"])
+                                            grid_points=cfg["grid_points"], counters=counters)
     passed = counts["markov_violations"] == 0 and counts["z_violations"] == 0 and jump["passed"]
-    return {"v_beta": v, **counts, "jump": jump, "passed": passed}, passed
+    return {"v_beta": v, **counts, **counters, "jump": jump, "passed": passed}, passed
 
 
 def _check_se_replicas(cfg):

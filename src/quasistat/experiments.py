@@ -475,12 +475,13 @@ def _upper_bounds(table, levels, points):
     # past twice that the other way, or at NaN, a gap lands below the table, on 1
     ly = np.fmin(np.fmax(np.floor(levels / step), -2 * _INDEX_MAX), _INDEX_MAX)
     kx = np.fmax(np.fmin(np.ceil(points[:, cols] / step), 2 * _INDEX_MAX), -_INDEX_MAX)
-    ly = ly.astype(np.int64) - first
-    return (1.0 + 1e-9) * np.array([values.take(np.subtract.outer(ly, k), mode="clip") @ sizes
-                                    for k in kx.astype(np.int64)])
+    ly, upper = ly.astype(np.int64) - first, np.zeros((len(points), len(levels)))
+    for k, size in zip(kx.astype(np.int64).T, sizes):  # one column of every start at a time
+        upper += size * values.take(ly - k[:, None], mode="clip")
+    return (1.0 + 1e-9) * upper
 
 
-def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
+def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100, counters=None):
     """Pathwise checks of F(y) <= (1 + tail) e^{v tau - beta y} on a grid and of
     Z <= (v/beta) tau, with v = log E[e^{beta h}].
 
@@ -488,7 +489,8 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     ``tail_normalized_starts`` does: a points matrix with one row per start,
     and its tail column.  Returns the number of starts violating each bound
     and the largest ratio F / bound seen on the grid where the bound is
-    positive, from one pass over the chunks on the calling thread.
+    positive, from one pass over the chunks on the calling thread.  A ``counters``
+    dict, if given, gains ``exact_starts``: the starts whose F was summed exactly.
 
     F at the grid and at the level (v/beta) tau sums a term per point of a
     start: P(x_i + S(tau) >= y), by ``IncrementLaw.survival`` of the summed
@@ -523,7 +525,7 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
     def ratios(fvals, rhs):  # F / bound where the bound is positive, 0 elsewhere
         return np.divide(fvals, rhs, out=np.zeros_like(rhs), where=rhs > 0)
 
-    markov_violations = z_violations = 0
+    markov_violations = z_violations = exact = 0
     max_ratio = 0.0
     table = None
     for points, tails in starts:
@@ -543,6 +545,7 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
             for i in np.lexsort((-bound, safe)):  # the unsafe starts first
                 if safe[i] and bound[i] <= max_ratio:
                     break
+                exact += 1
                 fvals = np.zeros(len(levels))
                 # a safe start can raise the max only where its U / bound exceeds it
                 live = np.flatnonzero(np.append(level_ratios[i] > max_ratio, False) | ~safe[i])
@@ -554,6 +557,8 @@ def front_bound_counts(starts, law, tau, beta=1.0, grid_points=100):
                 z_violations += bool(tau > 0 and fvals[-1] > 1.0)
                 # max skips a NaN ratio (a NaN grid), as the serial loop's does
                 max_ratio = max(max_ratio, float(ratios(fvals[:-1], rhs[i]).max()))
+    if counters is not None:
+        counters["exact_starts"] = exact
     return {"markov_violations": markov_violations, "z_violations": z_violations,
             "max_bound_ratio": max_ratio}
 
@@ -562,11 +567,13 @@ def jump_event_bound_check(starts, law, tau, ck, beta=1.0, *, rng):
     """Frequency of {some i : S_i(tau) >= -X_i + ck tau} vs e^{-tau(ck beta - v_beta)},
     where ck = C + K.
 
-    ``starts`` yields matrices of tail-normalized points, one row per start;
-    the total jump of a point depends only on its origin and the summed
-    increments, so S_i(tau) is one draw of ``law.summed(tau)``, for a whole
-    matrix at once, in row order.  Returns the frequency, the bound,
-    three binomial SE of the bound, the number of events, and whether the
+    ``starts`` yields matrices of tail-normalized points, one row per start.  S_i(tau) is
+    one draw of h ~ ``law.summed(tau)``, so given its points a start is hit, independently,
+    with chance p = 1 - prod_i P(h < theta - x_i), theta = ck tau: it draws one uniform U,
+    in row order, and is hit iff U < p.  As its points are ranked, p <= n P(h >= theta - x_1)
+    (the union bound), so U at or above that times 1 + 1e-9 is a miss; only the other
+    starts (``exact_starts``) take p, in logs.  Returns the frequency, the bound, three
+    binomial SE of the bound, the numbers of events and exact starts, and whether the
     frequency is at most bound + 3 SE.
     """
     v = law.log_mgf(beta)
@@ -577,14 +584,18 @@ def jump_event_bound_check(starts, law, tau, ck, beta=1.0, *, rng):
     bound = float(np.exp(-exponent)) if tau > 0 else 0.0
     threshold = ck * tau
     summed = law.summed(tau) if tau > 0 else None
-    hits = n = 0
+    hits = n = exact = 0
     for points in starts:
         n += len(points)
         if summed is not None:
-            jumps = summed.sample(points.shape, rng)
-            jumps += points
-            hits += int(np.count_nonzero(jumps.max(axis=1) >= threshold))
+            u = rng.random(len(points))
+            with np.errstate(over="ignore"):  # z = +-inf at a tiny sigma, where ndtr is exact
+                live = np.flatnonzero(u < (1.0 + 1e-9) * points.shape[1]
+                                      * summed.survival(threshold - points[:, 0]))
+                z = (threshold - points[live] - summed.mu) / summed.sigma
+            exact += len(live)
+            hits += int(np.count_nonzero(u[live] < -np.expm1(log_ndtr(z).sum(axis=1))))
     frequency = hits / n
     three_se = 3.0 * np.sqrt(max(bound * (1.0 - bound), 1.0 / n) / n)
-    return {"frequency": frequency, "bound": bound, "three_se": float(three_se),
-            "events": hits, "passed": bool(frequency <= bound + three_se)}
+    return {"frequency": frequency, "bound": bound, "three_se": float(three_se), "events": hits,
+            "exact_starts": exact, "passed": bool(frequency <= bound + three_se)}

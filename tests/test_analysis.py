@@ -1,12 +1,14 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, log_ndtr
+from scipy.stats import fisher_exact
 
 from quasistat import cli, experiments
 from quasistat.dynamics import IncrementLaw
@@ -84,7 +86,10 @@ def _start_loop(rng, rho, n, beta):
 
 
 def _jump_events_loop(starts, law, tau, ck, rng):
-    return sum(int(np.max(points + law.summed(tau).sample(len(points), rng)) >= ck * tau)
+    # one uniform per start, a hit below its chance that some x_i + S_i(tau) >= ck tau
+    summed = law.summed(tau)
+    return sum(int(rng.random() < -np.expm1(log_ndtr((ck * tau - points - summed.mu)
+                                                      / summed.sigma).sum()))
                for points, _ in starts)
 
 
@@ -242,6 +247,51 @@ def test_front_screen_bounds_every_level(rho, excess, mu, sigma, tau, seed, n):
         with np.errstate(over="ignore"):  # ndtr(+-inf) at sigma = 1e-300
             exact = np.array([tail_sums(levels, row, summed) for row in points])
         assert np.all(upper >= exact), np.argwhere(upper < exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**{**_FRONT_RANGE, "sigma": _FRONT_RANGE["sigma"] | st.sampled_from([1e-300, 30.0]),
+          "tau": st.just(0) | _FRONT_RANGE["tau"]},
+       extra=st.floats(0.01, 2.0), n=st.integers(1, 200))
+def test_jump_screen_bounds_every_start(rho, excess, mu, sigma, tau, seed, extra, n):
+    # the jump check takes a start's chance p only where its uniform falls below the
+    # screen's bound: so p must not exceed that bound.  Each start is handed the largest
+    # uniform below its p, and must be a hit wherever p > 0
+    beta, law = rho + excess, IncrementLaw(mu, sigma)
+    ck = law.log_mgf(beta) / beta + extra  # the bound's exponent tau beta extra is > 0
+    rngs = itertools.repeat(np.random.default_rng(seed), 20)
+    starts = [points for points, _ in experiments.tail_normalized_starts(rngs, rho, n, beta=beta)]
+    chances = []
+    if tau > 0:  # at tau = 0 nothing is drawn
+        summed = law.summed(tau)
+        with np.errstate(over="ignore"):  # z = +-inf at sigma = 1e-300
+            chances = [-np.expm1(log_ndtr((ck * tau - points - summed.mu) / summed.sigma)
+                                 .sum(axis=1)) for points in starts]
+    uniforms = (np.nextafter(chance, 0.0) for chance in chances)
+    rigged = SimpleNamespace(random=lambda size: next(uniforms))
+    jump = experiments.jump_event_bound_check(starts, law, tau, ck, beta=beta, rng=rigged)
+    assert next(uniforms, None) is None  # one uniform per start, every one drawn
+    assert jump["events"] == sum(np.count_nonzero(chance > 0) for chance in chances)
+
+
+@pytest.mark.parametrize("case,rho,n,tau,ck", [(0, 0.5, 60, 3, 0.8), (1, 0.5, 500, 10, 1.0),
+                                               (2, 0.6, 120, 1, 0.6)])
+def test_jump_events_follow_the_per_point_law(case, rho, n, tau, ck):
+    # one uniform per start against its exact chance has the law of one S_i(tau) per
+    # point: both run on the same 20,000 starts, at seeds fixed before the first run
+    summed, normals, per_point = GAUSS.summed(tau), np.random.default_rng([34, case, 1]), [0]
+
+    def starts():
+        rngs = itertools.repeat(np.random.default_rng([34, case, 0]), 20_000)
+        for points, _ in experiments.tail_normalized_starts(rngs, rho, n):
+            jumps = summed.sample(points.shape, normals) + points
+            per_point[0] += int(np.count_nonzero(jumps.max(axis=1) >= ck * tau))
+            yield points
+
+    events = experiments.jump_event_bound_check(starts(), GAUSS, tau, ck,
+                                                rng=np.random.default_rng([34, case, 2]))["events"]
+    table = [[events, 20_000 - events], [per_point[0], 20_000 - per_point[0]]]
+    assert fisher_exact(table).pvalue >= 0.01, table
 
 
 @settings(max_examples=40, deadline=None)

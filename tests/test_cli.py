@@ -249,7 +249,9 @@ def test_verify_lemma(tmp_path, capsys):
     assert record["markov_violations"] == 0
     assert record["z_violations"] == 0
     assert record["jump"]["passed"]
-    assert sorted(record["jump"]) == ["bound", "events", "frequency", "passed", "three_se"]
+    assert sorted(record["jump"]) == ["bound", "events", "exact_starts", "frequency", "passed",
+                                      "three_se"]
+    assert 0 < record["jump"]["exact_starts"] < 200 and 0 < record["exact_starts"] < 200
     assert code == 0
 
 
@@ -523,7 +525,7 @@ def test_golden_report_numbers(tmp_path, capsys):
     lemma = report(["verify-lemma", "--alpha", "0.5", "--rho", "0.5", "--tau", "3",
                     "--replicas", "30", "--trunc-n", "60", "--grid-points", "20", "--ck", "0.8"])
     assert lemma["max_bound_ratio"] == 0.20509071542131313
-    assert (lemma["markov_violations"], lemma["z_violations"], lemma["jump"]["events"]) == (0, 0, 2)
+    assert (lemma["markov_violations"], lemma["z_violations"], lemma["jump"]["events"]) == (0, 0, 1)
 
 
 def test_verify_lemma_reads_rho_not_alpha(tmp_path, capsys):
